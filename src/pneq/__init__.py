@@ -22,7 +22,7 @@ from .errors import (
 from .formats import lts_to_dot, parse_marking, parse_net, parse_relation
 from .ltsbisim import branching_bisim, decide_interleaving, strong_bisim
 from .multiset import EMPTY_MARKING, Marking, ms_diff, ms_scalar, ms_union
-from .net import TAU, Lts, Net, PlaceId, Transition, enabled, fire, is_safe, reach_lts
+from .net import TAU, Lts, Net, Transition, enabled, fire, is_safe, reach_lts
 from .relations import (
     THETA,
     MatchWitness,
@@ -35,24 +35,12 @@ from .relations import (
     related_markings,
     restrict_bar,
 )
-from .silent import (
-    EitherGoal,
-    OrGoal,
-    SilentStep,
-    SilentWitness,
-    find_silent_response,
-    idle,
-    is_tau_sequential,
-    observable_label,
-    psi_holds,
-    silent_graph,
-)
+from .silent import SilentStep, is_tau_sequential, silent_graph
 
 __version__ = "0.1.0"
 
 __all__ = [
     "EMPTY_MARKING",
-    "EitherGoal",
     "KINDS",
     "CheckReport",
     "DecideCaps",
@@ -62,14 +50,11 @@ __all__ = [
     "ModelError",
     "Net",
     "NotEnabledError",
-    "OrGoal",
     "ParseError",
-    "PlaceId",
     "PlaceRelation",
     "PneqError",
     "SearchBudgetError",
     "SilentStep",
-    "SilentWitness",
     "StateSpaceLimitError",
     "TAU",
     "THETA",
@@ -84,10 +69,8 @@ __all__ = [
     "decide",
     "decide_interleaving",
     "enabled",
-    "find_silent_response",
     "fire",
     "identity",
-    "idle",
     "inverse",
     "is_safe",
     "is_tau_sequential",
@@ -95,12 +78,10 @@ __all__ = [
     "ms_diff",
     "ms_scalar",
     "ms_union",
-    "observable_label",
     "pair_universe",
     "parse_marking",
     "parse_net",
     "parse_relation",
-    "psi_holds",
     "reach_lts",
     "related_markings",
     "restrict_bar",

@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import itertools
 import time
-from concurrent.futures import ThreadPoolExecutor
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import ModelError, PneqError
+from .errors import ModelError, PneqError, SearchBudgetError
 from .multiset import Marking
 from .net import TAU, Net
 from .relations import (
@@ -71,10 +70,12 @@ class DecideCaps:
     max_relations: Optional[int] = None
     guided_nodes: int = 20_000
     guided_width: int = 12
-    threads: int = 1
 
     def __post_init__(self):
-        if self.max_pairs <= 0 or self.node_budget <= 0 or self.threads <= 0:
+        limits = [self.max_pairs, self.node_budget, self.guided_nodes, self.guided_width]
+        if self.max_relations is not None:
+            limits.append(self.max_relations)
+        if min(limits) <= 0:
             raise ModelError("caps must be positive")
 
 
@@ -649,9 +650,9 @@ def decide(
     return verdict
 
 
-def _witness_verdict(net, kind, pairs, mode, stats) -> Verdict:
+def _witness_verdict(net, kind, pairs, mode, stats, caps) -> Verdict:
     rel = PlaceRelation.of(pairs)
-    report = check_relation(net, rel, kind)
+    report = check_relation(net, rel, kind, node_budget=caps.node_budget)
     if not report.ok:
         raise PneqError("internal error: candidate witness failed re-verification")
     return Verdict("related", rel, mode, stats)
@@ -681,55 +682,34 @@ def _decide_exhaustive(engine, net, m1, m2, kind, caps, universe) -> Verdict:
     good_bits = [
         engine.bit[pair] for pair in engine.pairs if not (engine.bit[pair] & bad)
     ]
-
-    def scan(size, offset, step):
-        examined = checked = 0
-        found = None
-        for i, combo in enumerate(itertools.combinations(good_bits, size)):
-            if i % step != offset:
-                continue
-            examined += 1
-            rbits = 0
-            for b in combo:
-                rbits |= b
-            if not any(rbits & mm == mm for mm in match_masks):
-                continue
-            checked += 1
-            ok, _ = engine.check(rbits)
-            if ok:
-                found = (i, rbits)
-                break
-        return examined, checked, found
-
-    for size in range(len(good_bits) + 1):
-        if caps.threads == 1:
-            results = [scan(size, 0, 1)]
-        else:
-            with ThreadPoolExecutor(max_workers=caps.threads) as pool:
-                futures = [
-                    pool.submit(scan, size, w, caps.threads)
-                    for w in range(caps.threads)
-                ]
-                results = [f.result() for f in futures]
-        hits = []
-        for examined, checked, found in results:
-            stats["relations_examined"] += examined
-            stats["relations_checked"] += checked
-            if found is not None:
-                hits.append(found)
-        if (
-            caps.max_relations is not None
-            and stats["relations_examined"] > caps.max_relations
-        ):
-            raise PneqError(
-                f"exhausted the relation budget ({caps.max_relations}) "
-                "before reaching a verdict"
+    candidates = itertools.chain.from_iterable(
+        itertools.combinations(good_bits, size) for size in range(len(good_bits) + 1)
+    )
+    limit = caps.max_relations
+    examined = checked = 0
+    found = None
+    for combo in candidates:
+        examined += 1
+        if limit is not None and examined > limit:
+            raise SearchBudgetError(
+                f"exhausted the relation budget: examined {limit} "
+                "candidate relations without reaching a verdict"
             )
-        if hits:
-            _, rbits = min(hits)
-            pairs = [pair for pair in engine.pairs if rbits & engine.bit[pair]]
-            return _witness_verdict(net, kind, pairs, "exhaustive", stats)
-    return Verdict("not-related", None, "exhaustive", stats)
+        rbits = 0
+        for b in combo:
+            rbits |= b
+        if not any(rbits & mm == mm for mm in match_masks):
+            continue
+        checked += 1
+        if engine.check(rbits)[0]:
+            found = rbits
+            break
+    stats["relations_examined"] = examined
+    stats["relations_checked"] = checked
+    if found is None:
+        return Verdict("not-related", None, "exhaustive", stats)
+    pairs = [pair for pair in engine.pairs if found & engine.bit[pair]]
+    return _witness_verdict(net, kind, pairs, "exhaustive", stats, caps)
 
 
 def _decide_guided(engine, net, m1, m2, kind, caps, universe) -> Verdict:
@@ -759,7 +739,7 @@ def _decide_guided(engine, net, m1, m2, kind, caps, universe) -> Verdict:
             rbits |= engine.bit[pr]
         ok, violations = engine.check(rbits)
         if ok:
-            return _witness_verdict(net, kind, rel_pairs, "guided", stats)
+            return _witness_verdict(net, kind, rel_pairs, "guided", stats, caps)
         v = violations[0]
         if v.reason == "closure-failure":
             continue  # theta viability cannot be repaired by adding pairs

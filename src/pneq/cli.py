@@ -87,10 +87,7 @@ def cmd_check(args) -> int:
         }
         _emit(report, args.json)
         return _verdict_exit(status)
-    threads = 1 if args.deterministic else args.threads
-    caps = DecideCaps(
-        max_pairs=args.max_pairs, node_budget=args.node_budget, threads=threads
-    )
+    caps = DecideCaps(max_pairs=args.max_pairs, node_budget=args.node_budget)
     verdict = decide(net, m1, m2, args.eq, args.mode, caps)
     query["mode"] = args.mode
     report = {
@@ -247,8 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--state-cap", type=int, default=10_000)
     p_check.add_argument("--node-budget", type=int, default=1_000_000)
     p_check.add_argument("--json", action="store_true")
-    p_check.add_argument("--deterministic", action="store_true")
-    p_check.add_argument("--threads", type=int, default=1)
     p_check.add_argument("net")
     p_check.add_argument("m1")
     p_check.add_argument("m2")

@@ -3,17 +3,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ModelError, NotEnabledError, StateSpaceLimitError
 from .multiset import Marking
 
 TAU = "tau"
-
-
-class PlaceId(NamedTuple):
-    index: int
-    name: str
 
 
 @dataclass(frozen=True)
@@ -31,10 +26,6 @@ class Transition:
     def __post_init__(self):
         if self.pre.size == 0:
             raise ModelError(f"transition {self.tid!r} has an empty pre-set")
-
-    @property
-    def is_silent(self) -> bool:
-        return self.label == TAU
 
 
 class Net:
@@ -54,9 +45,6 @@ class Net:
         self.name = name
         self.places: tuple[str, ...] = tuple(places)
         self.place_index: dict[str, int] = {p: i for i, p in enumerate(self.places)}
-        self.place_ids: tuple[PlaceId, ...] = tuple(
-            PlaceId(i, p) for i, p in enumerate(self.places)
-        )
         seen = set()
         for t in transitions:
             if t.tid in seen:

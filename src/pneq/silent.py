@@ -9,13 +9,11 @@ closure-related to the anchor marking (the matched transition's pre-set).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
-from .errors import ModelError, SearchBudgetError
+from .errors import SearchBudgetError
 from .multiset import Marking
 from .net import TAU, Net, Transition
-from .relations import PlaceRelation, additive_member
 
 DEFAULT_NODE_BUDGET = 1_000_000
 
@@ -23,12 +21,6 @@ DEFAULT_NODE_BUDGET = 1_000_000
 class SilentStep(NamedTuple):
     kind: str  # "idle" or "move"
     ref: str  # the idled place, or the transition id
-
-
-def idle(place: str) -> Transition:
-    """The fictitious idling transition on a place (never stored in a net)."""
-    m = Marking([place])
-    return Transition(f"i({place})", m, TAU, m)
 
 
 def is_tau_sequential(net: Net, t: Transition) -> bool:
@@ -63,61 +55,6 @@ def silent_reachable(adj: dict, places) -> frozenset:
                 seen.add(q)
                 stack.append(q)
     return frozenset(seen)
-
-
-@dataclass(frozen=True)
-class EitherGoal:
-    """Match a tau-sequential move by silent steps alone.
-
-    The final marking must be closure-related to both the pre- and the
-    post-set of the matched transition.
-    """
-
-    t1: Transition
-
-
-@dataclass(frozen=True)
-class OrGoal:
-    """Reach exactly the pre-set of the chosen response transition."""
-
-    t1: Transition
-    t2: Transition
-
-
-@dataclass(frozen=True)
-class SilentWitness:
-    """A found response: per-token blocks plus the traversed markings.
-
-    `intermediates` lists the markings before each step and the final one;
-    the membership constraint covers all but the last. `source_matching`
-    binds the anchor's components to the start tokens.
-    """
-
-    blocks: tuple  # tuple of tuples of SilentStep
-    source_matching: object  # MatchWitness
-    intermediates: tuple  # tuple of Marking
-
-    @property
-    def steps(self) -> tuple:
-        return tuple(step for block in self.blocks for step in block)
-
-    @property
-    def source(self) -> Marking:
-        return self.intermediates[0]
-
-    @property
-    def result(self) -> Marking:
-        return self.intermediates[-1]
-
-
-def observable_label(net: Net, steps) -> tuple:
-    """Visible labels of a transition sequence, in order (empty if silent)."""
-    out = []
-    for t in steps:
-        net.check_transition(t)
-        if t.label != TAU:
-            out.append(t.label)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -271,148 +208,3 @@ def _reconstruct(parents, state, start):
             open_block = None
             open_pos = None
     return tuple(tuple(b) for b in blocks), tuple(markings)
-
-
-def find_silent_response(
-    net: Net,
-    rel: PlaceRelation,
-    anchor: Marking,
-    start: Marking,
-    direction: str,
-    goal,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> Optional[SilentWitness]:
-    """Search for an acyclic silent response from `start`.
-
-    `direction` orients the per-step constraint: 'psi' keeps every stepped
-    marking related to the anchor as (anchor, marking); 'phi' as
-    (marking, anchor). For the theta-extended games the caller passes the
-    theta-stripped relation; all memberships here use the plain closure.
-    Absence means no acyclic response of any shape satisfies the
-    conditions.
-    """
-    if direction not in ("psi", "phi"):
-        raise ModelError(f"direction must be 'psi' or 'phi', not {direction!r}")
-    net.check_marking(anchor)
-    net.check_marking(start)
-    if anchor.size != start.size:
-        raise ModelError("anchor and start markings must have equal size")
-
-    def member(left_tokens, right_tokens):
-        return (
-            additive_member(rel, Marking(left_tokens), Marking(right_tokens))
-            is not None
-        )
-
-    if direction == "psi":
-        psi_ok = lambda mk: member(anchor.tokens(), mk)
-        source = additive_member(rel, anchor, start)
-    else:
-        psi_ok = lambda mk: member(mk, anchor.tokens())
-        source = additive_member(rel, start, anchor)
-    if source is None and anchor.size > 0:
-        return None
-
-    if isinstance(goal, OrGoal):
-        target = goal.t2.pre.tokens()
-        final_ok = None
-    elif isinstance(goal, EitherGoal):
-        target = None
-        pre_t = goal.t1.pre.tokens()
-        post_t = goal.t1.post.tokens()
-        if direction == "psi":
-            final_ok = lambda f: member(pre_t, f) and member(post_t, f)
-        else:
-            final_ok = lambda f: member(f, pre_t) and member(f, post_t)
-    else:
-        raise ModelError(f"unknown goal {goal!r}")
-
-    adj = silent_graph(net)
-    hit = run_search(
-        adj,
-        start.tokens(),
-        psi_ok,
-        target=target,
-        final_ok=final_ok,
-        node_budget=node_budget,
-    )
-    if hit is None:
-        return None
-    blocks, markings = hit
-    return SilentWitness(blocks, source, markings)
-
-
-def _validate_witness(net: Net, witness: SilentWitness) -> None:
-    if not isinstance(witness, SilentWitness):
-        raise ModelError("not a silent witness")
-    if not witness.blocks:
-        if len(witness.intermediates) != 1 or witness.intermediates[0].size != 0:
-            raise ModelError("malformed witness: empty step sequence must start empty")
-        return
-    tokens = list(witness.intermediates[0].tokens())
-    trace = [Marking(tokens)]
-    for block in witness.blocks:
-        if not block:
-            raise ModelError("malformed witness: empty block")
-        if any(s.kind == "idle" for s in block) and len(block) > 1:
-            raise ModelError("malformed witness: idling inside a longer block")
-        if block[0].kind == "idle":
-            place = block[0].ref
-            if tokens.count(place) == 0:
-                raise ModelError(f"malformed witness: no token on {place!r} to idle")
-            trace.append(Marking(tokens))
-            continue
-        positions = []
-        cur = None
-        for step in block:
-            t = net.transition_index.get(step.ref)
-            if t is None or not is_tau_sequential(net, t):
-                raise ModelError(
-                    f"malformed witness: step {step.ref!r} is not tau-sequential"
-                )
-            src = next(iter(t.pre))
-            dst = next(iter(t.post))
-            if cur is None:
-                if tokens.count(src) == 0:
-                    raise ModelError(
-                        f"malformed witness: no token on {src!r} to move"
-                    )
-                start_pos = src
-            elif src != cur:
-                raise ModelError("malformed witness: block does not chain")
-            tokens.remove(src)
-            tokens.append(dst)
-            trace.append(Marking(tokens))
-            positions.append(dst)
-            cur = dst
-        inner = positions[:-1]
-        if len(set(positions)) != len(positions) or start_pos in inner:
-            raise ModelError("malformed witness: block revisits a place")
-    if tuple(trace) != tuple(witness.intermediates):
-        raise ModelError("malformed witness: marking trace does not replay")
-
-
-def psi_holds(
-    net: Net,
-    anchor: Marking,
-    witness: SilentWitness,
-    rel: PlaceRelation,
-    direction: str,
-) -> bool:
-    """Re-check the per-step membership constraint on a witness.
-
-    Every traversed marking except the final one must be closure-related
-    to the anchor ('psi': anchor on the left, 'phi': on the right). A
-    structurally invalid witness raises ModelError.
-    """
-    if direction not in ("psi", "phi"):
-        raise ModelError(f"direction must be 'psi' or 'phi', not {direction!r}")
-    _validate_witness(net, witness)
-    for m in witness.intermediates[:-1]:
-        if direction == "psi":
-            hit = additive_member(rel, anchor, m)
-        else:
-            hit = additive_member(rel, m, anchor)
-        if hit is None:
-            return False
-    return True

@@ -1,0 +1,77 @@
+"""Independent replay of silent responses, used to cross-check run_search.
+
+A response is a tuple of per-token blocks of SilentSteps: a single idling
+step, or a chain of tau-sequential moves of one token that visits no place
+twice (it may end where it started). `replay` re-fires a response from its
+start marking without the search machinery and returns the traversed
+markings, one before each step plus the final one; a malformed response
+raises ModelError.
+"""
+from pneq import (
+    TAU,
+    Marking,
+    ModelError,
+    Transition,
+    additive_member,
+    is_tau_sequential,
+)
+
+
+def idle(place: str) -> Transition:
+    """The fictitious idling transition on a place (never stored in a net)."""
+    m = Marking([place])
+    return Transition(f"i({place})", m, TAU, m)
+
+
+def replay(net, start: Marking, blocks) -> tuple:
+    if len(blocks) != start.size:
+        raise ModelError(
+            f"malformed response: {len(blocks)} blocks for {start.size} tokens"
+        )
+    tokens = list(start.tokens())
+    trace = [Marking(tokens)]
+    for block in blocks:
+        if not block:
+            raise ModelError("malformed response: empty block")
+        if block[0].kind == "idle":
+            if len(block) > 1:
+                raise ModelError("malformed response: idling inside a longer block")
+            if block[0].ref not in tokens:
+                raise ModelError(
+                    f"malformed response: no token on {block[0].ref!r} to idle"
+                )
+            trace.append(Marking(tokens))
+            continue
+        first = cur = None
+        positions = []
+        for step in block:
+            t = net.transition_index.get(step.ref) if step.kind == "move" else None
+            if t is None or not is_tau_sequential(net, t):
+                raise ModelError(
+                    f"malformed response: step {step.ref!r} is not tau-sequential"
+                )
+            src, dst = next(iter(t.pre)), next(iter(t.post))
+            if cur is None:
+                if src not in tokens:
+                    raise ModelError(f"malformed response: no token on {src!r} to move")
+                first = src
+            elif src != cur:
+                raise ModelError("malformed response: block does not chain")
+            tokens.remove(src)
+            tokens.append(dst)
+            trace.append(Marking(tokens))
+            positions.append(dst)
+            cur = dst
+        if len(set(positions)) != len(positions) or first in positions[:-1]:
+            raise ModelError("malformed response: block revisits a place")
+    return tuple(trace)
+
+
+def steps_stay_related(rel, anchor: Marking, trace, direction: str) -> bool:
+    """Every marking a response steps from (all but the last) is closure-
+    related to the anchor: as (anchor, m) for 'psi', as (m, anchor) for 'phi'."""
+    for m in trace[:-1]:
+        pair = (anchor, m) if direction == "psi" else (m, anchor)
+        if additive_member(rel, *pair) is None:
+            return False
+    return True

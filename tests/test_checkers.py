@@ -225,26 +225,6 @@ class TestDecide:
         assert v.mode_used == "guided"
         assert v.status == "related"
 
-    def test_threads_do_not_change_the_verdict_or_witness(self, nets):
-        net = nets["latent_sync"]
-        one = decide(net, Marking(["s1"]), Marking(["s4"]), "place", "exhaustive")
-        two = decide(
-            net,
-            Marking(["s1"]),
-            Marking(["s4"]),
-            "place",
-            "exhaustive",
-            DecideCaps(threads=2),
-        )
-        assert one.status == two.status == "not-related"
-        net2 = nets["handshake"]
-        one = decide(net2, Marking(["s1"]), Marking(["s2"]), "place", "exhaustive")
-        two = decide(
-            net2, Marking(["s1"]), Marking(["s2"]), "place", "exhaustive",
-            DecideCaps(threads=3),
-        )
-        assert one.witness.pairs == two.witness.pairs
-
     def test_minimal_witness_in_pair_count(self, nets):
         net = nets["handshake"]
         v = decide(net, Marking(["s1"]), Marking(["s2"]), "place", "exhaustive")
@@ -273,6 +253,48 @@ class TestDecide:
                 "exhaustive",
                 DecideCaps(node_budget=1),
             )
+
+    def test_relation_budget_is_a_budget_error(self, nets):
+        net = nets["latent_sync"]
+        m1, m2 = Marking(["s1"]), Marking(["s4"])
+        with pytest.raises(SearchBudgetError, match="examined 1 "):
+            decide(net, m1, m2, "place", "exhaustive", DecideCaps(max_relations=1))
+        v = decide(net, m1, m2, "place", "exhaustive", DecideCaps(max_relations=32))
+        assert v.status == "not-related" and v.stats["relations_examined"] == 32
+
+    def test_witness_reverification_uses_the_node_budget(self, nets, monkeypatch):
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs.get("node_budget"))
+            return check_relation(*args, **kwargs)
+
+        monkeypatch.setattr("pneq.checkers.check_relation", spy)
+        net = nets["handshake"]
+        v = decide(
+            net,
+            Marking(["s1"]),
+            Marking(["s2"]),
+            "place",
+            "exhaustive",
+            DecideCaps(node_budget=1234),
+        )
+        assert v.status == "related" and seen == [1234]
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("max_pairs", 0),
+            ("node_budget", -1),
+            ("guided_nodes", 0),
+            ("guided_width", -3),
+            ("max_relations", 0),
+            ("max_relations", -1),
+        ],
+    )
+    def test_caps_are_validated(self, field, value):
+        with pytest.raises(ModelError):
+            DecideCaps(**{field: value})
 
 
 class TestVerify:

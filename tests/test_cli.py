@@ -60,9 +60,9 @@ class TestCheck:
         )
         assert code == 3 and "state space" in err
 
-    def test_deterministic_flag_reproduces_output(self, run):
+    def test_repeated_runs_reproduce_output(self, run):
         args = (
-            "check", "--eq", "place", "--mode", "exhaustive", "--deterministic",
+            "check", "--eq", "place", "--mode", "exhaustive",
             "--json", "data:handshake.pn", "s1", "s2",
         )
         code1, out1, _ = run(*args)

@@ -1,24 +1,51 @@
 import pytest
 
 from pneq import (
-    EitherGoal,
+    TAU,
     Marking,
-    MatchWitness,
     ModelError,
-    OrGoal,
     PlaceRelation,
     SearchBudgetError,
     SilentStep,
-    SilentWitness,
-    find_silent_response,
-    idle,
+    additive_member,
     inverse,
     is_tau_sequential,
-    observable_label,
     parse_marking,
-    psi_holds,
     silent_graph,
 )
+from pneq.silent import run_search
+from silent_replay import idle, replay, steps_stay_related
+
+
+def related(rel, left, right) -> bool:
+    return additive_member(rel, Marking(left), Marking(right)) is not None
+
+
+def psi_ok(rel, anchor, direction):
+    """The per-step constraint: stepped markings stay related to the anchor."""
+    if direction == "psi":
+        return lambda mk: related(rel, anchor.tokens(), mk)
+    return lambda mk: related(rel, mk, anchor.tokens())
+
+
+def answer_silently(rel, t, direction):
+    """Goal for a tau-sequential move answered by silent steps alone: the final
+    marking is related to both the pre- and the post-set of t."""
+    pre, post = t.pre.tokens(), t.post.tokens()
+    if direction == "psi":
+        return lambda f: related(rel, pre, f) and related(rel, post, f)
+    return lambda f: related(rel, f, pre) and related(rel, f, post)
+
+
+def respond(net, rel, anchor, start, direction, **search):
+    """run_search from `start` under the anchor's constraint; a hit must replay."""
+    hit = run_search(
+        silent_graph(net), start.tokens(), psi_ok(rel, anchor, direction), **search
+    )
+    if hit is not None:
+        blocks, markings = hit
+        assert replay(net, start, blocks) == markings
+    return hit
 
 
 class TestTauSequential:
@@ -70,33 +97,34 @@ class TestFindSilentResponse:
         net = nets["producer_consumer"]
         rel = relations["producer_consumer"]
         lt1 = net.transition_index["lt1"]
-        w = find_silent_response(
-            net, rel, lt1.pre, Marking(["P1'"]), "psi", EitherGoal(lt1)
+        start = Marking(["P1'"])
+        hit = respond(
+            net, rel, lt1.pre, start, "psi", final_ok=answer_silently(rel, lt1, "psi")
         )
-        assert w is not None
-        assert w.blocks == ((("idle", "P1'"),),)
-        assert psi_holds(net, lt1.pre, w, rel, "psi")
+        assert hit is not None
+        blocks, markings = hit
+        assert blocks == ((("idle", "P1'"),),)
+        assert steps_stay_related(rel, lt1.pre, markings, "psi")
 
     def test_silent_hop_reaches_a_response(self, nets, relations):
         net = nets["producer_consumer"]
         rel = relations["producer_consumer"]
         lt9 = net.transition_index["lt9"]
         rt9 = net.transition_index["rt9"]
-        w = find_silent_response(
-            net, rel, lt9.pre, Marking(["C1'"]), "psi", OrGoal(lt9, rt9)
+        hit = respond(
+            net, rel, lt9.pre, Marking(["C1'"]), "psi", target=rt9.pre.tokens()
         )
-        assert w is not None
-        assert [s.ref for s in w.steps] == ["rt7"]
-        assert w.result == Marking(["C2'"])
+        assert hit is not None
+        blocks, markings = hit
+        assert [s.ref for block in blocks for s in block] == ["rt7"]
+        assert markings[-1] == Marking(["C2'"])
 
     def test_no_response_for_silent_synchronization(self, nets):
         net = nets["silent_sync"]
         rel = PlaceRelation.of({("s1", "s5"), ("s3", "s6")})
         t3 = net.transition_index["t3"]
-        got = find_silent_response(
-            net, rel, t3.pre, parse_marking("s1+s3", net), "phi", OrGoal(t3, t3)
-        )
-        assert got is None
+        start = parse_marking("s1+s3", net)
+        assert respond(net, rel, t3.pre, start, "phi", target=t3.pre.tokens()) is None
 
     def test_multi_token_response_mixes_idles_and_moves(self, nets, relations):
         net = nets["producer_consumer"]
@@ -104,22 +132,23 @@ class TestFindSilentResponse:
         rt5 = net.transition_index["rt5"]  # needs D1'+C'
         lt5 = net.transition_index["lt5"]  # pre D1+C
         start = parse_marking("D1+C3", net)
-        w = find_silent_response(net, rel, rt5.pre, start, "phi", OrGoal(rt5, lt5))
-        assert w is not None
-        assert w.result == parse_marking("D1+C", net)
-        kinds = sorted(step.kind for step in w.steps)
+        hit = respond(net, rel, rt5.pre, start, "phi", target=lt5.pre.tokens())
+        assert hit is not None
+        blocks, markings = hit
+        assert markings[-1] == parse_marking("D1+C", net)
+        kinds = sorted(step.kind for block in blocks for step in block)
         assert kinds == ["idle", "move"]
-        assert psi_holds(net, rt5.pre, w, rel, "phi")
+        assert steps_stay_related(rel, rt5.pre, markings, "phi")
 
     def test_witness_blocks_are_acyclic(self, nets, relations):
         net = nets["producer_consumer"]
         rel = relations["producer_consumer"]
         lt9 = net.transition_index["lt9"]
         rt9 = net.transition_index["rt9"]
-        w = find_silent_response(
-            net, rel, lt9.pre, Marking(["C1'"]), "psi", OrGoal(lt9, rt9)
+        blocks, _ = respond(
+            net, rel, lt9.pre, Marking(["C1'"]), "psi", target=rt9.pre.tokens()
         )
-        for block in w.blocks:
+        for block in blocks:
             moves = [s for s in block if s.kind == "move"]
             ends = [
                 next(iter(net.transition_index[s.ref].post)) for s in moves
@@ -131,11 +160,11 @@ class TestFindSilentResponse:
         rel = relations["producer_consumer"]
         lt9 = net.transition_index["lt9"]
         rt9 = net.transition_index["rt9"]
-        w = find_silent_response(
-            net, rel, lt9.pre, Marking(["C1'"]), "psi", OrGoal(lt9, rt9)
+        blocks, _ = respond(
+            net, rel, lt9.pre, Marking(["C1'"]), "psi", target=rt9.pre.tokens()
         )
-        moves = [net.transition_index[s.ref] for s in w.steps if s.kind == "move"]
-        assert observable_label(net, moves) == ()
+        moves = [s.ref for block in blocks for s in block if s.kind == "move"]
+        assert moves and all(net.transition_index[m].label == TAU for m in moves)
 
     def test_search_is_deterministic(self, nets, relations):
         net = nets["producer_consumer"]
@@ -143,8 +172,8 @@ class TestFindSilentResponse:
         rt5 = net.transition_index["rt5"]
         lt5 = net.transition_index["lt5"]
         start = parse_marking("D1+C3", net)
-        a = find_silent_response(net, rel, rt5.pre, start, "phi", OrGoal(rt5, lt5))
-        b = find_silent_response(net, rel, rt5.pre, start, "phi", OrGoal(rt5, lt5))
+        a = respond(net, rel, rt5.pre, start, "phi", target=lt5.pre.tokens())
+        b = respond(net, rel, rt5.pre, start, "phi", target=lt5.pre.tokens())
         assert a == b
 
     def test_budget_exhaustion_is_an_error(self, nets, relations):
@@ -153,78 +182,89 @@ class TestFindSilentResponse:
         rt5 = net.transition_index["rt5"]
         lt5 = net.transition_index["lt5"]
         with pytest.raises(SearchBudgetError):
-            find_silent_response(
+            respond(
                 net,
                 rel,
                 rt5.pre,
                 parse_marking("D1+C3", net),
                 "phi",
-                OrGoal(rt5, lt5),
                 node_budget=2,
+                target=lt5.pre.tokens(),
             )
 
     def test_size_mismatch_rejected(self, nets, relations):
+        # no marking of another size is closure-related to the anchor
         net = nets["producer_consumer"]
+        rel = relations["producer_consumer"]
         lt1 = net.transition_index["lt1"]
-        with pytest.raises(ModelError):
-            find_silent_response(
-                net,
-                relations["producer_consumer"],
-                lt1.pre,
-                parse_marking("P1'+C'", net),
-                "psi",
-                EitherGoal(lt1),
-            )
+        start = parse_marking("P1'+C'", net)
+        goal = answer_silently(rel, lt1, "psi")
+        assert respond(net, rel, lt1.pre, start, "psi", final_ok=goal) is None
 
 
 class TestPsiHolds:
     def test_empty_sequence_vacuously_holds(self, nets, relations):
-        w = SilentWitness((), MatchWitness(()), (Marking(),))
-        assert psi_holds(nets["handshake"], Marking(), w, relations["permute"], "psi")
+        trace = replay(nets["handshake"], Marking(), ())
+        assert trace == (Marking(),)
+        assert steps_stay_related(relations["permute"], Marking(), trace, "psi")
 
     def test_non_tau_sequential_step_rejected(self, nets):
         net = nets["silent_cells"]
-        w = SilentWitness(
-            (((SilentStep("move", "td")),),),
-            MatchWitness((("s2", "s5"),)),
-            (Marking(["s5"]), Marking()),
-        )
         with pytest.raises(ModelError):
-            psi_holds(net, Marking(["s2"]), w, PlaceRelation.of({("s2", "s5")}), "psi")
+            replay(net, Marking(["s5"]), ((SilentStep("move", "td"),),))
 
     def test_idling_inside_longer_block_rejected(self, nets):
         net = nets["silent_cells"]
-        w = SilentWitness(
-            ((SilentStep("idle", "s2"), SilentStep("move", "tb")),),
-            MatchWitness((("s2", "s2"),)),
-            (Marking(["s2"]), Marking(["s2"]), Marking(["s3"])),
-        )
+        block = (SilentStep("idle", "s2"), SilentStep("move", "tb"))
         with pytest.raises(ModelError):
-            psi_holds(net, Marking(["s2"]), w, PlaceRelation.of({("s2", "s2")}), "psi")
+            replay(net, Marking(["s2"]), (block,))
 
     def test_membership_failure_returns_false(self, nets):
         net = nets["silent_cells"]
         rel = PlaceRelation.of({("s1", "s2")})
-        w = find_silent_response(
+        hit = respond(
             net,
             rel,
             Marking(["s1"]),
             Marking(["s2"]),
             "psi",
-            EitherGoal(idle("s1")),
+            final_ok=answer_silently(rel, idle("s1"), "psi"),
         )
-        # the witness requires (s1, s2); an unrelated anchor must fail
-        if w is not None:
-            assert not psi_holds(net, Marking(["s3"]), w, rel, "psi")
+        assert hit is not None
+        # the response requires (s1, s2); an unrelated anchor must fail
+        assert not steps_stay_related(rel, Marking(["s3"]), hit[1], "psi")
 
     def test_phi_is_psi_under_the_inverse(self, nets, relations):
         net = nets["producer_consumer"]
         rel = relations["producer_consumer"]
         rt5 = net.transition_index["rt5"]
         lt5 = net.transition_index["lt5"]
-        w = find_silent_response(
-            net, rel, rt5.pre, parse_marking("D1+C3", net), "phi", OrGoal(rt5, lt5)
+        start = parse_marking("D1+C3", net)
+        _, trace = respond(net, rel, rt5.pre, start, "phi", target=lt5.pre.tokens())
+        assert steps_stay_related(rel, rt5.pre, trace, "phi") == steps_stay_related(
+            inverse(rel), rt5.pre, trace, "psi"
         )
-        assert psi_holds(net, rt5.pre, w, rel, "phi") == psi_holds(
-            net, rt5.pre, w, inverse(rel), "psi"
-        )
+
+    @pytest.mark.parametrize(
+        "name,start,blocks",
+        [
+            ("producer_consumer", "C1'", ()),  # no block for the token
+            ("producer_consumer", "C1'", ((),)),  # an empty block
+            ("producer_consumer", "C1'", ((SilentStep("idle", "P1"),),)),
+            ("producer_consumer", "P1", ((SilentStep("move", "rt7"),),)),
+            (
+                "producer_consumer",
+                "C1'",
+                ((SilentStep("move", "rt7"), SilentStep("move", "rt7")),),
+            ),
+            (
+                "silent_cells",
+                "s4",
+                ((SilentStep("move", "tc"), SilentStep("move", "tc")),),
+            ),
+        ],
+    )
+    def test_malformed_blocks_rejected(self, nets, name, start, blocks):
+        net = nets[name]
+        with pytest.raises(ModelError):
+            replay(net, parse_marking(start, net), blocks)
