@@ -27,8 +27,16 @@ GRAPH_KINDS = ("int", "bint")
 PLACE_KINDS = ("place", "dplace", "bplace", "bdplace")
 
 
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ParseError(line, f"{path} is not UTF-8 text") from None
+
+
 def _load_net(path: str):
-    return parse_net(Path(path).read_text())
+    return parse_net(_read(path))
 
 
 def _witness_pairs(rel) -> list:
@@ -103,7 +111,7 @@ def cmd_check(args) -> int:
 
 def cmd_verify(args) -> int:
     net = _load_net(args.net)
-    rel = parse_relation(Path(args.relation).read_text(), net)
+    rel = parse_relation(_read(args.relation), net)
     m1 = parse_marking(args.m1, net)
     m2 = parse_marking(args.m2, net)
     verdict = verify(net, rel, args.eq, m1, m2)
@@ -140,7 +148,7 @@ def cmd_verify(args) -> int:
 
 def cmd_closure(args) -> int:
     net = _load_net(args.net)
-    rel = parse_relation(Path(args.relation).read_text(), net)
+    rel = parse_relation(_read(args.relation), net)
     m1 = parse_marking(args.m1, net)
     m2 = parse_marking(args.m2, net)
     witness = d_additive_member(rel, m1, m2) if args.d else additive_member(rel, m1, m2)

@@ -22,12 +22,13 @@ from __future__ import annotations
 import re
 
 from .errors import ModelError, ParseError
-from .multiset import Marking
+from .multiset import MAX_MULTIPLICITY, Marking
 from .net import TAU, Lts, Net, Transition
 from .relations import THETA, PlaceRelation
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_']*$")
 _TERM = re.compile(r"(?:(\d+)\s*\*\s*)?([A-Za-z_][A-Za-z0-9_']*)$")
+_MAX_DIGITS = len(str(MAX_MULTIPLICITY))
 
 
 def _strip(line: str) -> str:
@@ -54,7 +55,12 @@ def _parse_mexpr(expr: str, places, lineno: int, allow_empty: bool) -> Marking:
         m = _TERM.match(term)
         if not m:
             raise ParseError(lineno, f"bad marking term {term!r}")
-        mult = int(m.group(1)) if m.group(1) else 1
+        digits = (m.group(1) or "1").lstrip("0")
+        # int() refuses a few thousand digits or more, so the length is
+        # checked first; a larger value of the same length is left to Marking.
+        if len(digits) > _MAX_DIGITS:
+            raise ParseError(lineno, f"multiplicity exceeds {MAX_MULTIPLICITY} in {term[:40]!r}")
+        mult = int(digits or "0")
         if mult < 1:
             raise ParseError(lineno, f"multiplicity must be at least 1 in {term!r}")
         place = m.group(2)

@@ -3,129 +3,103 @@
 These ignore all token structure and work purely on the labelled graph, so
 they serve as independent cross-checks: place-based verdicts must imply
 the corresponding graph-level ones on bounded nets.
+
+Both oracles are one partition-refinement loop that differs only in the
+signature (strong moves, or Blom & Orzan's branching signatures), so `bint`,
+like `int`, scales to the corpus's cap of 5,000 states.
 """
 from __future__ import annotations
-
-from collections import deque
 
 from .errors import ModelError
 from .multiset import Marking
 from .net import TAU, Lts, Net, reach_lts
 
 
-def _check_state(lts: Lts, i: int) -> None:
-    if not (0 <= i < len(lts.states)):
-        raise ModelError(f"state index {i} out of range")
+def _successors(lts: Lts) -> list:
+    succ = [[] for _ in lts.states]
+    for src, label, dst in lts.edges:
+        succ[src].append((label, dst))
+    return succ
+
+
+def _refine(n: int, signatures) -> list:
+    """Coarsest stable partition, as a block id per state.
+
+    Starting from one block, split blocks by (old block, signatures(block))
+    until no block splits. Block ids number blocks by their first state.
+    """
+    block, count = [0] * n, 1
+    while True:
+        ids: dict = {}
+        block = [ids.setdefault(key, len(ids)) for key in zip(block, signatures(block))]
+        if len(ids) == count:
+            return block
+        count = len(ids)
 
 
 def strong_partition(lts: Lts) -> list:
-    """Greatest strong bisimulation as a state partition.
+    """Greatest strong bisimulation as a block id per state.
 
-    Partition refinement: split blocks by the multiset of (label, target
-    block) signatures until stable.
+    A state's signature is the set of (label, target block) of its moves.
     """
-    n = len(lts.states)
-    succ = [[] for _ in range(n)]
-    for src, label, dst in lts.edges:
-        succ[src].append((label, dst))
-    block = [0] * n
-    while True:
-        signatures = {}
-        new_block = [0] * n
-        for s in range(n):
-            sig = (block[s], frozenset((label, block[d]) for label, d in succ[s]))
-            if sig not in signatures:
-                signatures[sig] = len(signatures)
-            new_block[s] = signatures[sig]
-        if new_block == block:
-            return block
-        block = new_block
+    succ = _successors(lts)
+    return _refine(
+        len(succ),
+        lambda block: [frozenset((label, block[d]) for label, d in moves) for moves in succ],
+    )
+
+
+def _same_block(partition, lts: Lts, i: int, j: int) -> bool:
+    for s in (i, j):
+        if not (0 <= s < len(lts.states)):
+            raise ModelError(f"state index {s} out of range")
+    part = partition(lts)
+    return part[i] == part[j]
 
 
 def strong_bisim(lts: Lts, i: int, j: int) -> bool:
     """True iff states i and j are strongly bisimilar."""
-    _check_state(lts, i)
-    _check_state(lts, j)
-    part = strong_partition(lts)
-    return part[i] == part[j]
+    return _same_block(strong_partition, lts, i, j)
 
 
-def _eps_reach(lts: Lts) -> list:
-    """Per-state silent reachability (reflexive-transitive tau closure)."""
-    n = len(lts.states)
-    tau_succ = [[] for _ in range(n)]
-    for src, label, dst in lts.edges:
-        if label == TAU:
-            tau_succ[src].append(dst)
-    out = []
-    for s in range(n):
-        seen = {s}
-        queue = deque([s])
-        while queue:
-            cur = queue.popleft()
-            for nxt in tau_succ[cur]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        out.append(tuple(sorted(seen)))
-    return out
+def branching_relation(lts: Lts) -> list:
+    """Greatest branching bisimulation as a block id per state.
 
-
-def branching_relation(lts: Lts) -> frozenset:
-    """Greatest branching bisimulation, as a set of state pairs.
-
-    Greatest-fixpoint computation: start from all pairs and delete every
-    pair with an unanswerable move until stable. A silent move may be
-    answered by a silent path whose endpoint matches both before and after;
-    a visible move by a silent path followed by an equally-labelled step,
-    with the intermediate state related to the source.
+    A state's signature is the set of (label, target block) of every move it
+    can make after silent steps that stay inside its block, leaving out the
+    silent moves that themselves stay inside the block (Blom & Orzan).
     """
-    n = len(lts.states)
-    succ = [[] for _ in range(n)]
-    for src, label, dst in lts.edges:
-        succ[src].append((label, dst))
-    eps = _eps_reach(lts)
-    rel = {(i, j) for i in range(n) for j in range(n)}
+    succ = _successors(lts)
+    n = len(succ)
 
-    def answered(mover, other, left_moved, rel):
-        # left_moved orients the membership tests (left, right) correctly.
-        def related(a, b):
-            return (a, b) in rel if left_moved else (b, a) in rel
+    def signatures(block):
+        sig = [set() for _ in range(n)]
+        inert = [[] for _ in range(n)]
+        for s, moves in enumerate(succ):
+            for label, d in moves:
+                if label == TAU and block[d] == block[s]:
+                    inert[s].append(d)
+                else:
+                    sig[s].add((label, block[d]))
+        # Union signatures along inert silent edges until stable. reach_lts
+        # numbers states breadth-first, so most silent edges point forward
+        # and a sweep in reverse index order settles them at once.
+        changed = True
+        while changed:
+            changed = False
+            for s in reversed(range(n)):
+                for d in inert[s]:
+                    if not sig[d] <= sig[s]:
+                        sig[s] |= sig[d]
+                        changed = True
+        return [frozenset(x) for x in sig]
 
-        for label, i2 in succ[mover]:
-            ok = False
-            if label == TAU:
-                for j2 in eps[other]:
-                    if related(mover, j2) and related(i2, j2):
-                        ok = True
-                        break
-            if not ok:
-                for jmid in eps[other]:
-                    for lab2, j2 in succ[jmid]:
-                        if lab2 == label and related(mover, jmid) and related(i2, j2):
-                            ok = True
-                            break
-                    if ok:
-                        break
-            if not ok:
-                return False
-        return True
-
-    changed = True
-    while changed:
-        changed = False
-        for (i, j) in sorted(rel):
-            if not answered(i, j, True, rel) or not answered(j, i, False, rel):
-                rel.discard((i, j))
-                changed = True
-    return frozenset(rel)
+    return _refine(n, signatures)
 
 
 def branching_bisim(lts: Lts, i: int, j: int) -> bool:
     """True iff states i and j are branching bisimilar."""
-    _check_state(lts, i)
-    _check_state(lts, j)
-    return (i, j) in branching_relation(lts)
+    return _same_block(branching_relation, lts, i, j)
 
 
 def decide_interleaving(
@@ -142,7 +116,5 @@ def decide_interleaving(
     from the construction.
     """
     lts = reach_lts(net, [m1, m2], state_cap=state_cap, edge_cap=edge_cap)
-    i, j = lts.initials[0], lts.initials[1]
-    if branching:
-        return branching_bisim(lts, i, j), lts
-    return strong_bisim(lts, i, j), lts
+    bisim = branching_bisim if branching else strong_bisim
+    return bisim(lts, lts.initials[0], lts.initials[1]), lts

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import ModelError, NotEnabledError, StateSpaceLimitError
@@ -98,6 +99,11 @@ class Net:
 
     def components(self) -> list[frozenset]:
         """Weakly connected components of the place/transition graph."""
+        return list(self._components)
+
+    @cached_property
+    def _components(self) -> tuple:
+        # Computed once, on first use: nets that are never decided skip it.
         parent = {p: p for p in self.places}
 
         def find(x):
@@ -120,13 +126,13 @@ class Net:
             groups.setdefault(find(p), set()).add(p)
         comps = [frozenset(g) for g in groups.values()]
         comps.sort(key=lambda c: min(self.place_index[p] for p in c))
-        return comps
+        return tuple(comps)
 
     def component_of(self, places: Iterable[str]) -> frozenset:
         """Union of the components touched by the given places."""
         wanted = set(places)
         out: set = set()
-        for comp in self.components():
+        for comp in self._components:
             if comp & wanted:
                 out |= comp
         return frozenset(out)

@@ -173,6 +173,27 @@ class TestErrors:
         code, _, err = run("check", "--eq", "place", "/nonexistent.pn", "s1", "s1")
         assert code == 2
 
+    def test_oversized_multiplicity_exits_two(self, run):
+        code, _, err = run(
+            "check", "--eq", "place", "data:handshake.pn", "9" * 4301 + "*s1", "s1"
+        )
+        assert code == 2 and "multiplicity exceeds" in err
+
+    @pytest.mark.parametrize("bad_file", ["net", "relation"])
+    def test_non_utf8_file_exits_two(self, run, tmp_path, data_dir, bad_file):
+        files = {
+            "net": data_dir.joinpath("handshake.pn").read_bytes(),
+            "relation": b"relation r\npair s1 s2\n",
+        }
+        files[bad_file] += b"# \xff\n"
+        for name, data in files.items():
+            (tmp_path / name).write_bytes(data)
+        code, _, err = run(
+            "verify", "--eq", "place", "--relation", str(tmp_path / "relation"),
+            str(tmp_path / "net"), "s1", "s2",
+        )
+        assert code == 2 and "not UTF-8" in err
+
     def test_unknown_equivalence_is_a_usage_error(self, run):
         with pytest.raises(SystemExit) as err:
             run("check", "--eq", "weird", "data:handshake.pn", "s1", "s2")

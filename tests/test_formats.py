@@ -1,3 +1,7 @@
+import random
+import re
+from importlib import resources
+
 import pytest
 
 from pneq import (
@@ -5,12 +9,15 @@ from pneq import (
     ModelError,
     ParseError,
     THETA,
+    corpus,
     lts_to_dot,
     parse_marking,
     parse_net,
     parse_relation,
     reach_lts,
 )
+
+LONG_DIGITS = "9" * 4301
 
 GOOD = """
 # demo net
@@ -46,6 +53,7 @@ def test_parse_net_roundtrip():
         ("trans t1 : s9 -> a -> s3", 3),
         ("place tau", 3),
         ("bogus directive", 3),
+        (f"trans t1 : {LONG_DIGITS}*s1 -> a -> s3", 3),
     ],
 )
 def test_parse_errors_carry_line_numbers(line, err_line):
@@ -74,6 +82,8 @@ def test_parse_marking_expressions(nets):
     assert parse_marking("0", net).size == 0
     with pytest.raises(ModelError):
         parse_marking("s1 + nope", net)
+    with pytest.raises(ModelError, match="multiplicity exceeds"):
+        parse_marking(f"s1 + {LONG_DIGITS}*s2", net)
 
 
 def test_parse_relation_with_theta(nets):
@@ -107,3 +117,53 @@ def test_dot_marks_silent_edges_dashed(nets):
     net = nets["silent_cells"]
     dot = lts_to_dot(reach_lts(net, [Marking(["s2"])]), net)
     assert "style=dashed" in dot
+
+
+FUZZ_CHARS = "+*-> :=#0123456789\n\tsa_'\xff"
+FUZZ_TOKENS = ("tau", "0", "->", "net", "place", "trans", "marking", "relation",
+               "pair", "s1", LONG_DIGITS + "*", "0" * 4400, LONG_DIGITS)
+
+
+def _mutate(rng, text: str) -> str:
+    """One to four insertions, deletions or duplications of a character,
+    a span or a whitespace-separated token."""
+    for _ in range(rng.randint(1, 4)):
+        i = rng.randrange(len(text) + 1)
+        j = min(len(text), i + rng.randint(1, 6))
+        tokens = re.findall(r"\S+", text) or [""]
+        op = rng.randrange(6)
+        if op == 0:
+            text = text[:i] + rng.choice(FUZZ_CHARS) + text[i:]
+        elif op == 1:
+            text = text[:i] + rng.choice(FUZZ_TOKENS) + text[i:]
+        elif op == 2:
+            text = text[:i] + text[j:]
+        elif op == 3:
+            text = text[:j] + text[i:j] + text[j:]
+        elif op == 4:
+            text = text.replace(rng.choice(tokens), "", 1)
+        else:
+            text = text[:i] + rng.choice(tokens) + " " + text[i:]
+    return text
+
+
+def test_fuzzed_inputs_give_a_value_or_a_parse_error():
+    rng = random.Random(4301)
+    data = resources.files("pneq").joinpath("corpus")
+    cases = corpus.load_cases()
+    nets = {case.net: corpus.load_net(case.net) for case in cases}
+    for _ in range(1500):
+        case = rng.choice(cases)
+        net = nets[case.net]
+        inputs = [
+            (parse_net, _mutate(rng, data.joinpath(case.net).read_text())),
+            (parse_marking, _mutate(rng, rng.choice((case.query["m1"], case.query["m2"]))), net),
+        ]
+        if "relation" in case.query:
+            text = data.joinpath(case.query["relation"]).read_text()
+            inputs.append((parse_relation, _mutate(rng, text), net))
+        for parse, *args in inputs:
+            try:
+                parse(*args)
+            except (ParseError, ModelError):
+                pass

@@ -1,7 +1,11 @@
 import itertools
+import random
 
 import pytest
 
+from lts_reference import _eps_reach
+from lts_reference import branching_relation as reference_branching
+from lts_reference import strong_relation as reference_strong
 from pneq import (
     TAU,
     branching_bisim,
@@ -10,6 +14,7 @@ from pneq import (
     strong_bisim,
 )
 from pneq.ltsbisim import branching_relation, strong_partition
+from pneq.net import Lts
 
 
 def joint(net, e1, e2):
@@ -55,6 +60,37 @@ class TestBranching:
         assert not branching_bisim(lts, lts.initials[0], lts.initials[1])
 
 
+def _induced(block) -> frozenset:
+    """The equivalence relation whose classes are the blocks."""
+    n = len(block)
+    return frozenset((i, j) for i in range(n) for j in range(n) if block[i] == block[j])
+
+
+def _random_lts(rng) -> Lts:
+    """1-9 states, half the edges silent: silent cycles and self-loops are common."""
+    n = rng.randint(1, 9)
+    labels = (TAU, TAU, "a", "b")
+    edges = [
+        (rng.randrange(n), rng.choice(labels), rng.randrange(n))
+        for _ in range(rng.randint(0, 2 * n))
+    ]
+    return Lts(states=list(range(n)), edges=edges)
+
+
+def test_partitions_match_the_reference_fixpoint():
+    rng = random.Random(2024)
+    silent_cycles = 0
+    for _ in range(2000):
+        lts = _random_lts(rng)
+        assert _induced(branching_relation(lts)) == reference_branching(lts), lts.edges
+        assert _induced(strong_partition(lts)) == reference_strong(lts), lts.edges
+        eps = _eps_reach(lts)
+        silent_cycles += any(
+            label == TAU and src in eps[dst] for src, label, dst in lts.edges
+        )
+    assert silent_cycles >= 500
+
+
 CORPUS_LTSS = [
     ("latent_sync", "s1", "s4"),
     ("latent_sync", "2*s1", "2*s4"),
@@ -70,19 +106,21 @@ CORPUS_LTSS = [
 @pytest.mark.parametrize("name,e1,e2", CORPUS_LTSS)
 def test_strong_included_in_branching(nets, name, e1, e2):
     lts = joint(nets[name], e1, e2)
-    part = strong_partition(lts)
-    rel = branching_relation(lts)
+    strong = strong_partition(lts)
+    branching = branching_relation(lts)
     for i in range(len(lts.states)):
         for j in range(len(lts.states)):
-            if part[i] == part[j]:
-                assert (i, j) in rel
+            if strong[i] == strong[j]:
+                assert branching[i] == branching[j]
 
 
 @pytest.mark.parametrize("name,e1,e2", CORPUS_LTSS)
 def test_oracle_relations_are_equivalences(nets, name, e1, e2):
     lts = joint(nets[name], e1, e2)
-    rel = branching_relation(lts)
+    rel = reference_branching(lts)
     n = len(lts.states)
+    assert _induced(branching_relation(lts)) == rel
+    assert _induced(strong_partition(lts)) == reference_strong(lts)
     for i in range(n):
         assert (i, i) in rel
     for i, j in rel:
@@ -115,8 +153,7 @@ def test_strong_stuttering_property(nets, name, e1, e2):
     # silent paths with branching-bisimilar endpoints have all their
     # intermediate states pairwise branching-bisimilar
     lts = joint(nets[name], e1, e2)
-    rel = branching_relation(lts)
+    block = branching_relation(lts)
     for path in _silent_simple_paths(lts):
-        if (path[0], path[-1]) in rel:
-            for i, j in itertools.combinations(path, 2):
-                assert (i, j) in rel
+        if block[path[0]] == block[path[-1]]:
+            assert {block[s] for s in path} == {block[path[0]]}
