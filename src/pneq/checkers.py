@@ -16,7 +16,7 @@ Four equivalences are supported, named by their CLI spellings:
 
 A relation is verified against finitely many conditions: one per
 transition and per marking related to its pre-set. Deciding a marking
-pair enumerates candidate relations over the relevant place universe.
+pair searches the candidate relations over the relevant place universe.
 """
 from __future__ import annotations
 
@@ -24,6 +24,7 @@ import itertools
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from math import comb
 from typing import Optional
 
 from .errors import ModelError, PneqError, SearchBudgetError
@@ -110,8 +111,8 @@ class _Engine:
 
     Candidate relations are bitmasks over the universe. Every derived
     query (image sets, response feasibility) is cached keyed by the bits
-    it can actually observe, which makes scanning millions of candidate
-    relations affordable.
+    it can actually observe, so the many relations that the branch-and-bound
+    search visits share most of their work.
     """
 
     def __init__(self, net: Net, universe, kind: str, node_budget: int):
@@ -159,6 +160,25 @@ class _Engine:
         for i, t in enumerate(self.trans):
             self.by_label.setdefault(t.label, []).append(i)
             self.by_pre.setdefault((t.label, self.pre_tok[i]), []).append(i)
+        # Places as bits: a transition has images on a side only when every
+        # place of its pre-set has a partner there.
+        self.pre_places = [sum(1 << key[p] for p in set(tok)) for tok in self.pre_tok]
+        self.partnered = {
+            side: [(1 << key[p], mask) for p, mask in masks.items()]
+            for side, masks in ((1, self.rowmask), (2, self.colmask))
+        }
+        # (ti, side, per pre-set place its partner-or-theta mask, theta mask)
+        self.theta_conds = []
+        for ti, tok in enumerate(self.pre_tok if self.d else ()):
+            dom = set(tok)
+            for side, masks, thetas in (
+                (1, self.rowmask, self.theta_row),
+                (2, self.colmask, self.theta_col),
+            ):
+                theta = sum(thetas.get(p, 0) for p in dom)  # distinct bits
+                if theta:
+                    covers = tuple(masks.get(p, 0) | thetas.get(p, 0) for p in dom)
+                    self.theta_conds.append((ti, side, covers, theta))
         self._images_cache: dict = {}
         self._resp_meta: dict = {}
         self._member_cache: dict = {}
@@ -391,72 +411,67 @@ class _Engine:
                 return True
         return False
 
-    # -- theta viability ---------------------------------------------------------
+    # -- the condition walk ---------------------------------------------------
 
-    def theta_violations(self, rbits) -> list:
-        out = []
-        if not self.d:
-            return out
-        for ti, t in enumerate(self.trans):
-            dom = set(self.pre_tok[ti])
-            covered = all(
-                rbits & (self.rowmask.get(p, 0) | self.theta_row.get(p, 0))
-                for p in dom
+    def failures(self, lower, upper, collector=None):
+        """The failing conditions of the relations between two masks.
+
+        A condition is active under `lower`: a theta condition (a pre-set
+        place related to the empty marking, the others related at all),
+        or a transition, an image of its pre-set and a side. It fails when
+        it holds under `lower` (theta) or has no response even under
+        `upper`. Yields (ti, None, side) for a theta failure and
+        (ti, m, side) for a response failure, thetas first. Image sets,
+        theta conditions and `respond` are monotone in the relation, so a
+        condition failing here fails for every relation between the two.
+        """
+        for ti, side, covers, theta in self.theta_conds:
+            if lower & theta and all(lower & c for c in covers):
+                yield ti, None, side
+        bar = lower & self.core_mask if self.d else lower
+        for side in (1, 2):
+            placed = 0
+            for place, mask in self.partnered[side]:
+                if bar & mask:
+                    placed |= place
+            for ti, pre in enumerate(self.pre_places):
+                if pre & placed != pre:
+                    continue  # an unpartnered pre-set place: no images
+                for m in self.images(self.pre_tok[ti], bar, side):
+                    if collector is not None:
+                        ok = self._respond_compute(ti, m, side, upper, collector)
+                    else:
+                        ok = self.respond(ti, m, side, upper)
+                    if not ok:
+                        yield ti, m, side
+
+    def violation(self, ti, m, side) -> Violation:
+        t = self.trans[ti]
+        if m is None:
+            return Violation(
+                t.tid,
+                t.pre,
+                side,
+                "closure-failure",
+                "a pre-set place is related to the empty marking, so the "
+                "move cannot be answered when its token is matched away",
             )
-            if covered and any(rbits & self.theta_row.get(p, 0) for p in dom):
-                out.append(
-                    Violation(
-                        t.tid,
-                        t.pre,
-                        1,
-                        "closure-failure",
-                        "a pre-set place is related to the empty marking, so the "
-                        "move cannot be answered when its token is matched away",
-                    )
-                )
-            covered = all(
-                rbits & (self.colmask.get(p, 0) | self.theta_col.get(p, 0))
-                for p in dom
-            )
-            if covered and any(rbits & self.theta_col.get(p, 0) for p in dom):
-                out.append(
-                    Violation(
-                        t.tid,
-                        t.pre,
-                        2,
-                        "closure-failure",
-                        "a pre-set place is related to the empty marking, so the "
-                        "move cannot be answered when its token is matched away",
-                    )
-                )
-        return out
+        return Violation(
+            t.tid,
+            Marking(m),
+            side,
+            "no-response",
+            f"no matching response from {Marking(m)!r}",
+        )
 
     # -- the full check -------------------------------------------------------
 
     def check(self, rbits, collect_all=False, collector=None):
-        violations = self.theta_violations(rbits)
-        if violations and not collect_all:
-            return False, violations[:1]
-        bar = rbits & self.core_mask if self.d else rbits
-        for side in (1, 2):
-            for ti, t in enumerate(self.trans):
-                for m in self.images(self.pre_tok[ti], bar, side):
-                    if collector is not None:
-                        ok = self._respond_compute(ti, m, side, rbits, collector)
-                    else:
-                        ok = self.respond(ti, m, side, rbits)
-                    if not ok:
-                        violations.append(
-                            Violation(
-                                t.tid,
-                                Marking(m),
-                                side,
-                                "no-response",
-                                f"no matching response from {Marking(m)!r}",
-                            )
-                        )
-                        if not collect_all:
-                            return False, violations
+        violations = []
+        for ti, m, side in self.failures(rbits, rbits, collector):
+            violations.append(self.violation(ti, m, side))
+            if not collect_all:
+                break
         return (not violations), violations
 
     # -- static pruning ------------------------------------------------------
@@ -610,9 +625,11 @@ def decide(
 ) -> Verdict:
     """Decide whether two markings are equivalent under the given kind.
 
-    Exhaustive mode enumerates candidate relations over the pair universe
-    by increasing pair count, then lexicographically, so a related verdict
-    carries the minimal witness in that order and exhausting the space is
+    Exhaustive mode searches the candidate relations over the pair
+    universe by increasing pair count, then lexicographically, so a
+    related verdict carries the minimal witness in that order. The search
+    is a branch-and-bound that cuts every subtree of candidates a monotone
+    condition rules out, and counts them as examined, so exhausting it is
     conclusive. Guided mode grows a candidate from the query pair and
     answers related or unknown, never not-related.
     """
@@ -639,9 +656,10 @@ def decide(
     resolved = mode
     if mode == "auto":
         resolved = "exhaustive" if len(universe) <= caps.max_pairs else "guided"
+    compile_t0 = time.perf_counter()
     engine = _Engine(net, universe, kind, caps.node_budget)
     if resolved == "exhaustive":
-        verdict = _decide_exhaustive(engine, net, m1, m2, kind, caps, universe)
+        verdict = _decide_exhaustive(engine, net, m1, m2, kind, caps, universe, compile_t0)
     else:
         verdict = _decide_guided(engine, net, m1, m2, kind, caps, universe)
     verdict.stats["universe"] = len(universe)
@@ -652,64 +670,113 @@ def decide(
 
 def _witness_verdict(net, kind, pairs, mode, stats, caps) -> Verdict:
     rel = PlaceRelation.of(pairs)
+    t0 = time.perf_counter()
     report = check_relation(net, rel, kind, node_budget=caps.node_budget)
+    stats["reverify_s"] = time.perf_counter() - t0
     if not report.ok:
         raise PneqError("internal error: candidate witness failed re-verification")
     return Verdict("related", rel, mode, stats)
 
 
-def _decide_exhaustive(engine, net, m1, m2, kind, caps, universe) -> Verdict:
-    d = _is_d(kind)
-    match_masks = []
-    for q in iter_matchings(universe, m1, m2, d):
+def _decide_exhaustive(engine, net, m1, m2, kind, caps, universe, compile_t0) -> Verdict:
+    counters = ("relations_examined", "relations_checked", "pruned_pairs", "search_nodes",
+                "cuts_association", "cuts_theta", "cuts_response")
+    stats = dict.fromkeys(counters, 0) | {"search_s": 0.0, "reverify_s": 0.0}
+    masks = set()
+    for q in iter_matchings(universe, m1, m2, _is_d(kind)):
         mask = 0
         for pr in q:
             if pr[0] is THETA and pr[1] is THETA:
                 continue
             mask |= engine.bit[pr]
-        match_masks.append(mask)
-    match_masks = sorted(set(match_masks))
-    stats = {"relations_examined": 0, "relations_checked": 0, "pruned_pairs": 0}
-    if not match_masks:
-        stats["reason"] = "no association over the pair universe"
+        masks.add(mask)
+    bad = 0
+    reason = "no association over the pair universe"
+    if masks:
+        bad = engine.static_bad_mask()
+        stats["pruned_pairs"] = bad.bit_count()
+        masks = [mm for mm in masks if not mm & bad]
+        reason = "every association uses a statically infeasible pair"
+    stats["compile_s"] = time.perf_counter() - compile_t0
+    if not masks:
+        stats["reason"] = reason
         return Verdict("not-related", None, "exhaustive", stats)
-    bad = engine.static_bad_mask()
-    stats["pruned_pairs"] = bin(bad).count("1")
-    match_masks = [mm for mm in match_masks if not (mm & bad)]
-    if not match_masks:
-        stats["reason"] = "every association uses a statically infeasible pair"
+    bits = [engine.bit[pair] for pair in engine.pairs if not engine.bit[pair] & bad]
+    t0 = time.perf_counter()
+    found = _branch_and_bound(engine, bits, masks, caps.max_relations, stats)
+    stats["search_s"] = time.perf_counter() - t0
+    if found is None:
         return Verdict("not-related", None, "exhaustive", stats)
-    good_bits = [
-        engine.bit[pair] for pair in engine.pairs if not (engine.bit[pair] & bad)
-    ]
-    candidates = itertools.chain.from_iterable(
-        itertools.combinations(good_bits, size) for size in range(len(good_bits) + 1)
-    )
-    limit = caps.max_relations
-    examined = checked = 0
-    found = None
-    for combo in candidates:
-        examined += 1
+    pairs = [pair for pair in engine.pairs if found & engine.bit[pair]]
+    return _witness_verdict(net, kind, pairs, "exhaustive", stats, caps)
+
+
+def _branch_and_bound(engine, bits, masks, limit, stats):
+    """The first relation over `bits` that contains an association mask and
+    passes the full check, by pair count and then lexicographically; None
+    when there is none.
+
+    For each pair count k, a depth-first search decides the bits in order,
+    including a bit before excluding it: that visits the candidates of k
+    pairs in lexicographic order of their bit positions. A node has the
+    included bits `rel`, and `upper` adds the undecided ones. Its subtree is
+    cut when no association mask fits inside `upper` within k pairs, or,
+    where `rel` has just grown, when a condition fails between `rel` and
+    `upper` (see `_Engine.failures`). A leaf is the full check of `rel`. A
+    cut adds the candidates it rules out to `relations_examined`, so that
+    count and the `max_relations` budget are those of a scan of them all.
+    """
+    n = len(bits)
+    suffix = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suffix[i] = suffix[i + 1] | bits[i]
+    examined = checked = nodes = 0
+
+    def rule_out(count, cut):
+        nonlocal examined
+        examined += count
         if limit is not None and examined > limit:
             raise SearchBudgetError(
                 f"exhausted the relation budget: examined {limit} "
                 "candidate relations without reaching a verdict"
             )
-        rbits = 0
-        for b in combo:
-            rbits |= b
-        if not any(rbits & mm == mm for mm in match_masks):
-            continue
-        checked += 1
-        if engine.check(rbits)[0]:
-            found = rbits
+        if cut:
+            stats[cut] += 1
+
+    def visit(i, rel, need, grew):
+        nonlocal checked, nodes
+        nodes += 1
+        upper = rel | suffix[i] if need else rel
+        if not any(mm & upper == mm and (rel | mm).bit_count() <= k for mm in masks):
+            rule_out(comb(n - i, need), "cuts_association")
+            return None
+        if not need:
+            rule_out(1, None)
+            checked += 1
+            return rel if next(engine.failures(rel, rel), None) is None else None
+        if grew and need < n - i:  # else the subtree is one leaf
+            try:
+                failure = next(engine.failures(rel, upper), None)
+            except SearchBudgetError:
+                failure = None  # undecided under `upper`: leave it to the leaves
+            if failure is not None:
+                cut = "cuts_theta" if failure[1] is None else "cuts_response"
+                rule_out(comb(n - i, need), cut)
+                return None
+        found = visit(i + 1, rel | bits[i], need - 1, True)
+        if found is None and need < n - i:
+            found = visit(i + 1, rel, need, False)
+        return found
+
+    found = None
+    for k in range(n + 1):
+        found = visit(0, 0, k, True)
+        if found is not None:
             break
     stats["relations_examined"] = examined
     stats["relations_checked"] = checked
-    if found is None:
-        return Verdict("not-related", None, "exhaustive", stats)
-    pairs = [pair for pair in engine.pairs if found & engine.bit[pair]]
-    return _witness_verdict(net, kind, pairs, "exhaustive", stats, caps)
+    stats["search_nodes"] = nodes
+    return found
 
 
 def _decide_guided(engine, net, m1, m2, kind, caps, universe) -> Verdict:

@@ -27,8 +27,14 @@ from .net import TAU, Lts, Net, Transition
 from .relations import THETA, PlaceRelation
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_']*$")
-_TERM = re.compile(r"(?:(\d+)\s*\*\s*)?([A-Za-z_][A-Za-z0-9_']*)$")
+_TERM = re.compile(r"(?:([0-9]+)\s*\*\s*)?([A-Za-z_][A-Za-z0-9_']*)$")
 _MAX_DIGITS = len(str(MAX_MULTIPLICITY))
+_ECHO = 40  # characters of the input an error message repeats
+
+
+def _echo(text: str) -> str:
+    """The input, clipped to a bounded length, for an error message."""
+    return repr(text[:_ECHO]) + ("..." if len(text) > _ECHO else "")
 
 
 def _strip(line: str) -> str:
@@ -37,7 +43,7 @@ def _strip(line: str) -> str:
 
 def _ident(token: str, what: str, lineno: int) -> str:
     if not _IDENT.match(token):
-        raise ParseError(lineno, f"invalid {what} {token!r}")
+        raise ParseError(lineno, f"invalid {what} {_echo(token)}")
     return token
 
 
@@ -54,18 +60,20 @@ def _parse_mexpr(expr: str, places, lineno: int, allow_empty: bool) -> Marking:
         term = raw.strip()
         m = _TERM.match(term)
         if not m:
-            raise ParseError(lineno, f"bad marking term {term!r}")
+            raise ParseError(lineno, f"bad marking term {_echo(term)}")
         digits = (m.group(1) or "1").lstrip("0")
         # int() refuses a few thousand digits or more, so the length is
         # checked first; a larger value of the same length is left to Marking.
         if len(digits) > _MAX_DIGITS:
-            raise ParseError(lineno, f"multiplicity exceeds {MAX_MULTIPLICITY} in {term[:40]!r}")
+            raise ParseError(
+                lineno, f"multiplicity exceeds {MAX_MULTIPLICITY} in {_echo(term)}"
+            )
         mult = int(digits or "0")
         if mult < 1:
-            raise ParseError(lineno, f"multiplicity must be at least 1 in {term!r}")
+            raise ParseError(lineno, f"multiplicity must be at least 1 in {_echo(term)}")
         place = m.group(2)
         if place not in places:
-            raise ParseError(lineno, f"undeclared place {place!r}")
+            raise ParseError(lineno, f"undeclared place {_echo(place)}")
         counts[place] = counts.get(place, 0) + mult
     return Marking(counts)
 
@@ -99,7 +107,7 @@ def parse_net(text: str) -> Net:
                 if token == TAU:
                     raise ParseError(lineno, f"{TAU!r} is reserved")
                 if token in place_set:
-                    raise ParseError(lineno, f"duplicate place {token!r}")
+                    raise ParseError(lineno, f"duplicate place {_echo(token)}")
                 place_set.add(token)
                 places.append(token)
         elif keyword == "trans":
@@ -108,7 +116,7 @@ def parse_net(text: str) -> Net:
                 raise ParseError(lineno, "expected ':' after transition id")
             tid = _ident(head.strip(), "transition id", lineno)
             if tid in tids:
-                raise ParseError(lineno, f"duplicate transition {tid!r}")
+                raise ParseError(lineno, f"duplicate transition {_echo(tid)}")
             parts = body.split("->")
             if len(parts) != 3:
                 raise ParseError(
@@ -125,10 +133,10 @@ def parse_net(text: str) -> Net:
                 raise ParseError(lineno, "expected '=' in marking definition")
             mname = _ident(mname.strip(), "marking name", lineno)
             if mname in markings:
-                raise ParseError(lineno, f"duplicate marking {mname!r}")
+                raise ParseError(lineno, f"duplicate marking {_echo(mname)}")
             markings[mname] = _parse_mexpr(expr, place_set, lineno, allow_empty=True)
         else:
-            raise ParseError(lineno, f"unknown directive {keyword!r}")
+            raise ParseError(lineno, f"unknown directive {_echo(keyword)}")
     if name is None:
         raise ParseError(1, "missing 'net <name>' header")
     return Net(name, places, transitions, markings)
@@ -139,7 +147,7 @@ def parse_marking(expr: str, net: Net) -> Marking:
     try:
         return _parse_mexpr(expr, net.place_index, 1, allow_empty=True)
     except ParseError as exc:
-        raise ModelError(f"bad marking expression {expr!r}: {exc}") from None
+        raise ModelError(f"bad marking expression {_echo(expr)}: {exc}") from None
 
 
 def parse_relation(text: str, net: Net) -> PlaceRelation:
@@ -169,13 +177,13 @@ def parse_relation(text: str, net: Net) -> PlaceRelation:
                 else:
                     _ident(token, "place id", lineno)
                     if token not in net.place_index:
-                        raise ParseError(lineno, f"undeclared place {token!r}")
+                        raise ParseError(lineno, f"undeclared place {_echo(token)}")
                     sides.append(token)
             if sides[0] is THETA and sides[1] is THETA:
                 raise ParseError(lineno, "'pair 0 0' is not allowed")
             pairs.add((sides[0], sides[1]))
         else:
-            raise ParseError(lineno, f"unknown directive {fields[0]!r}")
+            raise ParseError(lineno, f"unknown directive {_echo(fields[0])}")
     if name is None:
         raise ParseError(1, "missing 'relation <name>' header")
     return PlaceRelation.of(pairs, name)

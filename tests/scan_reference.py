@@ -1,0 +1,89 @@
+"""The power-set scan that exhaustive `decide` ran before its branch-and-bound.
+
+`_decide_exhaustive` below is that loop, unchanged: every combination of
+the statically feasible pair bits, by size and then lexicographically,
+each one that contains an association checked in full. It is the
+reference the branch-and-bound is compared against: same status, same
+witness, same `relations_examined` and `pruned_pairs`, and the same point
+at which `max_relations` raises.
+"""
+import itertools
+import time
+
+from pneq import DecideCaps, Verdict
+from pneq.checkers import (
+    THETA,
+    SearchBudgetError,
+    _Engine,
+    _is_d,
+    _witness_verdict,
+    iter_matchings,
+    pair_universe,
+)
+
+
+def scan_decide(net, m1, m2, kind, caps=None) -> Verdict:
+    """`decide(net, m1, m2, kind, "exhaustive", caps)`, by the scan."""
+    caps = caps or DecideCaps()
+    if not _is_d(kind) and m1.size != m2.size:
+        return Verdict("not-related", None, "exhaustive", {"relations_examined": 0})
+    universe = pair_universe(net, m1, m2, kind)
+    engine = _Engine(net, universe, kind, caps.node_budget)
+    t0 = time.perf_counter()
+    verdict = _decide_exhaustive(engine, net, m1, m2, kind, caps, universe)
+    verdict.stats["wall_time_s"] = time.perf_counter() - t0
+    return verdict
+
+
+def _decide_exhaustive(engine, net, m1, m2, kind, caps, universe) -> Verdict:
+    d = _is_d(kind)
+    match_masks = []
+    for q in iter_matchings(universe, m1, m2, d):
+        mask = 0
+        for pr in q:
+            if pr[0] is THETA and pr[1] is THETA:
+                continue
+            mask |= engine.bit[pr]
+        match_masks.append(mask)
+    match_masks = sorted(set(match_masks))
+    stats = {"relations_examined": 0, "relations_checked": 0, "pruned_pairs": 0}
+    if not match_masks:
+        stats["reason"] = "no association over the pair universe"
+        return Verdict("not-related", None, "exhaustive", stats)
+    bad = engine.static_bad_mask()
+    stats["pruned_pairs"] = bin(bad).count("1")
+    match_masks = [mm for mm in match_masks if not (mm & bad)]
+    if not match_masks:
+        stats["reason"] = "every association uses a statically infeasible pair"
+        return Verdict("not-related", None, "exhaustive", stats)
+    good_bits = [
+        engine.bit[pair] for pair in engine.pairs if not (engine.bit[pair] & bad)
+    ]
+    candidates = itertools.chain.from_iterable(
+        itertools.combinations(good_bits, size) for size in range(len(good_bits) + 1)
+    )
+    limit = caps.max_relations
+    examined = checked = 0
+    found = None
+    for combo in candidates:
+        examined += 1
+        if limit is not None and examined > limit:
+            raise SearchBudgetError(
+                f"exhausted the relation budget: examined {limit} "
+                "candidate relations without reaching a verdict"
+            )
+        rbits = 0
+        for b in combo:
+            rbits |= b
+        if not any(rbits & mm == mm for mm in match_masks):
+            continue
+        checked += 1
+        if engine.check(rbits)[0]:
+            found = rbits
+            break
+    stats["relations_examined"] = examined
+    stats["relations_checked"] = checked
+    if found is None:
+        return Verdict("not-related", None, "exhaustive", stats)
+    pairs = [pair for pair in engine.pairs if found & engine.bit[pair]]
+    return _witness_verdict(net, kind, pairs, "exhaustive", stats, caps)

@@ -1,13 +1,10 @@
 """Acceptance gate: one test per criterion, each printing a PASS/FAIL line.
 
-Run with `pytest tests/test_acceptance.py -v -s` to see the lines; the
-criteria marked slow can be excluded with `-m "not slow"`.
+Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
 import functools
 import random
 import time
-
-import pytest
 
 from pneq import (
     Marking,
@@ -178,7 +175,6 @@ def test_criterion_08_d_variants(nets, relations):
                   Marking(["s1"]), parse_marking("s4+s5", tc)).status == "related"
 
 
-@pytest.mark.slow
 @criterion(9, "token-pump decided not-related over the 24-pair theta universe")
 def test_criterion_09_token_pump(nets):
     net = nets["token_pump"]
@@ -190,7 +186,6 @@ def test_criterion_09_token_pump(nets):
     assert elapsed < 1800.0, f"{elapsed:.1f}s"
 
 
-@pytest.mark.slow
 @criterion(10, "silent-sync decided not-related over the 20-pair universe")
 def test_criterion_10_silent_sync(nets):
     net = nets["silent_sync"]

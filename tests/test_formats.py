@@ -18,6 +18,10 @@ from pneq import (
 )
 
 LONG_DIGITS = "9" * 4301
+ARABIC_INDIC_THREE = "\u0663"  # a Unicode decimal digit that is not ASCII
+# Inputs whose error messages once repeated them in full (4,425, 8,680 and
+# 10,057 characters through parse_marking).
+UNBOUNDED_ECHOES = [LONG_DIGITS + "*s1", "0" * 4301 + "*s1", "s1+" + "x" * 5000]
 
 GOOD = """
 # demo net
@@ -54,6 +58,7 @@ def test_parse_net_roundtrip():
         ("place tau", 3),
         ("bogus directive", 3),
         (f"trans t1 : {LONG_DIGITS}*s1 -> a -> s3", 3),
+        (f"trans t1 : {ARABIC_INDIC_THREE}*s1 -> a -> s3", 3),
     ],
 )
 def test_parse_errors_carry_line_numbers(line, err_line):
@@ -84,6 +89,18 @@ def test_parse_marking_expressions(nets):
         parse_marking("s1 + nope", net)
     with pytest.raises(ModelError, match="multiplicity exceeds"):
         parse_marking(f"s1 + {LONG_DIGITS}*s2", net)
+    with pytest.raises(ModelError):
+        parse_marking(f"{ARABIC_INDIC_THREE}*s1", net)
+
+
+@pytest.mark.parametrize("expr", UNBOUNDED_ECHOES, ids=["nines", "zeros", "name"])
+def test_error_messages_clip_their_input(nets, expr):
+    with pytest.raises(ModelError) as err:
+        parse_marking(expr, nets["handshake"])
+    assert len(str(err.value)) < 200
+    with pytest.raises(ParseError) as err:
+        parse_net(f"net n\nplace s1\ntrans t : {expr} -> a -> s1\n")
+    assert len(str(err.value)) < 200 and err.value.line == 3
 
 
 def test_parse_relation_with_theta(nets):

@@ -1,0 +1,139 @@
+"""The branch-and-bound relation search of exhaustive `decide`.
+
+It is compared against the power-set scan it replaced
+(`scan_reference.py`): the same status, witness, `relations_examined` and
+`pruned_pairs` on random nets, and the same budget errors.
+"""
+import random
+import time
+
+import pytest
+
+from pneq import KINDS, DecideCaps, Marking, decide, parse_marking
+from pneq.errors import SearchBudgetError
+from scan_reference import scan_decide
+from test_crosscheck import _random_net
+
+COUNTERS = ("relations_examined", "pruned_pairs")
+CUTS = ("cuts_association", "cuts_theta", "cuts_response")
+
+
+def _random_query(rng, kind):
+    net = _random_net(rng, n_places=rng.randint(2, 3))
+    m1 = Marking([rng.choice(net.places) for _ in range(rng.randint(0, 3))])
+    roll = rng.random()
+    if roll < 0.3:
+        m2 = m1
+    elif roll < 0.7 or kind in ("place", "bplace"):
+        # the same size, so that the plain kinds get past the size check
+        m2 = Marking([rng.choice(net.places) for _ in range(m1.size)])
+    else:
+        m2 = Marking([rng.choice(net.places) for _ in range(rng.randint(0, 3))])
+    return net, m1, m2
+
+
+def _outcome(fn, *args):
+    try:
+        v = fn(*args)
+    except SearchBudgetError:
+        return "budget"
+    return v.status, v.witness, tuple(v.stats.get(k, 0) for k in COUNTERS)
+
+
+def test_search_matches_the_scan_reference():
+    rng = random.Random(20240)
+    outcomes = {}
+    for i in range(2000):
+        kind = KINDS[i % len(KINDS)]
+        net, m1, m2 = _random_query(rng, kind)
+        got = _outcome(decide, net, m1, m2, kind, "exhaustive")
+        want = _outcome(scan_decide, net, m1, m2, kind)
+        assert got == want, (kind, net.transitions, m1, m2)
+        depth = "deep" if got[2][0] > 16 else "shallow"
+        outcomes[kind, got[0], depth] = outcomes.get((kind, got[0], depth), 0) + 1
+    for kind in KINDS:
+        for status in ("related", "not-related"):
+            assert outcomes.get((kind, status, "deep"), 0) >= 2, outcomes
+            assert outcomes.get((kind, status, "shallow"), 0) >= 50, outcomes
+
+
+def test_relation_budget_matches_the_scan_reference():
+    # limits at, just around and below the count a full run examines
+    rng = random.Random(31)
+    outcomes = {"budget": 0, "verdict": 0}
+    for i in range(400):
+        kind = KINDS[i % len(KINDS)]
+        net, m1, m2 = _random_query(rng, kind)
+        full = scan_decide(net, m1, m2, kind).stats["relations_examined"]
+        limit = max(1, rng.choice([full - 1, full, full + 1, rng.randint(1, full + 1)]))
+        caps = DecideCaps(max_relations=limit)
+        got = _outcome(decide, net, m1, m2, kind, "exhaustive", caps)
+        want = _outcome(scan_decide, net, m1, m2, kind, caps)
+        assert got == want, (kind, net.transitions, m1, m2, limit)
+        outcomes["budget" if got == "budget" else "verdict"] += 1
+    assert min(outcomes.values()) >= 50, outcomes
+
+
+def test_node_budget_errors_only_where_the_scan_raises():
+    # The search runs fewer response searches than the scan, so it can
+    # decide a query on which the scan meets the node budget; it must never
+    # raise where the scan answers, nor answer otherwise than without a cap.
+    rng = random.Random(47)
+    outcomes = {"both": 0, "search only": 0, "neither": 0}
+    for i in range(1000):
+        kind = KINDS[i % len(KINDS)]
+        net, m1, m2 = _random_query(rng, kind)
+        caps = DecideCaps(node_budget=rng.choice([2, 3, 4, 6, 10]))
+        got = _outcome(decide, net, m1, m2, kind, "exhaustive", caps)
+        want = _outcome(scan_decide, net, m1, m2, kind, caps)
+        if want != "budget":
+            assert got == want, (kind, net.transitions, m1, m2, caps)
+            outcomes["neither"] += 1
+        elif got == "budget":
+            outcomes["both"] += 1
+        else:
+            assert got == _outcome(decide, net, m1, m2, kind, "exhaustive")
+            outcomes["search only"] += 1
+    assert outcomes["both"] >= 20 and outcomes["neither"] >= 500, outcomes
+
+
+def test_bdplace_silent_sync_is_decided(nets):
+    # The scan would examine all 2**28 candidates here, one by one.
+    net = nets["silent_sync"]
+    t0 = time.perf_counter()
+    v = decide(
+        net,
+        parse_marking("s1+s3", net),
+        parse_marking("s5+s6", net),
+        "bdplace",
+        "exhaustive",
+    )
+    elapsed = time.perf_counter() - t0
+    assert v.status == "not-related"
+    assert v.stats["relations_examined"] == 2**28
+    assert v.stats["pruned_pairs"] == 1
+    assert elapsed < 10.0, f"{elapsed:.1f}s"
+
+
+@pytest.mark.parametrize(
+    "net_name,m1,m2,kind",
+    [
+        ("silent_sync", "s1+s3", "s5+s6", "bplace"),
+        ("triple_sync", "s1+s2+s3", "r1+r2+r3", "place"),
+        ("tau_loops", "s1+s2", "s3+s5", "bplace"),
+    ],
+)
+def test_phase_stats_are_flat_and_repeatable(nets, net_name, m1, m2, kind):
+    net = nets[net_name]
+    runs = [
+        decide(net, parse_marking(m1, net), parse_marking(m2, net), kind, "exhaustive")
+        for _ in range(2)
+    ]
+    for v in runs:
+        for key in ("compile_s", "search_s", "reverify_s"):
+            assert isinstance(v.stats[key], float) and v.stats[key] >= 0.0
+        assert sum(v.stats[k] for k in CUTS) <= v.stats["search_nodes"]
+        assert v.stats["relations_checked"] <= v.stats["relations_examined"]
+    counters = [{k: x for k, x in v.stats.items() if not k.endswith("_s")} for v in runs]
+    assert counters[0] == counters[1]
+    assert counters[0]["search_nodes"] > 0
