@@ -112,7 +112,9 @@ class _Engine:
     Candidate relations are bitmasks over the universe. Every derived
     query (image sets, response feasibility) is cached keyed by the bits
     it can actually observe, so the many relations that the branch-and-bound
-    search visits share most of their work.
+    search visits share most of their work. `failures` is the one walk over
+    the finite conditions: `check_relation`, guided repair, static pruning
+    and the branch-and-bound all consume it.
     """
 
     def __init__(self, net: Net, universe, kind: str, node_budget: int):
@@ -181,7 +183,6 @@ class _Engine:
                     self.theta_conds.append((ti, side, covers, theta))
         self._images_cache: dict = {}
         self._resp_meta: dict = {}
-        self._member_cache: dict = {}
         self.matchings_solved = 0
 
     # -- closure membership ------------------------------------------------
@@ -290,31 +291,32 @@ class _Engine:
 
     # -- response feasibility ---------------------------------------------------
 
-    def _oriented_bit(self, a, b, side):
-        return self.bit.get((a, b) if side == 1 else (b, a), 0)
+    def _block(self, lefts, rights, side) -> int:
+        """The bits of the core pairs (a, b) with a in `lefts` and b in
+        `rights`, read as (b, a) on side 2: the rows of one set meet the
+        columns of the other."""
+        if side == 2:
+            lefts, rights = rights, lefts
+        rows = cols = 0
+        for a in lefts:
+            rows |= self.rowmask.get(a, 0)
+        for b in rights:
+            cols |= self.colmask.get(b, 0)
+        return rows & cols
 
     def _resp_mask(self, ti: int, m: tuple, side: int) -> int:
         t = self.trans[ti]
-        resp = self.reach(set(m))
-        mask = 0
         anchor_supp = set(self.pre_tok[ti])
         post_supp = set(self.post_tok[ti])
-        for a in anchor_supp | post_supp:
-            for b in resp:
-                mask |= self._oriented_bit(a, b, side)
+        mask = self._block(anchor_supp | post_supp, self.reach(set(m)), side)
         for cj in self.by_label.get(t.label, ()):
-            cpre = set(self.pre_tok[cj])
-            cpost = set(self.post_tok[cj])
             if self.branching and len(self.pre_tok[cj]) != len(m):
                 continue
             if not self.branching and self.pre_tok[cj] != m:
                 continue
-            for a in anchor_supp:
-                for b in cpre:
-                    mask |= self._oriented_bit(a, b, side)
-            for a in post_supp:
-                for b in cpost:
-                    mask |= self._oriented_bit(a, b, side)
+            cpost = set(self.post_tok[cj])
+            mask |= self._block(anchor_supp, self.pre_tok[cj], side)
+            mask |= self._block(post_supp, cpost, side)
             if self.d:
                 left_supp = post_supp if side == 1 else cpost
                 right_supp = cpost if side == 1 else post_supp
@@ -464,54 +466,6 @@ class _Engine:
             f"no matching response from {Marking(m)!r}",
         )
 
-    # -- the full check -------------------------------------------------------
-
-    def check(self, rbits, collect_all=False, collector=None):
-        violations = []
-        for ti, m, side in self.failures(rbits, rbits, collector):
-            violations.append(self.violation(ti, m, side))
-            if not collect_all:
-                break
-        return (not violations), violations
-
-    # -- static pruning ------------------------------------------------------
-
-    def static_bad_mask(self) -> int:
-        """Bits whose pairs kill every relation containing them.
-
-        A pair is statically bad when one of the finite conditions it
-        induces fails even under the full universe (response feasibility
-        is monotone in the relation, so no candidate can rescue it).
-        """
-        singleton_dom = {}
-        for ti in range(len(self.trans)):
-            dom = set(self.pre_tok[ti])
-            if len(dom) == 1:
-                singleton_dom.setdefault(next(iter(dom)), []).append(ti)
-        bad = 0
-        full = self.universe_mask
-        for pair, b in self.bit.items():
-            a, c = pair
-            if a is THETA:
-                if c in singleton_dom:
-                    bad |= b
-            elif c is THETA:
-                if a in singleton_dom:
-                    bad |= b
-            else:
-                for ti in singleton_dom.get(a, ()):
-                    m = (c,) * len(self.pre_tok[ti])
-                    if not self.respond(ti, m, 1, full):
-                        bad |= b
-                        break
-                if not bad & b:
-                    for ti in singleton_dom.get(c, ()):
-                        m = (a,) * len(self.pre_tok[ti])
-                        if not self.respond(ti, m, 2, full):
-                            bad |= b
-                            break
-        return bad
-
 
 # ---------------------------------------------------------------------------
 # public operations
@@ -572,10 +526,11 @@ def check_relation(
     universe = sorted(rel.pairs, key=lambda pr: _pair_sort_key(net, pr))
     engine = _Engine(net, universe, kind, node_budget)
     collector = [] if collect_witnesses else None
-    ok, violations = engine.check(
-        engine.universe_mask, collect_all=True, collector=collector
+    full = engine.universe_mask
+    violations = tuple(
+        engine.violation(*failure) for failure in engine.failures(full, full, collector)
     )
-    return CheckReport(ok, tuple(violations), tuple(collector or ()))
+    return CheckReport(not violations, violations, tuple(collector or ()))
 
 
 def membership(rel: PlaceRelation, kind: str, m1: Marking, m2: Marking) -> Optional[MatchWitness]:
@@ -598,6 +553,8 @@ def verify(
     Related means both hold; anything else is reported as unknown (a
     failed candidate never proves the markings inequivalent).
     """
+    net.check_marking(m1)
+    net.check_marking(m2)
     t0 = time.perf_counter()
     report = check_relation(net, rel, kind, node_budget=node_budget)
     member = membership(rel, kind, m1, m2)
@@ -630,8 +587,9 @@ def decide(
     related verdict carries the minimal witness in that order. The search
     is a branch-and-bound that cuts every subtree of candidates a monotone
     condition rules out, and counts them as examined, so exhausting it is
-    conclusive. Guided mode grows a candidate from the query pair and
-    answers related or unknown, never not-related.
+    conclusive; its conditions, static pruning included, all come from one
+    walk, `_Engine.failures`. Guided mode grows a candidate from the query
+    pair and answers related or unknown, never not-related.
     """
     _check_kind(kind)
     if mode not in ("exhaustive", "guided", "auto"):
@@ -693,7 +651,12 @@ def _decide_exhaustive(engine, net, m1, m2, kind, caps, universe, compile_t0) ->
     bad = 0
     reason = "no association over the pair universe"
     if masks:
-        bad = engine.static_bad_mask()
+        # the search's own cut at depth one: a pair whose relation fails a
+        # condition even under the full universe is in no witness
+        full = engine.universe_mask
+        for b in engine.bit.values():
+            if next(engine.failures(b, full), None) is not None:
+                bad |= b
         stats["pruned_pairs"] = bad.bit_count()
         masks = [mm for mm in masks if not mm & bad]
         reason = "every association uses a statically infeasible pair"
@@ -804,14 +767,14 @@ def _decide_guided(engine, net, m1, m2, kind, caps, universe) -> Verdict:
         rbits = 0
         for pr in rel_pairs:
             rbits |= engine.bit[pr]
-        ok, violations = engine.check(rbits)
-        if ok:
+        failure = next(engine.failures(rbits, rbits), None)
+        if failure is None:
             return _witness_verdict(net, kind, rel_pairs, "guided", stats, caps)
-        v = violations[0]
-        if v.reason == "closure-failure":
+        ti, m, side = failure
+        if m is None:
             continue  # theta viability cannot be repaired by adding pairs
         options = _repair_options(
-            engine, net, v, rbits, rel_pairs, universe_set, core_universe, caps
+            engine, ti, m, side, rbits, rel_pairs, universe_set, core_universe, caps
         )
         for additions in options[: caps.guided_width]:
             queue.append(rel_pairs | additions)
@@ -820,15 +783,10 @@ def _decide_guided(engine, net, m1, m2, kind, caps, universe) -> Verdict:
 
 
 def _repair_options(
-    engine, net, violation, rbits, rel_pairs, universe_set, core_universe, caps
+    engine, ti, m, side, rbits, rel_pairs, universe_set, core_universe, caps
 ):
-    """Pair additions that could discharge the failed condition."""
-    ti = next(
-        i for i, t in enumerate(engine.trans) if t.tid == violation.transition
-    )
+    """Pair additions that could discharge the failed condition (ti, m, side)."""
     t = engine.trans[ti]
-    side = violation.side
-    m = violation.marking.tokens()
     anchor = engine.pre_tok[ti]
     post = engine.post_tok[ti]
     d = engine.d

@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from . import corpus as corpus_mod
-from .checkers import DecideCaps, check_relation, decide, verify
+from .checkers import KINDS, DecideCaps, check_relation, decide, verify
 from .errors import ParseError, PneqError, SearchBudgetError, StateSpaceLimitError
 from .formats import lts_to_dot, parse_marking, parse_net, parse_relation
 from .ltsbisim import decide_interleaving
@@ -24,7 +24,6 @@ EXIT_USAGE = 2
 EXIT_UNKNOWN = 3
 
 GRAPH_KINDS = ("int", "bint")
-PLACE_KINDS = ("place", "dplace", "bplace", "bdplace")
 
 
 def _read(path: str) -> str:
@@ -244,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_check = sub.add_parser("check", help="decide an equivalence for two markings")
-    p_check.add_argument("--eq", required=True, choices=PLACE_KINDS + GRAPH_KINDS)
+    p_check.add_argument("--eq", required=True, choices=KINDS + GRAPH_KINDS)
     p_check.add_argument(
         "--mode", default="auto", choices=("exhaustive", "guided", "auto")
     )
@@ -258,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(func=cmd_check)
 
     p_verify = sub.add_parser("verify", help="verify a candidate relation")
-    p_verify.add_argument("--eq", required=True, choices=PLACE_KINDS)
+    p_verify.add_argument("--eq", required=True, choices=KINDS)
     p_verify.add_argument("--relation", required=True)
     p_verify.add_argument("--json", action="store_true")
     p_verify.add_argument("net")

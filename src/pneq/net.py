@@ -74,11 +74,7 @@ class Net:
                 raise ModelError(f"marking uses undeclared place {place!r}")
 
     def check_transition(self, t: Transition) -> None:
-        """Accepts any structurally valid transition over declared places.
-
-        Transitions synthesized on demand (idling steps) are allowed even
-        though they are never stored in `transitions`.
-        """
+        """Accepts any structurally valid transition over declared places."""
         for place in list(t.pre) + list(t.post):
             if place not in self.place_index:
                 raise ModelError(f"transition {t.tid!r} uses undeclared place {place!r}")

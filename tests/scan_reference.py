@@ -1,11 +1,16 @@
 """The power-set scan that exhaustive `decide` ran before its branch-and-bound.
 
-`_decide_exhaustive` below is that loop, unchanged: every combination of
-the statically feasible pair bits, by size and then lexicographically,
-each one that contains an association checked in full. It is the
-reference the branch-and-bound is compared against: same status, same
-witness, same `relations_examined` and `pruned_pairs`, and the same point
-at which `max_relations` raises.
+`_decide_exhaustive` below is that loop: every combination of the
+statically feasible pair bits, by size and then lexicographically, each
+one that contains an association checked in full. It is the reference the
+branch-and-bound is compared against: same status, same witness, same
+`relations_examined` and `pruned_pairs`, and the same point at which
+`max_relations` raises.
+
+`static_bad_mask` is the static pruning pass the engine ran before
+pruning became the search's own cut at depth one: it derives the bad
+pairs from the single-place pre-sets directly, not from
+`_Engine.failures`, so the two derivations are checked against each other.
 """
 import itertools
 import time
@@ -50,7 +55,7 @@ def _decide_exhaustive(engine, net, m1, m2, kind, caps, universe) -> Verdict:
     if not match_masks:
         stats["reason"] = "no association over the pair universe"
         return Verdict("not-related", None, "exhaustive", stats)
-    bad = engine.static_bad_mask()
+    bad = static_bad_mask(engine)
     stats["pruned_pairs"] = bin(bad).count("1")
     match_masks = [mm for mm in match_masks if not (mm & bad)]
     if not match_masks:
@@ -78,7 +83,7 @@ def _decide_exhaustive(engine, net, m1, m2, kind, caps, universe) -> Verdict:
         if not any(rbits & mm == mm for mm in match_masks):
             continue
         checked += 1
-        if engine.check(rbits)[0]:
+        if next(engine.failures(rbits, rbits), None) is None:
             found = rbits
             break
     stats["relations_examined"] = examined
@@ -87,3 +92,40 @@ def _decide_exhaustive(engine, net, m1, m2, kind, caps, universe) -> Verdict:
         return Verdict("not-related", None, "exhaustive", stats)
     pairs = [pair for pair in engine.pairs if found & engine.bit[pair]]
     return _witness_verdict(net, kind, pairs, "exhaustive", stats, caps)
+
+
+def static_bad_mask(engine) -> int:
+    """Bits whose pairs kill every relation containing them.
+
+    A pair is statically bad when one of the finite conditions it
+    induces fails even under the full universe (response feasibility
+    is monotone in the relation, so no candidate can rescue it).
+    """
+    singleton_dom = {}
+    for ti in range(len(engine.trans)):
+        dom = set(engine.pre_tok[ti])
+        if len(dom) == 1:
+            singleton_dom.setdefault(next(iter(dom)), []).append(ti)
+    bad = 0
+    full = engine.universe_mask
+    for pair, b in engine.bit.items():
+        a, c = pair
+        if a is THETA:
+            if c in singleton_dom:
+                bad |= b
+        elif c is THETA:
+            if a in singleton_dom:
+                bad |= b
+        else:
+            for ti in singleton_dom.get(a, ()):
+                m = (c,) * len(engine.pre_tok[ti])
+                if not engine.respond(ti, m, 1, full):
+                    bad |= b
+                    break
+            if not bad & b:
+                for ti in singleton_dom.get(c, ()):
+                    m = (a,) * len(engine.pre_tok[ti])
+                    if not engine.respond(ti, m, 2, full):
+                        bad |= b
+                        break
+    return bad

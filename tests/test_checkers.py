@@ -309,6 +309,16 @@ class TestVerify:
         )
         assert v.status == "related"
 
+    def test_undeclared_markings_are_rejected(self, nets, relations):
+        net = nets["producer_consumer"]
+        rel = relations["producer_consumer"]
+        good = parse_marking("P1+C", net)
+        for m1, m2 in ((Marking(["nope"]), good), (good, Marking(["nope"]))):
+            with pytest.raises(ModelError):
+                verify(net, rel, "bplace", m1, m2)
+            with pytest.raises(ModelError):
+                decide(net, m1, m2, "bplace")
+
     def test_wrong_membership_is_unknown_not_negative(self, nets, relations):
         net = nets["tau_loops"]
         v = verify(

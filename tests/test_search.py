@@ -2,16 +2,19 @@
 
 It is compared against the power-set scan it replaced
 (`scan_reference.py`): the same status, witness, `relations_examined` and
-`pruned_pairs` on random nets, and the same budget errors.
+`pruned_pairs` on random nets, and the same budget errors. Its static
+pruning is compared bit for bit against the old pruning pass, and guided
+verdicts against exhaustive ones.
 """
 import random
 import time
 
 import pytest
 
-from pneq import KINDS, DecideCaps, Marking, decide, parse_marking
+from pneq import KINDS, DecideCaps, Marking, check_relation, corpus, decide, parse_marking
+from pneq.checkers import _Engine, pair_universe
 from pneq.errors import SearchBudgetError
-from scan_reference import scan_decide
+from scan_reference import scan_decide, static_bad_mask
 from test_crosscheck import _random_net
 
 COUNTERS = ("relations_examined", "pruned_pairs")
@@ -97,6 +100,51 @@ def test_node_budget_errors_only_where_the_scan_raises():
     assert outcomes["both"] >= 20 and outcomes["neither"] >= 500, outcomes
 
 
+def _pruned(net, m1, m2, kind):
+    """(mask, matchings solved) of the reference pruning pass and of the
+    depth-one walk of `_Engine.failures` that `_decide_exhaustive` runs,
+    each on a fresh engine. The walk's bit count reaches `pruned_pairs`,
+    which the scan comparison above checks."""
+    universe = pair_universe(net, m1, m2, kind)
+    reference = _Engine(net, universe, kind, DecideCaps().node_budget)
+    walk = _Engine(net, universe, kind, DecideCaps().node_budget)
+    full = walk.universe_mask
+    mask = 0
+    for b in walk.bit.values():
+        if next(walk.failures(b, full), None) is not None:
+            mask |= b
+    return (
+        (static_bad_mask(reference), reference.matchings_solved),
+        (mask, walk.matchings_solved),
+    )
+
+
+def _corpus_queries():
+    for case in corpus.load_cases():
+        if case.query["eq"] in KINDS:
+            net = corpus.load_net(case.net)
+            m1 = parse_marking(case.query["m1"], net)
+            m2 = parse_marking(case.query["m2"], net)
+            for kind in KINDS:
+                yield net, m1, m2, kind
+
+
+def test_depth_one_walk_prunes_the_reference_bits():
+    rng = random.Random(5)
+    queries = []
+    for i in range(1000):
+        kind = KINDS[i % len(KINDS)]
+        queries.append((*_random_query(rng, kind), kind))
+    corpus_queries = list(_corpus_queries())
+    assert len(corpus_queries) >= 68
+    pruned = 0
+    for net, m1, m2, kind in queries + corpus_queries:
+        want, got = _pruned(net, m1, m2, kind)
+        assert got == want, (kind, net.transitions, m1, m2)
+        pruned += want[0] != 0
+    assert pruned >= 600, pruned
+
+
 def test_bdplace_silent_sync_is_decided(nets):
     # The scan would examine all 2**28 candidates here, one by one.
     net = nets["silent_sync"]
@@ -137,3 +185,24 @@ def test_phase_stats_are_flat_and_repeatable(nets, net_name, m1, m2, kind):
     counters = [{k: x for k, x in v.stats.items() if not k.endswith("_s")} for v in runs]
     assert counters[0] == counters[1]
     assert counters[0]["search_nodes"] > 0
+
+
+def test_guided_agrees_with_exhaustive_on_random_queries():
+    rng = random.Random(61)
+    outcomes = {}
+    for i in range(400):
+        kind = KINDS[i % len(KINDS)]
+        net, m1, m2 = _random_query(rng, kind)
+        guided = decide(net, m1, m2, kind, "guided")
+        exhaustive = decide(net, m1, m2, kind, "exhaustive")
+        assert guided.status in ("related", "unknown")
+        if guided.status == "related":
+            assert check_relation(net, guided.witness, kind).ok
+            assert exhaustive.status == "related", (kind, net.transitions, m1, m2)
+        if exhaustive.status == "not-related":
+            assert guided.status == "unknown"
+        key = kind, exhaustive.status
+        outcomes[key] = outcomes.get(key, 0) + 1
+    for kind in KINDS:
+        for status in ("related", "not-related"):
+            assert outcomes.get((kind, status), 0) >= 20, outcomes
