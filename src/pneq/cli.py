@@ -46,7 +46,8 @@ def _emit(report: dict, as_json: bool) -> None:
     if as_json:
         print(json.dumps(report, indent=2, sort_keys=True))
         return
-    print(f"verdict: {report['verdict']}")
+    mode = f" ({report['mode_used']})" if "mode_used" in report else ""
+    print(f"verdict: {report['verdict']}{mode}")
     if report.get("witness"):
         pairs = " ".join(f"({a},{b})" for a, b in report["witness"])
         print(f"witness: {pairs}")
@@ -94,12 +95,13 @@ def cmd_check(args) -> int:
         }
         _emit(report, args.json)
         return _verdict_exit(status)
-    caps = DecideCaps(max_pairs=args.max_pairs, node_budget=args.node_budget)
+    caps = DecideCaps(node_budget=args.node_budget)
     verdict = decide(net, m1, m2, args.eq, args.mode, caps)
     query["mode"] = args.mode
     report = {
         "query": query,
         "verdict": verdict.status,
+        "mode_used": verdict.mode_used,
         "witness": _witness_pairs(verdict.witness) if verdict.witness else None,
         "violations": [],
         "stats": verdict.stats,
@@ -247,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument(
         "--mode", default="auto", choices=("exhaustive", "guided", "auto")
     )
-    p_check.add_argument("--max-pairs", type=int, default=22)
     p_check.add_argument("--state-cap", type=int, default=10_000)
     p_check.add_argument("--node-budget", type=int, default=1_000_000)
     p_check.add_argument("--json", action="store_true")

@@ -30,4 +30,8 @@ class StateSpaceLimitError(PneqError):
 
 
 class SearchBudgetError(PneqError):
-    """A response search exhausted its node budget (result inconclusive)."""
+    """A search ran out of its budget (inconclusive); `count` is how far it got."""
+
+    def __init__(self, message: str, count: int):
+        super().__init__(message)
+        self.count = count

@@ -118,7 +118,7 @@ def run_search(
         nodes += 1
         if nodes > node_budget:
             raise SearchBudgetError(
-                f"silent response search exceeded {node_budget} nodes"
+                f"silent response search exceeded {node_budget} nodes", nodes
             )
         pending, active, done = state
         if active is None and not pending:

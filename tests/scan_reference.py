@@ -30,8 +30,6 @@ from pneq.checkers import (
 def scan_decide(net, m1, m2, kind, caps=None) -> Verdict:
     """`decide(net, m1, m2, kind, "exhaustive", caps)`, by the scan."""
     caps = caps or DecideCaps()
-    if not _is_d(kind) and m1.size != m2.size:
-        return Verdict("not-related", None, "exhaustive", {"relations_examined": 0})
     universe = pair_universe(net, m1, m2, kind)
     engine = _Engine(net, universe, kind, caps.node_budget)
     t0 = time.perf_counter()
@@ -75,7 +73,8 @@ def _decide_exhaustive(engine, net, m1, m2, kind, caps, universe) -> Verdict:
         if limit is not None and examined > limit:
             raise SearchBudgetError(
                 f"exhausted the relation budget: examined {limit} "
-                "candidate relations without reaching a verdict"
+                "candidate relations without reaching a verdict",
+                examined,
             )
         rbits = 0
         for b in combo:
@@ -91,7 +90,7 @@ def _decide_exhaustive(engine, net, m1, m2, kind, caps, universe) -> Verdict:
     if found is None:
         return Verdict("not-related", None, "exhaustive", stats)
     pairs = [pair for pair in engine.pairs if found & engine.bit[pair]]
-    return _witness_verdict(net, kind, pairs, "exhaustive", stats, caps)
+    return _witness_verdict(engine, pairs, "exhaustive", stats)
 
 
 def static_bad_mask(engine) -> int:

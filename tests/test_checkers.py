@@ -128,11 +128,11 @@ class TestDecide:
         assert v.witness is not None
         assert check_relation(net, v.witness, "place").ok
 
-    def test_size_mismatch_short_circuits(self, nets):
+    def test_size_mismatch_has_no_association(self, nets):
         net = nets["handshake"]
         v = decide(net, Marking(["s1"]), parse_marking("s1+s2", net), "place")
-        assert v.status == "not-related"
-        assert v.stats.get("reason") == "size mismatch"
+        assert v.status == "not-related" and v.mode_used == "exhaustive"
+        assert v.stats.get("reason") == "no association over the pair universe"
 
     def test_componentwise_games_do_not_imply_the_joint_one(self, nets):
         # the one-step game holds piecewise, yet the triple is not related
@@ -204,26 +204,45 @@ class TestDecide:
         assert v.witness.pairs == relations["tau_chain"].pairs
 
     def test_guided_never_answers_not_related(self, nets):
-        net = nets["silent_cells"]
-        v = decide(net, Marking(["s2"]), Marking(["s5"]), "bplace", "guided")
-        assert v.status == "unknown"
+        for net_name, m1, m2, kind in [
+            ("silent_cells", "s2", "s5", "bplace"),
+            # markings of different sizes: no association to grow from
+            ("handshake", "s1", "s1+s2", "place"),
+            ("handshake", "s1", "s1+s2", "bplace"),
+        ]:
+            net = nets[net_name]
+            v = decide(net, parse_marking(m1, net), parse_marking(m2, net), kind, "guided")
+            assert v.status == "unknown", (net_name, kind)
 
     def test_auto_picks_exhaustive_on_small_universes(self, nets):
         net = nets["silent_cells"]
         v = decide(net, Marking(["s1"]), Marking(["s2"]), "bplace", "auto")
         assert v.mode_used == "exhaustive"
 
-    def test_auto_picks_guided_past_the_pair_cap(self, nets):
+    def test_auto_decides_producer_consumer_exhaustively(self, nets):
         net = nets["producer_consumer"]
-        v = decide(
-            net,
-            parse_marking("P1+C", net),
-            parse_marking("P1'+C'", net),
-            "bplace",
-            "auto",
-        )
-        assert v.mode_used == "guided"
-        assert v.status == "related"
+        m1, m2 = parse_marking("P1+C", net), parse_marking("P1'+C'", net)
+        v = decide(net, m1, m2, "bplace", "auto")
+        assert v.stats["universe"] > 22  # past the old universe threshold
+        assert v.mode_used == "exhaustive" and "fallback" not in v.stats
+        assert v.status == "related" and len(v.witness) == 13
+
+    def test_auto_falls_back_to_guided_past_the_node_cap(self, nets, monkeypatch):
+        monkeypatch.setattr("pneq.checkers.AUTO_NODES", 1)
+        net = nets["producer_consumer"]
+        m1, m2 = parse_marking("P1+C", net), parse_marking("P1'+C'", net)
+        v = decide(net, m1, m2, "bplace", "auto")
+        assert v.mode_used == "guided" and v.status == "related"
+        assert v.stats["fallback"] == "relation search exceeded 1 nodes"
+        assert check_relation(net, v.witness, "bplace").ok
+        # an exhausted cap is never a refutation, even where the full search is one
+        net = nets["latent_sync"]
+        m1, m2 = Marking(["s1"]), Marking(["s4"])
+        v = decide(net, m1, m2, "place", "exhaustive")
+        assert v.status == "not-related" and v.stats["search_nodes"] == 49
+        v = decide(net, m1, m2, "place", "auto")
+        assert v.status == "unknown" and v.mode_used == "guided"
+        assert "fallback" in v.stats
 
     def test_minimal_witness_in_pair_count(self, nets):
         net = nets["handshake"]
@@ -257,8 +276,9 @@ class TestDecide:
     def test_relation_budget_is_a_budget_error(self, nets):
         net = nets["latent_sync"]
         m1, m2 = Marking(["s1"]), Marking(["s4"])
-        with pytest.raises(SearchBudgetError, match="examined 1 "):
+        with pytest.raises(SearchBudgetError, match="examined 1 ") as exc:
             decide(net, m1, m2, "place", "exhaustive", DecideCaps(max_relations=1))
+        assert exc.value.count > 1
         v = decide(net, m1, m2, "place", "exhaustive", DecideCaps(max_relations=32))
         assert v.status == "not-related" and v.stats["relations_examined"] == 32
 
@@ -284,10 +304,7 @@ class TestDecide:
     @pytest.mark.parametrize(
         "field,value",
         [
-            ("max_pairs", 0),
             ("node_budget", -1),
-            ("guided_nodes", 0),
-            ("guided_width", -3),
             ("max_relations", 0),
             ("max_relations", -1),
         ],

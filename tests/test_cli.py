@@ -47,6 +47,22 @@ class TestCheck:
         )
         assert code == 3 and "unknown" in out
 
+    def test_report_names_the_mode_used(self, run, monkeypatch):
+        args = ("check", "--eq", "bplace", "data:producer_consumer.pn", "P1+C", "P1'+C'")
+        code, out, _ = run(*args[:3], "--json", *args[3:])
+        report = json.loads(out)
+        assert code == 0 and report["query"]["mode"] == "auto"
+        assert report["mode_used"] == "exhaustive" and "fallback" not in report["stats"]
+        monkeypatch.setattr("pneq.checkers.AUTO_NODES", 1)
+        code, out, _ = run(*args)
+        assert code == 0 and "verdict: related (guided)" in out
+        assert "fallback=relation search exceeded 1 nodes" in out
+
+    def test_max_pairs_is_gone(self, run):
+        with pytest.raises(SystemExit) as exc:
+            run("check", "--eq", "place", "--max-pairs", "5", "data:handshake.pn", "s1", "s2")
+        assert exc.value.code == 2
+
     def test_graph_kinds_route_through_the_oracle(self, run):
         code, _, _ = run("check", "--eq", "int", "data:latent_sync.pn", "s1", "s4")
         assert code == 0

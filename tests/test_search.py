@@ -4,7 +4,7 @@ It is compared against the power-set scan it replaced
 (`scan_reference.py`): the same status, witness, `relations_examined` and
 `pruned_pairs` on random nets, and the same budget errors. Its static
 pruning is compared bit for bit against the old pruning pass, and guided
-verdicts against exhaustive ones.
+and auto verdicts against exhaustive ones.
 """
 import random
 import time
@@ -12,7 +12,7 @@ import time
 import pytest
 
 from pneq import KINDS, DecideCaps, Marking, check_relation, corpus, decide, parse_marking
-from pneq.checkers import _Engine, pair_universe
+from pneq.checkers import _decide_exhaustive, _Engine, pair_universe
 from pneq.errors import SearchBudgetError
 from scan_reference import scan_decide, static_bad_mask
 from test_crosscheck import _random_net
@@ -28,7 +28,7 @@ def _random_query(rng, kind):
     if roll < 0.3:
         m2 = m1
     elif roll < 0.7 or kind in ("place", "bplace"):
-        # the same size, so that the plain kinds get past the size check
+        # the same size, so that the plain kinds have an association
         m2 = Marking([rng.choice(net.places) for _ in range(m1.size)])
     else:
         m2 = Marking([rng.choice(net.places) for _ in range(rng.randint(0, 3))])
@@ -206,3 +206,30 @@ def test_guided_agrees_with_exhaustive_on_random_queries():
     for kind in KINDS:
         for status in ("related", "not-related"):
             assert outcomes.get((kind, status), 0) >= 20, outcomes
+
+
+def test_auto_matches_exhaustive_on_random_queries():
+    # Below the node cap, auto is the exhaustive search: every verdict and
+    # counter is the same.
+    rng = random.Random(73)
+    statuses = set()
+    for i in range(400):
+        kind = KINDS[i % len(KINDS)]
+        net, m1, m2 = _random_query(rng, kind)
+        got, want = (
+            (v.status, v.witness, v.mode_used,
+             {k: x for k, x in v.stats.items() if not k.endswith("_s")})
+            for v in (decide(net, m1, m2, kind, mode) for mode in ("auto", "exhaustive"))
+        )
+        assert got == want, (kind, net.transitions, m1, m2)
+        statuses.add((kind, got[0]))
+    assert len(statuses) == 2 * len(KINDS), statuses
+
+
+def test_node_cap_error_counts_the_nodes(nets):
+    net = nets["latent_sync"]
+    m1, m2 = Marking(["s1"]), Marking(["s4"])
+    engine = _Engine(net, pair_universe(net, m1, m2, "place"), "place", 1_000)
+    with pytest.raises(SearchBudgetError, match="relation search exceeded 10 nodes") as exc:
+        _decide_exhaustive(engine, m1, m2, DecideCaps(), time.perf_counter(), 10)
+    assert exc.value.count == 11

@@ -181,7 +181,7 @@ class TestFindSilentResponse:
         rel = relations["producer_consumer"]
         rt5 = net.transition_index["rt5"]
         lt5 = net.transition_index["lt5"]
-        with pytest.raises(SearchBudgetError):
+        with pytest.raises(SearchBudgetError, match="silent response") as exc:
             respond(
                 net,
                 rel,
@@ -191,6 +191,7 @@ class TestFindSilentResponse:
                 node_budget=2,
                 target=lt5.pre.tokens(),
             )
+        assert exc.value.count == 3
 
     def test_size_mismatch_rejected(self, nets, relations):
         # no marking of another size is closure-related to the anchor
