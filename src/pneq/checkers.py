@@ -586,12 +586,18 @@ def decide(
     related verdict carries the minimal witness in that order. The search
     is a branch-and-bound that cuts every subtree of candidates a monotone
     condition rules out, and counts them as examined, so exhausting it is
-    conclusive; its conditions, static pruning included, all come from one
-    walk, `_Engine.failures`. Guided mode grows a candidate from the query
-    pair and answers related or unknown, never not-related.
+    conclusive. Before it starts, pairs that fail a condition on their own
+    are pruned, and associations of the two markings that fail a condition
+    under every unpruned pair are refuted, since each witness contains an
+    association; when all are refuted, the search rules out the
+    candidates of each pair count in one cut. All these conditions come from one walk,
+    `_Engine.failures`. Guided mode grows a candidate from the query pair
+    and answers related or unknown, never not-related.
 
     Auto mode runs the exhaustive search within `AUTO_NODES` nodes; when a
-    budget runs out, it falls back to guided mode, noting why in `stats["fallback"]`.
+    budget runs out, it falls back to guided mode, noting why in
+    `stats["fallback"]` and keeping the attempt's stats under
+    `exhaustive_`-prefixed keys.
     """
     _check_kind(kind)
     if mode not in ("exhaustive", "guided", "auto"):
@@ -607,13 +613,15 @@ def decide(
         verdict = _decide_guided(engine, m1, m2)
     else:
         node_cap = AUTO_NODES if mode == "auto" else None
+        attempt: dict = {}
         try:
-            verdict = _decide_exhaustive(engine, m1, m2, caps, compile_t0, node_cap)
+            verdict = _decide_exhaustive(engine, m1, m2, caps, compile_t0, node_cap, attempt)
         except SearchBudgetError as exc:
             if mode == "exhaustive":
                 raise
             verdict = _decide_guided(engine, m1, m2)
             verdict.stats["fallback"] = str(exc)
+            verdict.stats |= {f"exhaustive_{k}": x for k, x in attempt.items()}
     verdict.stats["universe"] = len(universe)
     verdict.stats["matchings_solved"] = engine.matchings_solved
     verdict.stats["wall_time_s"] = time.perf_counter() - t0
@@ -630,10 +638,21 @@ def _witness_verdict(engine, pairs, mode, stats) -> Verdict:
     return Verdict("related", rel, mode, stats)
 
 
-def _decide_exhaustive(engine, m1, m2, caps, compile_t0, node_cap) -> Verdict:
+def _decide_exhaustive(engine, m1, m2, caps, compile_t0, node_cap, stats) -> Verdict:
+    """Fill `stats` and return the exhaustive verdict.
+
+    Compiling prunes the pairs and associations that are in no witness: a
+    pair bit is bad when its relation fails a condition even under the
+    full universe, and an association mask is refuted when it fails a
+    condition under every pair that is not bad. The branch-and-bound then
+    runs over the good bits with the surviving masks; with none left, its
+    root cut counts every candidate at once. `stats` keeps its counters
+    and timings when a budget error ends the search.
+    """
     counters = ("relations_examined", "relations_checked", "pruned_pairs", "search_nodes",
-                "cuts_association", "cuts_theta", "cuts_response")
-    stats = dict.fromkeys(counters, 0) | {"search_s": 0.0, "reverify_s": 0.0}
+                "cuts_association", "cuts_theta", "cuts_response",
+                "associations", "associations_refuted")
+    stats |= dict.fromkeys(counters, 0) | {"search_s": 0.0, "reverify_s": 0.0}
     masks = set()
     for q in iter_matchings(engine.pairs, m1, m2, engine.d):
         mask = 0
@@ -654,14 +673,31 @@ def _decide_exhaustive(engine, m1, m2, caps, compile_t0, node_cap) -> Verdict:
         stats["pruned_pairs"] = bad.bit_count()
         masks = [mm for mm in masks if not mm & bad]
         reason = "every association uses a statically infeasible pair"
+    # and at the root: every witness contains an association, so one that
+    # fails a condition under all the good pairs is in none
+    allowed = engine.universe_mask & ~bad
+    kept = []
+    for mm in masks:
+        try:
+            failure = next(engine.failures(mm, allowed), None)
+        except SearchBudgetError:
+            failure = None  # undecided: leave it to the search
+        if failure is None:
+            kept.append(mm)
+    stats["associations"] = len(masks)
+    stats["associations_refuted"] = len(masks) - len(kept)
     stats["compile_s"] = time.perf_counter() - compile_t0
     if not masks:
         stats["reason"] = reason
         return Verdict("not-related", None, "exhaustive", stats)
+    if not kept:
+        stats["reason"] = "every association fails a condition"
     bits = [engine.bit[pair] for pair in engine.pairs if not engine.bit[pair] & bad]
     t0 = time.perf_counter()
-    found = _branch_and_bound(engine, bits, masks, caps.max_relations, node_cap, stats)
-    stats["search_s"] = time.perf_counter() - t0
+    try:
+        found = _branch_and_bound(engine, bits, kept, caps.max_relations, node_cap, stats)
+    finally:
+        stats["search_s"] = time.perf_counter() - t0
     if found is None:
         return Verdict("not-related", None, "exhaustive", stats)
     pairs = [pair for pair in engine.pairs if found & engine.bit[pair]]
@@ -671,7 +707,9 @@ def _decide_exhaustive(engine, m1, m2, caps, compile_t0, node_cap) -> Verdict:
 def _branch_and_bound(engine, bits, masks, limit, node_cap, stats):
     """The first relation over `bits` that contains an association mask and
     passes the full check, by pair count and then lexicographically; None
-    when there is none.
+    when there is none. `masks` holds the associations left after the
+    up-front cut of `_decide_exhaustive`; when it is empty, the root of
+    each pair count is one association cut.
 
     For each pair count k, a depth-first search decides the bits in order,
     including a bit before excluding it: that visits the candidates of k
@@ -683,6 +721,7 @@ def _branch_and_bound(engine, bits, masks, limit, node_cap, stats):
     cut adds the candidates it rules out to `relations_examined`, so that
     count and the `max_relations` budget are those of a scan of them all.
     More than `node_cap` nodes, unless it is None, raise SearchBudgetError.
+    The counters reach `stats` even when a budget error ends the search.
     """
     n = len(bits)
     suffix = [0] * (n + 1)
@@ -730,13 +769,15 @@ def _branch_and_bound(engine, bits, masks, limit, node_cap, stats):
         return found
 
     found = None
-    for k in range(n + 1):
-        found = visit(0, 0, k, True)
-        if found is not None:
-            break
-    stats["relations_examined"] = examined
-    stats["relations_checked"] = checked
-    stats["search_nodes"] = nodes
+    try:
+        for k in range(n + 1):
+            found = visit(0, 0, k, True)
+            if found is not None:
+                break
+    finally:
+        stats["relations_examined"] = examined
+        stats["relations_checked"] = checked
+        stats["search_nodes"] = nodes
     return found
 
 

@@ -215,6 +215,7 @@ def cmd_corpus(args) -> int:
                             "passed": r.passed,
                             "oracle": r.oracle,
                             "seconds": round(r.seconds, 3),
+                            "stats": r.stats,
                         }
                         for r in results
                     ],

@@ -235,6 +235,16 @@ class TestDecide:
         assert v.mode_used == "guided" and v.status == "related"
         assert v.stats["fallback"] == "relation search exceeded 1 nodes"
         assert check_relation(net, v.witness, "bplace").ok
+        # the exhaustive attempt's stats survive the fallback, prefixed
+        assert v.stats["exhaustive_search_nodes"] == 2
+        assert v.stats["exhaustive_relations_examined"] == 1
+        assert v.stats["exhaustive_relations_checked"] == 0
+        assert v.stats["exhaustive_pruned_pairs"] == 39
+        assert v.stats["exhaustive_associations"] == 1
+        assert v.stats["exhaustive_associations_refuted"] == 0
+        for key in ("exhaustive_compile_s", "exhaustive_search_s"):
+            assert isinstance(v.stats[key], float) and 0.0 <= v.stats[key] <= v.stats["wall_time_s"]
+        assert v.stats["relations_examined"] == 25  # guided's own count
         # an exhausted cap is never a refutation, even where the full search is one
         net = nets["latent_sync"]
         m1, m2 = Marking(["s1"]), Marking(["s4"])

@@ -179,6 +179,15 @@ class TestCorpusCommand:
         assert report["failures"] == 0
         assert all(c["passed"] for c in report["cases"])
 
+    def test_json_output_carries_each_case_stats(self, run):
+        code, out, _ = run("corpus", "run", "--json")
+        cases = {c["name"]: c for c in json.loads(out)["cases"]}
+        stats = cases["triple-sync-place"]["stats"]
+        assert stats["relations_examined"] == 512 and stats["universe"] == 9
+        assert stats["associations_refuted"] == stats["associations"] == 6
+        assert stats["reason"] == "every association fails a condition"
+        assert cases["latent-sync-graph-double"]["stats"] == {"states": 13, "edges": 13}
+
 
 class TestErrors:
     def test_parse_error_exits_two(self, run, tmp_path):

@@ -4,14 +4,24 @@ It is compared against the power-set scan it replaced
 (`scan_reference.py`): the same status, witness, `relations_examined` and
 `pruned_pairs` on random nets, and the same budget errors. Its static
 pruning is compared bit for bit against the old pruning pass, and guided
-and auto verdicts against exhaustive ones.
+and auto verdicts against exhaustive ones. The up-front association cut
+must refute every association of the silent-sync family.
 """
 import random
 import time
 
 import pytest
 
-from pneq import KINDS, DecideCaps, Marking, check_relation, corpus, decide, parse_marking
+from pneq import (
+    KINDS,
+    DecideCaps,
+    Marking,
+    check_relation,
+    corpus,
+    decide,
+    parse_marking,
+    parse_net,
+)
 from pneq.checkers import _decide_exhaustive, _Engine, pair_universe
 from pneq.errors import SearchBudgetError
 from scan_reference import scan_decide, static_bad_mask
@@ -46,10 +56,18 @@ def _outcome(fn, *args):
 def test_search_matches_the_scan_reference():
     rng = random.Random(20240)
     outcomes = {}
+    refuting = 0  # queries on which the up-front association cut dropped a mask
+
+    def exhaustive(*args):
+        nonlocal refuting
+        v = decide(*args, "exhaustive")
+        refuting += v.stats["associations_refuted"] > 0
+        return v
+
     for i in range(2000):
         kind = KINDS[i % len(KINDS)]
         net, m1, m2 = _random_query(rng, kind)
-        got = _outcome(decide, net, m1, m2, kind, "exhaustive")
+        got = _outcome(exhaustive, net, m1, m2, kind)
         want = _outcome(scan_decide, net, m1, m2, kind)
         assert got == want, (kind, net.transitions, m1, m2)
         depth = "deep" if got[2][0] > 16 else "shallow"
@@ -58,6 +76,7 @@ def test_search_matches_the_scan_reference():
         for status in ("related", "not-related"):
             assert outcomes.get((kind, status, "deep"), 0) >= 2, outcomes
             assert outcomes.get((kind, status, "shallow"), 0) >= 50, outcomes
+    assert refuting >= 100, refuting  # 114 when written
 
 
 def test_relation_budget_matches_the_scan_reference():
@@ -163,6 +182,43 @@ def test_bdplace_silent_sync_is_decided(nets):
     assert elapsed < 10.0, f"{elapsed:.1f}s"
 
 
+def _silent_sync(n_right):
+    """A local silent step feeding an a-synchronization (l1..l4), against a
+    silent two-party synchronization feeding the same a (r1..rn): the shape
+    of the benchmark's silent-sync family, not-related under every kind."""
+    left = ["l1", "l2", "l3", "l4"]
+    right = [f"r{i}" for i in range(1, n_right + 1)]
+    text = "\n".join([
+        "net ssync",
+        "place " + " ".join(left + right),
+        "trans tl1 : l1 -> tau -> l2",
+        "trans tl2 : l2+l3 -> a -> l4",
+        "trans tr1 : r1+r2 -> tau -> r3+r4",
+        "trans tr2 : r3+r4 -> a -> " + ("+".join(right[4:]) or "0"),
+    ])
+    return parse_net(text + "\n")
+
+
+@pytest.mark.parametrize(
+    "kind,n_right,universe",
+    [("bplace", n, 4 * n) for n in (4, 8, 12, 16, 20)]
+    + [("bdplace", n, 5 * n + 4) for n in (4, 8, 12, 16, 20)],
+)
+def test_every_silent_sync_association_is_refuted(kind, n_right, universe):
+    # Every association fails on its own, so the search examines all
+    # 2**n candidates over the unpruned bits in one cut per pair count.
+    net = _silent_sync(n_right)
+    t0 = time.perf_counter()
+    v = decide(net, parse_marking("l1+l3", net), parse_marking("r1+r2", net), kind, "exhaustive")
+    elapsed = time.perf_counter() - t0
+    assert v.status == "not-related"
+    assert v.stats["universe"] == universe
+    assert v.stats["relations_examined"] == 2 ** (universe - v.stats["pruned_pairs"])
+    assert v.stats["associations_refuted"] == v.stats["associations"] > 0
+    assert v.stats["reason"] == "every association fails a condition"
+    assert elapsed < 1.0, f"{elapsed:.2f}s"
+
+
 @pytest.mark.parametrize(
     "net_name,m1,m2,kind",
     [
@@ -230,6 +286,10 @@ def test_node_cap_error_counts_the_nodes(nets):
     net = nets["latent_sync"]
     m1, m2 = Marking(["s1"]), Marking(["s4"])
     engine = _Engine(net, pair_universe(net, m1, m2, "place"), "place", 1_000)
+    stats = {}
     with pytest.raises(SearchBudgetError, match="relation search exceeded 10 nodes") as exc:
-        _decide_exhaustive(engine, m1, m2, DecideCaps(), time.perf_counter(), 10)
+        _decide_exhaustive(engine, m1, m2, DecideCaps(), time.perf_counter(), 10, stats)
     assert exc.value.count == 11
+    # the attempt keeps its counters and timings up to the error
+    assert stats["search_nodes"] == 11 and stats["associations"] == 1
+    assert stats["compile_s"] >= 0.0 and stats["search_s"] >= 0.0
