@@ -40,7 +40,8 @@ from .relations import (
     format_side,
     iter_matchings,
 )
-from .silent import run_search, silent_graph, silent_reachable
+# silent_reachable is unused here; perfbench/spans.CROSS_MODULE times it by this name
+from .silent import run_search, silent_graph, silent_reachable  # noqa: F401
 
 KINDS = ("place", "dplace", "bplace", "bdplace")
 AUTO_NODES = 100_000  # auto mode: exhaustive search nodes before the guided fallback
@@ -69,13 +70,12 @@ class CheckReport:
 
 @dataclass
 class DecideCaps:
-    """Budgets of one `decide` call: the nodes of each silent-response search
-    and the candidates the exhaustive search examines (None: unbounded)."""
+    """The budget of one `decide` call: the nodes of each silent-response
+    search."""
     node_budget: int = 1_000_000
-    max_relations: Optional[int] = None
 
     def __post_init__(self):
-        if any(cap is not None and cap <= 0 for cap in (self.node_budget, self.max_relations)):
+        if self.node_budget <= 0:
             raise ModelError("caps must be positive")
 
 
@@ -108,12 +108,13 @@ def _check_kind(kind: str) -> None:
 class _Engine:
     """Relation checks compiled against a fixed pair universe.
 
-    Candidate relations are bitmasks over the universe. Every derived
-    query (image sets, response feasibility) is cached keyed by the bits
-    it can actually observe, so the many relations that the branch-and-bound
-    search visits share most of their work. `failures` is the one walk over
-    the finite conditions: `check_relation`, guided repair, static pruning
-    and the branch-and-bound all consume it.
+    Candidate relations are bitmasks over the universe. Image sets are
+    cached keyed by the pairs of the pre-set's places; responses are cached
+    keyed by `resp_mask`, built once per transition and side, so the many
+    relations that the branch-and-bound search visits share most of their
+    work. `failures` is the one walk over the finite conditions:
+    `check_relation`, guided repair, static pruning and the branch-and-bound
+    all consume it.
     """
 
     def __init__(self, net: Net, universe, kind: str, node_budget: int):
@@ -148,7 +149,6 @@ class _Engine:
         self.row = {p: sorted(v, key=lambda e: key[e[0]]) for p, v in row_items.items()}
         self.col = {p: sorted(v, key=lambda e: key[e[0]]) for p, v in col_items.items()}
         self.adj = silent_graph(net)
-        self._reach: dict = {}
         self.trans = list(net.transitions)
         self.pre_tok = [t.pre.tokens() for t in self.trans]
         self.post_tok = [t.post.tokens() for t in self.trans]
@@ -180,8 +180,18 @@ class _Engine:
                 if theta:
                     covers = tuple(masks.get(p, 0) | thetas.get(p, 0) for p in dom)
                     self.theta_conds.append((ti, side, covers, theta))
+        # The bits a response can read: the moving side's pairs on the
+        # transition's pre- and post-set places, and every theta pair.
+        thetas = self.universe_mask & ~self.core_mask if self.d else 0
+        self.resp_mask = {
+            side: [
+                sum(masks.get(p, 0) for p in set(pre) | set(post)) | thetas
+                for pre, post in zip(self.pre_tok, self.post_tok)
+            ]
+            for side, masks in ((1, self.rowmask), (2, self.colmask))
+        }
         self._images_cache: dict = {}
-        self._resp_meta: dict = {}
+        self._resp_cache: dict = {}
         self.matchings_solved = 0
 
     # -- closure membership ------------------------------------------------
@@ -280,64 +290,14 @@ class _Engine:
         self._images_cache[key] = out
         return out
 
-    # -- silent reachability ---------------------------------------------------
-
-    def reach(self, places) -> frozenset:
-        key = frozenset(places)
-        if key not in self._reach:
-            self._reach[key] = silent_reachable(self.adj, key)
-        return self._reach[key]
-
     # -- response feasibility ---------------------------------------------------
 
-    def _block(self, lefts, rights, side) -> int:
-        """The bits of the core pairs (a, b) with a in `lefts` and b in
-        `rights`, read as (b, a) on side 2: the rows of one set meet the
-        columns of the other."""
-        if side == 2:
-            lefts, rights = rights, lefts
-        rows = cols = 0
-        for a in lefts:
-            rows |= self.rowmask.get(a, 0)
-        for b in rights:
-            cols |= self.colmask.get(b, 0)
-        return rows & cols
-
-    def _resp_mask(self, ti: int, m: tuple, side: int) -> int:
-        t = self.trans[ti]
-        anchor_supp = set(self.pre_tok[ti])
-        post_supp = set(self.post_tok[ti])
-        mask = self._block(anchor_supp | post_supp, self.reach(set(m)), side)
-        for cj in self.by_label.get(t.label, ()):
-            if self.branching and len(self.pre_tok[cj]) != len(m):
-                continue
-            if not self.branching and self.pre_tok[cj] != m:
-                continue
-            cpost = set(self.post_tok[cj])
-            mask |= self._block(anchor_supp, self.pre_tok[cj], side)
-            mask |= self._block(post_supp, cpost, side)
-            if self.d:
-                left_supp = post_supp if side == 1 else cpost
-                right_supp = cpost if side == 1 else post_supp
-                for a in left_supp:
-                    mask |= self.theta_row.get(a, 0)
-                for b in right_supp:
-                    mask |= self.theta_col.get(b, 0)
-        return mask
-
     def respond(self, ti: int, m: tuple, side: int, rbits) -> bool:
-        meta = self._resp_meta.get((ti, m, side))
-        if meta is None:
-            meta = (self._resp_mask(ti, m, side), {})
-            self._resp_meta[(ti, m, side)] = meta
-        mask, cache = meta
-        masked = rbits & mask
-        hit = cache.get(masked)
-        if hit is not None:
-            return hit
-        ok = self._respond_compute(ti, m, side, rbits)
-        cache[masked] = ok
-        return ok
+        key = (ti, m, side, rbits & self.resp_mask[side][ti])
+        hit = self._resp_cache.get(key)
+        if hit is None:
+            hit = self._resp_cache[key] = self._respond_compute(ti, m, side, rbits)
+        return hit
 
     def _respond_compute(
         self, ti: int, m: tuple, side: int, rbits, collector=None
@@ -615,7 +575,7 @@ def decide(
         node_cap = AUTO_NODES if mode == "auto" else None
         attempt: dict = {}
         try:
-            verdict = _decide_exhaustive(engine, m1, m2, caps, compile_t0, node_cap, attempt)
+            verdict = _decide_exhaustive(engine, m1, m2, compile_t0, node_cap, attempt)
         except SearchBudgetError as exc:
             if mode == "exhaustive":
                 raise
@@ -638,7 +598,7 @@ def _witness_verdict(engine, pairs, mode, stats) -> Verdict:
     return Verdict("related", rel, mode, stats)
 
 
-def _decide_exhaustive(engine, m1, m2, caps, compile_t0, node_cap, stats) -> Verdict:
+def _decide_exhaustive(engine, m1, m2, compile_t0, node_cap, stats) -> Verdict:
     """Fill `stats` and return the exhaustive verdict.
 
     Compiling prunes the pairs and associations that are in no witness: a
@@ -695,7 +655,7 @@ def _decide_exhaustive(engine, m1, m2, caps, compile_t0, node_cap, stats) -> Ver
     bits = [engine.bit[pair] for pair in engine.pairs if not engine.bit[pair] & bad]
     t0 = time.perf_counter()
     try:
-        found = _branch_and_bound(engine, bits, kept, caps.max_relations, node_cap, stats)
+        found = _branch_and_bound(engine, bits, kept, node_cap, stats)
     finally:
         stats["search_s"] = time.perf_counter() - t0
     if found is None:
@@ -704,7 +664,7 @@ def _decide_exhaustive(engine, m1, m2, caps, compile_t0, node_cap, stats) -> Ver
     return _witness_verdict(engine, pairs, "exhaustive", stats)
 
 
-def _branch_and_bound(engine, bits, masks, limit, node_cap, stats):
+def _branch_and_bound(engine, bits, masks, node_cap, stats):
     """The first relation over `bits` that contains an association mask and
     passes the full check, by pair count and then lexicographically; None
     when there is none. `masks` holds the associations left after the
@@ -719,7 +679,7 @@ def _branch_and_bound(engine, bits, masks, limit, node_cap, stats):
     where `rel` has just grown, when a condition fails between `rel` and
     `upper` (see `_Engine.failures`). A leaf is the full check of `rel`. A
     cut adds the candidates it rules out to `relations_examined`, so that
-    count and the `max_relations` budget are those of a scan of them all.
+    count is that of a scan of them all.
     More than `node_cap` nodes, unless it is None, raise SearchBudgetError.
     The counters reach `stats` even when a budget error ends the search.
     """
@@ -732,12 +692,6 @@ def _branch_and_bound(engine, bits, masks, limit, node_cap, stats):
     def rule_out(count, cut):
         nonlocal examined
         examined += count
-        if limit is not None and examined > limit:
-            raise SearchBudgetError(
-                f"exhausted the relation budget: examined {limit} "
-                "candidate relations without reaching a verdict",
-                examined,
-            )
         if cut:
             stats[cut] += 1
 

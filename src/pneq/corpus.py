@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .checkers import DecideCaps, decide, verify
+from .checkers import decide, verify
 from .errors import PneqError
 from .formats import parse_marking, parse_net, parse_relation
 from .ltsbisim import decide_interleaving
@@ -86,7 +86,7 @@ def _oracle_check(case: CorpusCase, net: Net, m1: Marking, m2: Marking) -> str:
     return "ok" if equivalent else "failed"
 
 
-def run_case(case: CorpusCase, caps: DecideCaps | None = None) -> CaseResult:
+def run_case(case: CorpusCase) -> CaseResult:
     net = load_net(case.net)
     q = case.query
     m1 = parse_marking(q["m1"], net)
@@ -105,7 +105,7 @@ def run_case(case: CorpusCase, caps: DecideCaps | None = None) -> CaseResult:
         verdict = result.status
         stats = result.stats
     else:
-        result = decide(net, m1, m2, q["eq"], q.get("mode", "auto"), caps)
+        result = decide(net, m1, m2, q["eq"], q.get("mode", "auto"))
         verdict = result.status
         stats = result.stats
     seconds = time.perf_counter() - t0
@@ -116,10 +116,10 @@ def run_case(case: CorpusCase, caps: DecideCaps | None = None) -> CaseResult:
     return CaseResult(case.name, case.expected, verdict, passed, oracle, seconds, stats)
 
 
-def run_corpus(include_slow: bool = False, caps: DecideCaps | None = None) -> list:
+def run_corpus(include_slow: bool = False) -> list:
     results = []
     for case in load_cases():
         if case.slow and not include_slow:
             continue
-        results.append(run_case(case, caps))
+        results.append(run_case(case))
     return results

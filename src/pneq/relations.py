@@ -51,10 +51,6 @@ class PlaceRelation:
     def is_d_extended(self) -> bool:
         return any(a is THETA or b is THETA for a, b in self.pairs)
 
-    @property
-    def kind(self) -> str:
-        return "d-extended" if self.is_d_extended else "plain"
-
     def __len__(self) -> int:
         return len(self.pairs)
 

@@ -4,8 +4,7 @@
 statically feasible pair bits, by size and then lexicographically, each
 one that contains an association checked in full. It is the reference the
 branch-and-bound is compared against: same status, same witness, same
-`relations_examined` and `pruned_pairs`, and the same point at which
-`max_relations` raises.
+`relations_examined` and `pruned_pairs`.
 
 `static_bad_mask` is the static pruning pass the engine ran before
 pruning became the search's own cut at depth one: it derives the bad
@@ -18,7 +17,6 @@ import time
 from pneq import DecideCaps, Verdict
 from pneq.checkers import (
     THETA,
-    SearchBudgetError,
     _Engine,
     _is_d,
     _witness_verdict,
@@ -33,12 +31,12 @@ def scan_decide(net, m1, m2, kind, caps=None) -> Verdict:
     universe = pair_universe(net, m1, m2, kind)
     engine = _Engine(net, universe, kind, caps.node_budget)
     t0 = time.perf_counter()
-    verdict = _decide_exhaustive(engine, net, m1, m2, kind, caps, universe)
+    verdict = _decide_exhaustive(engine, net, m1, m2, kind, universe)
     verdict.stats["wall_time_s"] = time.perf_counter() - t0
     return verdict
 
 
-def _decide_exhaustive(engine, net, m1, m2, kind, caps, universe) -> Verdict:
+def _decide_exhaustive(engine, net, m1, m2, kind, universe) -> Verdict:
     d = _is_d(kind)
     match_masks = []
     for q in iter_matchings(universe, m1, m2, d):
@@ -65,17 +63,10 @@ def _decide_exhaustive(engine, net, m1, m2, kind, caps, universe) -> Verdict:
     candidates = itertools.chain.from_iterable(
         itertools.combinations(good_bits, size) for size in range(len(good_bits) + 1)
     )
-    limit = caps.max_relations
     examined = checked = 0
     found = None
     for combo in candidates:
         examined += 1
-        if limit is not None and examined > limit:
-            raise SearchBudgetError(
-                f"exhausted the relation budget: examined {limit} "
-                "candidate relations without reaching a verdict",
-                examined,
-            )
         rbits = 0
         for b in combo:
             rbits |= b

@@ -283,15 +283,6 @@ class TestDecide:
                 DecideCaps(node_budget=1),
             )
 
-    def test_relation_budget_is_a_budget_error(self, nets):
-        net = nets["latent_sync"]
-        m1, m2 = Marking(["s1"]), Marking(["s4"])
-        with pytest.raises(SearchBudgetError, match="examined 1 ") as exc:
-            decide(net, m1, m2, "place", "exhaustive", DecideCaps(max_relations=1))
-        assert exc.value.count > 1
-        v = decide(net, m1, m2, "place", "exhaustive", DecideCaps(max_relations=32))
-        assert v.status == "not-related" and v.stats["relations_examined"] == 32
-
     def test_witness_reverification_uses_the_node_budget(self, nets, monkeypatch):
         seen = []
 
@@ -315,8 +306,6 @@ class TestDecide:
         "field,value",
         [
             ("node_budget", -1),
-            ("max_relations", 0),
-            ("max_relations", -1),
         ],
     )
     def test_caps_are_validated(self, field, value):

@@ -79,23 +79,6 @@ def test_search_matches_the_scan_reference():
     assert refuting >= 100, refuting  # 114 when written
 
 
-def test_relation_budget_matches_the_scan_reference():
-    # limits at, just around and below the count a full run examines
-    rng = random.Random(31)
-    outcomes = {"budget": 0, "verdict": 0}
-    for i in range(400):
-        kind = KINDS[i % len(KINDS)]
-        net, m1, m2 = _random_query(rng, kind)
-        full = scan_decide(net, m1, m2, kind).stats["relations_examined"]
-        limit = max(1, rng.choice([full - 1, full, full + 1, rng.randint(1, full + 1)]))
-        caps = DecideCaps(max_relations=limit)
-        got = _outcome(decide, net, m1, m2, kind, "exhaustive", caps)
-        want = _outcome(scan_decide, net, m1, m2, kind, caps)
-        assert got == want, (kind, net.transitions, m1, m2, limit)
-        outcomes["budget" if got == "budget" else "verdict"] += 1
-    assert min(outcomes.values()) >= 50, outcomes
-
-
 def test_node_budget_errors_only_where_the_scan_raises():
     # The search runs fewer response searches than the scan, so it can
     # decide a query on which the scan meets the node budget; it must never
@@ -117,6 +100,32 @@ def test_node_budget_errors_only_where_the_scan_raises():
             assert got == _outcome(decide, net, m1, m2, kind, "exhaustive")
             outcomes["search only"] += 1
     assert outcomes["both"] >= 20 and outcomes["neither"] >= 500, outcomes
+
+
+def test_the_response_cache_is_transparent():
+    # `respond` keys its cache by the bits of `resp_mask`; a key that misses
+    # a bit the response reads would hand back an answer computed under
+    # another relation. On one warm engine per query, every condition of
+    # random (lower, upper) pairs must get the answer computed afresh.
+    rng = random.Random(61)
+    conditions = 0
+    for i in range(600):
+        kind = KINDS[i % len(KINDS)]
+        net, m1, m2 = _random_query(rng, kind)
+        engine = _Engine(net, pair_universe(net, m1, m2, kind), kind, DecideCaps().node_budget)
+        n = len(engine.pairs)
+        for _ in range(20):
+            upper = rng.getrandbits(n)
+            lower = upper & rng.getrandbits(n)
+            bar = lower & engine.core_mask if engine.d else lower
+            for ti, tok in enumerate(engine.pre_tok):
+                for side in (1, 2):
+                    for m in engine.images(tok, bar, side):
+                        got = engine.respond(ti, m, side, upper)
+                        want = engine._respond_compute(ti, m, side, upper)
+                        assert got == want, (kind, net.transitions, ti, m, side, upper)
+                        conditions += 1
+    assert conditions >= 30_000, conditions  # 33,546 when written
 
 
 def _pruned(net, m1, m2, kind):
@@ -288,7 +297,7 @@ def test_node_cap_error_counts_the_nodes(nets):
     engine = _Engine(net, pair_universe(net, m1, m2, "place"), "place", 1_000)
     stats = {}
     with pytest.raises(SearchBudgetError, match="relation search exceeded 10 nodes") as exc:
-        _decide_exhaustive(engine, m1, m2, DecideCaps(), time.perf_counter(), 10, stats)
+        _decide_exhaustive(engine, m1, m2, time.perf_counter(), 10, stats)
     assert exc.value.count == 11
     # the attempt keeps its counters and timings up to the error
     assert stats["search_nodes"] == 11 and stats["associations"] == 1
