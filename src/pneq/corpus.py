@@ -94,11 +94,11 @@ def run_case(case: CorpusCase) -> CaseResult:
     t0 = time.perf_counter()
     stats: dict = {}
     if q["eq"] in ("int", "bint"):
-        equivalent, lts = decide_interleaving(
-            net, m1, m2, q["eq"] == "bint", ORACLE_STATE_CAP, ORACLE_EDGE_CAP
+        equivalent, _ = decide_interleaving(
+            net, m1, m2, q["eq"] == "bint", ORACLE_STATE_CAP, ORACLE_EDGE_CAP,
+            stats=stats,
         )
         verdict = "related" if equivalent else "not-related"
-        stats = {"states": len(lts.states), "edges": len(lts.edges)}
     elif q["op"] == "verify":
         rel = load_relation(q["relation"], net)
         result = verify(net, rel, q["eq"], m1, m2)

@@ -10,6 +10,8 @@ like `int`, scales to the corpus's cap of 5,000 states.
 """
 from __future__ import annotations
 
+import time
+
 from .errors import ModelError
 from .multiset import Marking
 from .net import TAU, Lts, Net, reach_lts
@@ -109,12 +111,26 @@ def decide_interleaving(
     branching: bool,
     state_cap: int = 10_000,
     edge_cap: int = 100_000,
+    *,
+    stats: dict | None = None,
 ):
     """Graph-level equivalence of two markings on the joint bounded graph.
 
     Returns (equivalent, lts). Unbounded nets raise StateSpaceLimitError
-    from the construction.
+    from the construction. A given `stats` dict receives the graph's
+    `states` and `edges`, and the seconds spent building it (`reach_s`)
+    and refining its partition (`refine_s`).
     """
+    t0 = time.perf_counter()
     lts = reach_lts(net, [m1, m2], state_cap=state_cap, edge_cap=edge_cap)
+    t1 = time.perf_counter()
     bisim = branching_bisim if branching else strong_bisim
-    return bisim(lts, lts.initials[0], lts.initials[1]), lts
+    equivalent = bisim(lts, lts.initials[0], lts.initials[1])
+    if stats is not None:
+        stats.update(
+            states=len(lts.states),
+            edges=len(lts.edges),
+            reach_s=t1 - t0,
+            refine_s=time.perf_counter() - t1,
+        )
+    return equivalent, lts

@@ -44,6 +44,16 @@ class Marking(Mapping):
         object.__setattr__(self, "_key", tuple(sorted(items.items())))
         object.__setattr__(self, "_size", sum(items.values()))
 
+    @classmethod
+    def _trusted(cls, items: dict) -> "Marking":
+        """The marking with these counts, unchecked: every count must already
+        be a positive int at most MAX_MULTIPLICITY. Keeps `items`."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "_counts", items)
+        object.__setattr__(m, "_key", tuple(sorted(items.items())))
+        object.__setattr__(m, "_size", sum(items.values()))
+        return m
+
     def __setattr__(self, name, value):
         raise AttributeError("Marking is immutable")
 

@@ -1,13 +1,12 @@
 """Place/Transition nets, the token game, and bounded reachability graphs."""
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import ModelError, NotEnabledError, StateSpaceLimitError
-from .multiset import Marking
+from .multiset import MAX_MULTIPLICITY, Marking
 
 TAU = "tau"
 
@@ -163,6 +162,35 @@ class Lts:
     initials: list[int] = field(default_factory=list)
 
 
+def _compile(net: Net) -> list:
+    """Each transition as (pre, effect, rise, label) over place indices.
+
+    `pre` is its pre-set as (index, count) pairs, `effect` its nonzero
+    change per place as (index, delta) pairs, and `rise` its largest
+    increase of one place. The list holds, per place index, the transitions
+    whose pre-set starts at that place.
+    """
+    index = net.place_index
+    by_first: list = [[] for _ in net.places]
+    for t in net.transitions:
+        pre = tuple(sorted((index[p], n) for p, n in t.pre.items()))
+        delta = {i: -n for i, n in pre}
+        for p, n in t.post.items():
+            delta[index[p]] = delta.get(index[p], 0) + n
+        effect = tuple((i, d) for i, d in sorted(delta.items()) if d)
+        rise = max((d for _, d in effect), default=0)
+        by_first[pre[0][0]].append((pre, effect, rise, t.label))
+    return by_first
+
+
+def _overflow(net: Net, m: Marking) -> None:
+    """Fire every enabled transition at m by Marking arithmetic, in net order,
+    so that the first one that overflows raises its ModelError."""
+    for t in net.transitions:
+        if m.covers(t.pre):
+            (m - t.pre) + t.post
+
+
 def reach_lts(
     net: Net,
     initials: Sequence[Marking],
@@ -173,46 +201,80 @@ def reach_lts(
 
     State numbering is deterministic: initials in the given order, then
     discovered states level by level, each expansion batch sorted by the
-    canonical marking ordering. Exceeding a cap raises
-    StateSpaceLimitError carrying the count reached.
+    canonical marking ordering (`Net.marking_key`), then by label.
+    Exceeding a cap raises StateSpaceLimitError carrying the count reached.
+
+    The transitions are compiled once per call to place-index form, and
+    states are explored as tuples of token counts in place order: a state
+    tries only the transitions whose first pre-set place holds a token, and
+    its Marking is built once, when it is first reached.
     """
     if state_cap <= 0 or edge_cap <= 0:
         raise ModelError("state and edge caps must be positive")
+    by_first = _compile(net)
+    places = net.places
     lts = Lts()
-    index: dict[Marking, int] = {}
-    queue: deque[int] = deque()
+    states, edges = lts.states, lts.edges
+    vectors: list[tuple] = []
+    keys: list[tuple] = []  # per state, its marking_key
+    index: dict[tuple, int] = {}
 
-    def intern(m: Marking) -> int:
-        if m in index:
-            return index[m]
-        if len(lts.states) >= state_cap:
+    def intern(w: tuple, key: tuple, m: Marking | None) -> int:
+        if len(states) >= state_cap:
             raise StateSpaceLimitError(
                 f"state space too large or unbounded (cap {state_cap})",
-                count=len(lts.states),
+                count=len(states),
             )
-        index[m] = len(lts.states)
-        lts.states.append(m)
-        queue.append(index[m])
-        return index[m]
+        s = index[w] = len(states)
+        if m is None:
+            m = Marking._trusted({places[i]: n for i, n in key})
+        states.append(m)
+        vectors.append(w)
+        keys.append(key)
+        return s
 
     for m in initials:
         net.check_marking(m)
-        lts.initials.append(intern(m))
-    while queue:
-        src = queue.popleft()
-        m = lts.states[src]
-        successors = []
-        for t in net.transitions:
-            if m.covers(t.pre):
-                successors.append(((m - t.pre) + t.post, t.label))
-        successors.sort(key=lambda pair: (net.marking_key(pair[0]), pair[1]))
-        for m2, label in successors:
-            dst = intern(m2)
-            if len(lts.edges) >= edge_cap:
+        key = net.marking_key(m)
+        w = [0] * len(places)
+        for i, n in key:
+            w[i] = n
+        w = tuple(w)
+        s = index.get(w)
+        lts.initials.append(intern(w, key, m) if s is None else s)
+    src = 0
+    while src < len(states):
+        w = vectors[src]
+        top = max(w, default=0)
+        batch = []
+        for first, _ in keys[src]:
+            for pre, effect, rise, label in by_first[first]:
+                for i, n in pre:
+                    if w[i] < n:
+                        break
+                else:
+                    v = list(w)
+                    for i, d in effect:
+                        v[i] += d
+                    if top + rise > MAX_MULTIPLICITY and max(v) > MAX_MULTIPLICITY:
+                        _overflow(net, states[src])  # raises
+                    v = tuple(v)
+                    s = index.get(v)
+                    key = keys[s] if s is not None else tuple(
+                        (i, n) for i, n in enumerate(v) if n
+                    )
+                    batch.append((key, label, v))
+        batch.sort()  # keys differ for different vectors: (marking_key, label)
+        for key, label, v in batch:
+            dst = index.get(v)
+            if dst is None:
+                dst = intern(v, key, None)
+            if len(edges) >= edge_cap:
                 raise StateSpaceLimitError(
-                    f"edge count exceeded cap {edge_cap}", count=len(lts.edges)
+                    f"edge count exceeded cap {edge_cap}", count=len(edges)
                 )
-            lts.edges.append((src, label, dst))
+            edges.append((src, label, dst))
+        src += 1
     return lts
 
 

@@ -1,17 +1,70 @@
-"""Reference graph oracles: the greatest-fixpoint branching bisimulation.
+"""Reference graph oracles and the reachability graph they start from.
 
-This is the pair-set computation that `pneq.ltsbisim` used before it moved
-to signature refinement. It is quadratic in the number of states and
-cubic per sweep, so it only serves to cross-check the partitions on small
-graphs. With no silent edges branching bisimilarity is strong
+`branching_relation` is the pair-set computation that `pneq.ltsbisim` used
+before it moved to signature refinement. It is quadratic in the number of
+states and cubic per sweep, so it only serves to cross-check the partitions
+on small graphs. With no silent edges branching bisimilarity is strong
 bisimilarity, which gives the strong reference too.
+
+`reference_reach_lts` is the construction `pneq.net.reach_lts` used before
+it moved to compiled count vectors: it fires transitions by Marking
+arithmetic, two Markings per edge.
 """
 from __future__ import annotations
 
 from collections import deque
+from typing import Sequence
 
-from pneq import TAU
+from pneq import TAU, Marking, ModelError, Net, StateSpaceLimitError
 from pneq.net import Lts
+
+
+def reference_reach_lts(
+    net: Net,
+    initials: Sequence[Marking],
+    state_cap: int = 10_000,
+    edge_cap: int = 100_000,
+) -> Lts:
+    """Breadth-first closure of the initial markings under firing, with the
+    numbering, caps and errors of `pneq.net.reach_lts`."""
+    if state_cap <= 0 or edge_cap <= 0:
+        raise ModelError("state and edge caps must be positive")
+    lts = Lts()
+    index: dict[Marking, int] = {}
+    queue: deque[int] = deque()
+
+    def intern(m: Marking) -> int:
+        if m in index:
+            return index[m]
+        if len(lts.states) >= state_cap:
+            raise StateSpaceLimitError(
+                f"state space too large or unbounded (cap {state_cap})",
+                count=len(lts.states),
+            )
+        index[m] = len(lts.states)
+        lts.states.append(m)
+        queue.append(index[m])
+        return index[m]
+
+    for m in initials:
+        net.check_marking(m)
+        lts.initials.append(intern(m))
+    while queue:
+        src = queue.popleft()
+        m = lts.states[src]
+        successors = []
+        for t in net.transitions:
+            if m.covers(t.pre):
+                successors.append(((m - t.pre) + t.post, t.label))
+        successors.sort(key=lambda pair: (net.marking_key(pair[0]), pair[1]))
+        for m2, label in successors:
+            dst = intern(m2)
+            if len(lts.edges) >= edge_cap:
+                raise StateSpaceLimitError(
+                    f"edge count exceeded cap {edge_cap}", count=len(lts.edges)
+                )
+            lts.edges.append((src, label, dst))
+    return lts
 
 
 def _eps_reach(lts: Lts) -> list:

@@ -69,6 +69,12 @@ class TestCheck:
         code, _, _ = run("check", "--eq", "int", "data:latent_sync.pn", "2*s1", "2*s4")
         assert code == 1
 
+    def test_graph_kinds_report_the_reach_refine_split(self, run):
+        code, out, _ = run("check", "--json", "--eq", "bint", "data:latent_sync.pn", "s1", "s4")
+        stats = json.loads(out)["stats"]
+        assert code == 0 and (stats["states"], stats["edges"]) == (6, 4)
+        assert stats["reach_s"] >= 0 and stats["refine_s"] >= 0
+
     def test_unbounded_oracle_exits_three(self, run):
         code, _, err = run(
             "check", "--eq", "bint", "--state-cap", "50",
@@ -186,7 +192,9 @@ class TestCorpusCommand:
         assert stats["relations_examined"] == 512 and stats["universe"] == 9
         assert stats["associations_refuted"] == stats["associations"] == 6
         assert stats["reason"] == "every association fails a condition"
-        assert cases["latent-sync-graph-double"]["stats"] == {"states": 13, "edges": 13}
+        graph = cases["latent-sync-graph-double"]["stats"]
+        assert (graph["states"], graph["edges"]) == (13, 13)
+        assert set(graph) == {"states", "edges", "reach_s", "refine_s"}
 
 
 class TestErrors:

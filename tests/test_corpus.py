@@ -35,3 +35,12 @@ def test_case_tags_are_well_formed():
         assert case.expected in ("related", "not-related")
         assert set(case.tags) <= {"slow", "oracle-skip"}
         assert case.query["eq"] in ("place", "dplace", "bplace", "bdplace", "int", "bint")
+
+
+def test_graph_cases_report_where_the_oracle_spent_its_time():
+    graph = {c.name for c in corpus.load_cases() if c.query["eq"] in ("int", "bint")}
+    results = [r for r in corpus.run_corpus(include_slow=False) if r.name in graph]
+    assert results
+    for r in results:
+        assert set(r.stats) == {"states", "edges", "reach_s", "refine_s"}, r.name
+        assert r.stats["reach_s"] >= 0 and r.stats["refine_s"] >= 0

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from lts_reference import reference_reach_lts
 from pneq import (
+    TAU,
     Marking,
     ModelError,
     Net,
@@ -15,6 +17,7 @@ from pneq import (
     parse_marking,
     reach_lts,
 )
+from pneq.multiset import MAX_MULTIPLICITY
 from silent_replay import idle
 
 
@@ -134,6 +137,85 @@ class TestReachability:
         lts = reach_lts(net, [parse_marking("2*s1+s4", net)])
         n = len(lts.states)
         assert all(0 <= i < n and 0 <= j < n for i, _, j in lts.edges)
+
+    def test_overflow_is_raised_before_the_state_cap(self):
+        net = Net(
+            "o", ["a", "b"],
+            [Transition("t", Marking(["a"]), "x", Marking({"a": 1, "b": 1}))],
+        )
+        m0 = Marking({"a": 1, "b": MAX_MULTIPLICITY})
+        for caps in ({}, {"state_cap": 1}):
+            with pytest.raises(ModelError) as err:
+                reach_lts(net, [m0], **caps)
+            assert str(err.value) == "multiplicity overflow at 'b'"
+
+
+def _random_reach_case(rng):
+    """A small random net, its initial markings and caps for `reach_lts`."""
+    places = [f"p{i}" for i in range(rng.randint(1, 5))]
+
+    def marking(most, allow_empty):
+        while True:
+            chosen = rng.sample(places, rng.randint(0 if allow_empty else 1, most))
+            m = Marking({p: rng.choice((1, 1, 1, 2, 3)) for p in chosen})
+            if m.size or allow_empty:
+                return m
+
+    transitions = []
+    for j in range(rng.randint(0, 6)):
+        if transitions and rng.random() < 0.1:  # an equal transition, renamed
+            old = rng.choice(transitions)
+            transitions.append(Transition(f"t{j}", old.pre, old.label, old.post))
+            continue
+        pre = marking(min(3, len(places)), allow_empty=False)
+        post = pre if rng.random() < 0.15 else marking(min(3, len(places)), allow_empty=True)
+        label = rng.choice(("a", "b", TAU, TAU))
+        transitions.append(Transition(f"t{j}", pre, label, post))
+    net = Net("r", places, transitions)
+    initials = [marking(len(places), allow_empty=True) for _ in range(rng.randint(1, 3))]
+    if rng.random() < 0.2:
+        initials.append(rng.choice(initials))
+    if rng.random() < 0.1:  # one place near the bound, so firing can overflow
+        p = rng.choice(places)
+        near = MAX_MULTIPLICITY - rng.randint(0, 2)
+        initials[0] = initials[0] + Marking({p: near - initials[0][p]})
+    roll = rng.random()
+    if roll < 0.2:
+        caps = (rng.randint(1, 6), 1_000)
+    elif roll < 0.5:
+        caps = (200, rng.randint(1, 8))
+    else:
+        caps = (200, 1_000)
+    return net, initials, caps
+
+
+def _reach_outcome(build, net, initials, caps):
+    try:
+        lts = build(net, initials, *caps)
+    except (ModelError, StateSpaceLimitError) as exc:
+        return type(exc), str(exc), getattr(exc, "count", None)
+    return lts.states, lts.edges, lts.initials
+
+
+def test_reach_lts_matches_the_marking_arithmetic_reference():
+    rng = random.Random(2024)
+    hits = {"state": 0, "edge": 0, "overflow": 0, "multi_pre": 0, "graphs": 0}
+    for case in range(1_500):
+        net, initials, caps = _random_reach_case(rng)
+        got = _reach_outcome(reach_lts, net, initials, caps)
+        want = _reach_outcome(reference_reach_lts, net, initials, caps)
+        assert got == want, (case, net.transitions, initials, caps)
+        if any(len(t.pre) > 1 for t in net.transitions):
+            hits["multi_pre"] += 1
+        if want[0] is StateSpaceLimitError:
+            hits["state" if want[1].startswith("state space") else "edge"] += 1
+        elif want[0] is ModelError:
+            hits["overflow"] += 1
+        else:
+            hits["graphs"] += 1
+    assert hits["state"] >= 100 and hits["edge"] >= 100, hits
+    assert hits["multi_pre"] >= 500 and hits["graphs"] >= 500, hits
+    assert hits["overflow"] >= 10, hits
 
 
 class TestSafety:
