@@ -6,7 +6,7 @@ is exactly its key set. Markings are immutable and hashable.
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 
 from .errors import ModelError
 

@@ -9,6 +9,12 @@ bisimilarity, which gives the strong reference too.
 `reference_reach_lts` is the construction `pneq.net.reach_lts` used before
 it moved to compiled count vectors: it fires transitions by Marking
 arithmetic, two Markings per edge.
+
+`signature_strong_partition` and `signature_branching_partition` are the
+partition refinement `pneq.ltsbisim` used before it moved to integer
+signatures and the early stop: signatures are sets of (label string, block)
+tuples, and refinement always runs to the fixpoint. The block lists of
+`pneq.ltsbisim` without `pair=` must equal theirs.
 """
 from __future__ import annotations
 
@@ -65,6 +71,72 @@ def reference_reach_lts(
                 )
             lts.edges.append((src, label, dst))
     return lts
+
+
+def _label_successors(lts: Lts) -> list:
+    succ = [[] for _ in lts.states]
+    for src, label, dst in lts.edges:
+        succ[src].append((label, dst))
+    return succ
+
+
+def _refine_to_fixpoint(n: int, signatures) -> list:
+    """Coarsest stable partition, as a block id per state.
+
+    Starting from one block, split blocks by (old block, signatures(block))
+    until no block splits. Block ids number blocks by their first state.
+    """
+    block, count = [0] * n, 1
+    while True:
+        ids: dict = {}
+        block = [ids.setdefault(key, len(ids)) for key in zip(block, signatures(block))]
+        if len(ids) == count:
+            return block
+        count = len(ids)
+
+
+def signature_strong_partition(lts: Lts) -> list:
+    """Greatest strong bisimulation as a block id per state.
+
+    A state's signature is the set of (label, target block) of its moves.
+    """
+    succ = _label_successors(lts)
+    return _refine_to_fixpoint(
+        len(succ),
+        lambda block: [frozenset((label, block[d]) for label, d in moves) for moves in succ],
+    )
+
+
+def signature_branching_partition(lts: Lts) -> list:
+    """Greatest branching bisimulation as a block id per state.
+
+    A state's signature is the set of (label, target block) of every move it
+    can make after silent steps that stay inside its block, leaving out the
+    silent moves that themselves stay inside the block (Blom & Orzan).
+    """
+    succ = _label_successors(lts)
+    n = len(succ)
+
+    def signatures(block):
+        sig = [set() for _ in range(n)]
+        inert = [[] for _ in range(n)]
+        for s, moves in enumerate(succ):
+            for label, d in moves:
+                if label == TAU and block[d] == block[s]:
+                    inert[s].append(d)
+                else:
+                    sig[s].add((label, block[d]))
+        changed = True
+        while changed:
+            changed = False
+            for s in reversed(range(n)):
+                for d in inert[s]:
+                    if not sig[d] <= sig[s]:
+                        sig[s] |= sig[d]
+                        changed = True
+        return [frozenset(x) for x in sig]
+
+    return _refine_to_fixpoint(n, signatures)
 
 
 def _eps_reach(lts: Lts) -> list:

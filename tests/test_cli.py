@@ -194,7 +194,7 @@ class TestCorpusCommand:
         assert stats["reason"] == "every association fails a condition"
         graph = cases["latent-sync-graph-double"]["stats"]
         assert (graph["states"], graph["edges"]) == (13, 13)
-        assert set(graph) == {"states", "edges", "reach_s", "refine_s"}
+        assert set(graph) == {"states", "edges", "reach_s", "refine_s", "refine_rounds"}
 
 
 class TestErrors:

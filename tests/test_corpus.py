@@ -42,5 +42,8 @@ def test_graph_cases_report_where_the_oracle_spent_its_time():
     results = [r for r in corpus.run_corpus(include_slow=False) if r.name in graph]
     assert results
     for r in results:
-        assert set(r.stats) == {"states", "edges", "reach_s", "refine_s"}, r.name
+        assert set(r.stats) == {
+            "states", "edges", "reach_s", "refine_s", "refine_rounds"
+        }, r.name
         assert r.stats["reach_s"] >= 0 and r.stats["refine_s"] >= 0
+        assert r.stats["refine_rounds"] >= 1

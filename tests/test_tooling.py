@@ -10,6 +10,7 @@ import importlib.util
 from pathlib import Path
 
 import pneq
+from pneq import ltsbisim
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -33,3 +34,32 @@ def test_public_names_import():
         namespace = {}
         exec(f"from pneq import {name}", namespace)
         assert name in namespace
+
+
+def test_graph_oracles_reach_the_traced_partition_names(monkeypatch, nets):
+    # The per-layer spans ltsbisim.strong_partition_s and
+    # ltsbisim.branching_relation_s time these module-global names; a caller
+    # that bound the functions otherwise would leave them reading 0.
+    calls = []
+
+    def recorder(name, fn):
+        def record(*args, **kwargs):
+            calls.append((name, kwargs.get("pair")))
+            return fn(*args, **kwargs)
+
+        return record
+
+    for name in ("strong_partition", "branching_relation"):
+        monkeypatch.setattr(ltsbisim, name, recorder(name, getattr(ltsbisim, name)))
+    net = nets["latent_sync"]
+    m1, m2 = pneq.parse_marking("s1", net), pneq.parse_marking("s4", net)
+    lts = pneq.reach_lts(net, [m1, m2])
+    i, j = lts.initials
+    assert pneq.strong_bisim(lts, i, j) and pneq.branching_bisim(lts, i, j)
+    assert calls == [("strong_partition", (i, j)), ("branching_relation", (i, j))]
+    calls.clear()
+    stats = {}
+    assert pneq.decide_interleaving(net, m1, m2, False, stats=stats)[0]
+    assert pneq.decide_interleaving(net, m1, m2, True)[0]
+    assert calls == [("strong_partition", (i, j)), ("branching_relation", (i, j))]
+    assert stats["refine_rounds"] >= 1
