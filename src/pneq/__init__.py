@@ -21,26 +21,21 @@ from .errors import (
 )
 from .formats import lts_to_dot, parse_marking, parse_net, parse_relation
 from .ltsbisim import branching_bisim, decide_interleaving, strong_bisim
-from .multiset import EMPTY_MARKING, Marking, ms_diff, ms_scalar, ms_union
-from .net import TAU, Lts, Net, Transition, enabled, fire, is_safe, reach_lts
+from .multiset import Marking
+from .net import TAU, Lts, Net, Transition, enabled, fire, reach_lts
 from .relations import (
     THETA,
     MatchWitness,
     PlaceRelation,
     additive_member,
-    compose,
     d_additive_member,
-    identity,
-    inverse,
     related_markings,
-    restrict_bar,
 )
 from .silent import SilentStep, is_tau_sequential, silent_graph
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "EMPTY_MARKING",
     "KINDS",
     "CheckReport",
     "DecideCaps",
@@ -64,27 +59,19 @@ __all__ = [
     "additive_member",
     "branching_bisim",
     "check_relation",
-    "compose",
     "d_additive_member",
     "decide",
     "decide_interleaving",
     "enabled",
     "fire",
-    "identity",
-    "inverse",
-    "is_safe",
     "is_tau_sequential",
     "lts_to_dot",
-    "ms_diff",
-    "ms_scalar",
-    "ms_union",
     "pair_universe",
     "parse_marking",
     "parse_net",
     "parse_relation",
     "reach_lts",
     "related_markings",
-    "restrict_bar",
     "silent_graph",
     "strong_bisim",
     "verify",

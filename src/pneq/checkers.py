@@ -32,7 +32,6 @@ from .multiset import Marking
 from .net import TAU, Net
 from .relations import (
     THETA,
-    MatchWitness,
     PlaceRelation,
     _match,
     additive_member,
@@ -40,8 +39,9 @@ from .relations import (
     format_side,
     iter_matchings,
 )
+from .silent import DEFAULT_NODE_BUDGET, run_search, silent_graph
 # silent_reachable is unused here; perfbench/spans.CROSS_MODULE times it by this name
-from .silent import run_search, silent_graph, silent_reachable  # noqa: F401
+from .silent import silent_reachable  # noqa: F401
 
 KINDS = ("place", "dplace", "bplace", "bdplace")
 AUTO_NODES = 100_000  # auto mode: exhaustive search nodes before the guided fallback
@@ -72,7 +72,7 @@ class CheckReport:
 class DecideCaps:
     """The budget of one `decide` call: the nodes of each silent-response
     search."""
-    node_budget: int = 1_000_000
+    node_budget: int = DEFAULT_NODE_BUDGET
 
     def __post_init__(self):
         if self.node_budget <= 0:
@@ -467,7 +467,7 @@ def check_relation(
     net: Net,
     rel: PlaceRelation,
     kind: str,
-    node_budget: int = 1_000_000,
+    node_budget: int = DEFAULT_NODE_BUDGET,
     collect_witnesses: bool = False,
 ) -> CheckReport:
     """Verify the finite game conditions for a candidate relation.
@@ -492,20 +492,12 @@ def check_relation(
     return CheckReport(not violations, violations, tuple(collector or ()))
 
 
-def membership(rel: PlaceRelation, kind: str, m1: Marking, m2: Marking) -> Optional[MatchWitness]:
-    """Closure membership of (m1, m2) under the kind's closure."""
-    if _is_d(kind):
-        return d_additive_member(rel, m1, m2)
-    return additive_member(rel, m1, m2)
-
-
 def verify(
     net: Net,
     rel: PlaceRelation,
     kind: str,
     m1: Marking,
     m2: Marking,
-    node_budget: int = 1_000_000,
 ) -> Verdict:
     """Check a user-supplied relation and the membership of the query pair.
 
@@ -515,8 +507,8 @@ def verify(
     net.check_marking(m1)
     net.check_marking(m2)
     t0 = time.perf_counter()
-    report = check_relation(net, rel, kind, node_budget=node_budget)
-    member = membership(rel, kind, m1, m2)
+    report = check_relation(net, rel, kind)
+    member = (d_additive_member if _is_d(kind) else additive_member)(rel, m1, m2)
     ok = report.ok and member is not None
     stats = {
         "relation_ok": report.ok,

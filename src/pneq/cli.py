@@ -17,6 +17,7 @@ from .formats import lts_to_dot, parse_marking, parse_net, parse_relation
 from .ltsbisim import decide_interleaving
 from .net import reach_lts
 from .relations import additive_member, d_additive_member, format_side
+from .silent import DEFAULT_NODE_BUDGET
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -253,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode", default="auto", choices=("exhaustive", "guided", "auto")
     )
     p_check.add_argument("--state-cap", type=int, default=10_000)
-    p_check.add_argument("--node-budget", type=int, default=1_000_000)
+    p_check.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
     p_check.add_argument("--json", action="store_true")
     p_check.add_argument("net")
     p_check.add_argument("m1")
@@ -304,13 +305,7 @@ def main(argv=None) -> int:
     except (StateSpaceLimitError, SearchBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except PneqError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (PneqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -139,20 +139,3 @@ class Marking(Mapping):
             return "Marking(0)"
         body = " + ".join(f"{n}*{p}" if n > 1 else p for p, n in self._key)
         return f"Marking({body})"
-
-
-EMPTY_MARKING = Marking()
-
-
-def ms_union(m1: Marking, m2: Marking) -> Marking:
-    """Pointwise sum; commutative, associative, empty marking neutral."""
-    return m1.union(m2)
-
-
-def ms_diff(m1: Marking, m2: Marking) -> Marking:
-    """Pointwise max(m1(s) - m2(s), 0); m2 need not be contained in m1."""
-    return m1.difference(m2)
-
-
-def ms_scalar(k: int, m: Marking) -> Marking:
-    return m.scaled(k)

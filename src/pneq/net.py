@@ -92,12 +92,9 @@ class Net:
             parts.append(f"{n}*{p}" if n > 1 else p)
         return "+".join(parts)
 
-    def components(self) -> list[frozenset]:
-        """Weakly connected components of the place/transition graph."""
-        return list(self._components)
-
     @cached_property
-    def _components(self) -> tuple:
+    def components(self) -> tuple:
+        """Weakly connected components of the place/transition graph."""
         # Computed once, on first use: nets that are never decided skip it.
         parent = {p: p for p in self.places}
 
@@ -127,7 +124,7 @@ class Net:
         """Union of the components touched by the given places."""
         wanted = set(places)
         out: set = set()
-        for comp in self._components:
+        for comp in self.components:
             if comp & wanted:
                 out |= comp
         return frozenset(out)
@@ -276,9 +273,3 @@ def reach_lts(
             edges.append((src, label, dst))
         src += 1
     return lts
-
-
-def is_safe(net: Net, initials: Sequence[Marking], state_cap: int = 10_000) -> bool:
-    """True iff every reachable marking has all multiplicities <= 1."""
-    lts = reach_lts(net, initials, state_cap=state_cap, edge_cap=10 * state_cap)
-    return all(all(n <= 1 for n in m.values()) for m in lts.states)

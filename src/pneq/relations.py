@@ -19,12 +19,9 @@ from typing import Iterator, Optional
 
 from .errors import ModelError
 from .multiset import Marking
-from .net import Net
 
 # The empty marking used as a pseudo-place in d-extended relations.
 THETA = None
-
-Pair = tuple  # (place-or-THETA, place-or-THETA)
 
 
 def format_side(side) -> str:
@@ -255,36 +252,6 @@ def related_markings(rel: PlaceRelation, m: Marking, side: str = "left") -> set:
     for combo in itertools.product(*token_images):
         out.add(Marking(combo))
     return out
-
-
-def restrict_bar(rel: PlaceRelation) -> PlaceRelation:
-    """Drop every pair touching THETA, leaving a plain relation."""
-    return PlaceRelation.of(
-        {(a, b) for a, b in rel.pairs if a is not THETA and b is not THETA},
-        rel.name,
-    )
-
-
-def inverse(rel: PlaceRelation) -> PlaceRelation:
-    return PlaceRelation.of({(b, a) for a, b in rel.pairs}, rel.name)
-
-
-def compose(r1: PlaceRelation, r2: PlaceRelation) -> PlaceRelation:
-    """Relational composition; THETA composes through like any element."""
-    by_left: dict = {}
-    for b, c in r2.pairs:
-        by_left.setdefault(b, set()).add(c)
-    pairs = set()
-    for a, b in r1.pairs:
-        for c in by_left.get(b, ()):
-            if a is THETA and c is THETA:
-                continue
-            pairs.add((a, c))
-    return PlaceRelation.of(pairs)
-
-
-def identity(net: Net) -> PlaceRelation:
-    return PlaceRelation.of({(p, p) for p in net.places}, "identity")
 
 
 def iter_matchings(pairs, m1: Marking, m2: Marking, d: bool = False) -> Iterator[tuple]:

@@ -10,13 +10,12 @@ from pneq import (
     PlaceRelation,
     additive_member,
     check_relation,
-    compose,
     d_additive_member,
-    inverse,
     parse_marking,
     verify,
 )
 from bruteforce import random_instance
+from relation_algebra import compose, inverse
 
 
 def closure_law_suite(seed=20240815, rounds=200):

@@ -13,7 +13,6 @@ from pneq import (
     additive_member,
     check_relation,
     decide,
-    identity,
     parse_marking,
     reach_lts,
     strong_bisim,
@@ -27,6 +26,7 @@ from property_suites import (
     weak_stuttering_suite,
     witness_law_suite,
 )
+from relation_algebra import identity
 
 
 def criterion(number, summary):

@@ -9,14 +9,12 @@ from pneq import (
     SearchBudgetError,
     THETA,
     check_relation,
-    compose,
     decide,
-    identity,
-    inverse,
     pair_universe,
     parse_marking,
     verify,
 )
+from relation_algebra import compose, identity, inverse
 
 
 class TestCheckRelationPlace:

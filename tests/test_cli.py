@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -98,6 +102,17 @@ class TestCheck:
     def test_bad_marking_expression_is_a_usage_error(self, run):
         code, _, err = run("check", "--eq", "place", "data:handshake.pn", "zz", "s2")
         assert code == 2 and "zz" in err
+
+    def test_python_dash_m_runs_the_cli(self, data_dir):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pneq", "check", "--eq", "place",
+             str(data_dir.joinpath("handshake.pn")), "s1", "s1"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "related" in proc.stdout
 
 
 class TestVerifyAndClosure:

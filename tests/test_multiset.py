@@ -2,36 +2,36 @@ import random
 
 import pytest
 
-from pneq import EMPTY_MARKING, Marking, ModelError, ms_diff, ms_scalar, ms_union
+from pneq import Marking, ModelError
 from pneq.multiset import MAX_MULTIPLICITY
 
 
 def test_union_neutral_element():
-    assert ms_union(EMPTY_MARKING, EMPTY_MARKING) == EMPTY_MARKING
+    assert Marking() + Marking() == Marking()
 
 
 def test_union_two_singletons():
-    m = ms_union(Marking(["s1"]), Marking(["s2"]))
+    m = Marking(["s1"]) + Marking(["s2"])
     assert m.size == 2
     assert m["s1"] == 1 and m["s2"] == 1
 
 
 def test_union_pointwise_sum():
-    m = ms_union(Marking({"s1": 2}), Marking({"s1": 1, "s2": 1}))
+    m = Marking({"s1": 2}) + Marking({"s1": 1, "s2": 1})
     assert m == Marking({"s1": 3, "s2": 1})
 
 
 def test_diff_removes_matched_tokens():
-    assert ms_diff(Marking(["s1", "s2"]), Marking(["s2"])) == Marking(["s1"])
+    assert Marking(["s1", "s2"]) - Marking(["s2"]) == Marking(["s1"])
 
 
 def test_diff_truncates_at_zero():
-    assert ms_diff(Marking({"s1": 2}), Marking({"s1": 3, "s2": 1})) == EMPTY_MARKING
+    assert Marking({"s1": 2}) - Marking({"s1": 3, "s2": 1}) == Marking()
 
 
 def test_diff_by_empty_is_identity():
     m = Marking({"s1": 2, "s3": 1})
-    assert ms_diff(m, EMPTY_MARKING) == m
+    assert m - Marking() == m
 
 
 def _random_marking(rng):
@@ -42,16 +42,16 @@ def test_union_laws_random():
     rng = random.Random(20240811)
     for _ in range(200):
         m1, m2, m3 = (_random_marking(rng) for _ in range(3))
-        assert ms_union(m1, m2) == ms_union(m2, m1)
-        assert ms_union(ms_union(m1, m2), m3) == ms_union(m1, ms_union(m2, m3))
-        assert ms_union(m1, EMPTY_MARKING) == m1
-        assert ms_union(m1, m2).size == m1.size + m2.size
+        assert m1 + m2 == m2 + m1
+        assert (m1 + m2) + m3 == m1 + (m2 + m3)
+        assert m1 + Marking() == m1
+        assert (m1 + m2).size == m1.size + m2.size
 
 
 def test_scalar_and_covers():
     m = Marking({"s1": 1, "s2": 2})
-    assert ms_scalar(3, m) == Marking({"s1": 3, "s2": 6})
-    assert ms_scalar(0, m) == EMPTY_MARKING
+    assert 3 * m == Marking({"s1": 3, "s2": 6})
+    assert 0 * m == Marking()
     assert m.covers(Marking(["s2"]))
     assert not Marking(["s2"]).covers(m)
     assert Marking(["s2"]) <= m
@@ -86,4 +86,4 @@ def test_negative_multiplicity_rejected():
 def test_multiplicity_overflow_checked():
     Marking({"s1": MAX_MULTIPLICITY})
     with pytest.raises(ModelError):
-        ms_union(Marking({"s1": MAX_MULTIPLICITY}), Marking({"s1": 1}))
+        Marking({"s1": MAX_MULTIPLICITY}) + Marking({"s1": 1})

@@ -8,12 +8,12 @@ from pneq import (
     SearchBudgetError,
     SilentStep,
     additive_member,
-    inverse,
     is_tau_sequential,
     parse_marking,
     silent_graph,
 )
 from pneq.silent import run_search
+from relation_algebra import inverse
 from silent_replay import idle, replay, steps_stay_related
 
 

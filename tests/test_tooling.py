@@ -3,8 +3,11 @@
 `perfbench/spans.py` swaps the cross-module names in `CROSS_MODULE` for
 traced wrappers, and `perfbench/run.py` calls pneq through its public
 names. A deletion that drops one of them breaks the traced benchmark
-passes, which no other test runs. This file only reads `perfbench/`.
+passes, which no other test runs. The public names, in turn, are only
+those that pneq, its demos or its benchmark use. This file only reads
+`src/pneq/`, `demos/` and `perfbench/`.
 """
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -12,7 +15,8 @@ from pathlib import Path
 import pneq
 from pneq import ltsbisim
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def _cross_module():
@@ -34,6 +38,32 @@ def test_public_names_import():
         namespace = {}
         exec(f"from pneq import {name}", namespace)
         assert name in namespace
+
+
+def _used_names(path) -> set:
+    """Names a file reads: loaded names and attributes, and in `perfbench/`
+    also exact strings, since the benchmark looks names up with getattr. A
+    definition or an import alone is not a use."""
+    strings = path.parent.name == "perfbench"
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.add(node.value)
+    return used
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    files = [p for d in ("src/pneq", "demos", "perfbench") for p in (ROOT / d).glob("*.py")]
+    used = set().union(*(_used_names(p) for p in files if p.name != "__init__.py"))
+    # strong_bisim and branching_bisim are the state-level graph-oracle API:
+    # decide_interleaving answers marking queries without them, and
+    # test_ltsbisim.py and the traced-name test below drive them directly.
+    exempt = {"strong_bisim", "branching_bisim"}
+    assert sorted(set(pneq.__all__) - used - exempt) == []
 
 
 def test_graph_oracles_reach_the_traced_partition_names(monkeypatch, nets):
