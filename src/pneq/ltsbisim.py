@@ -29,7 +29,7 @@ def _successors(lts: Lts) -> tuple:
     """Each state's moves as (label id, target), and the number of label
     ids. `TAU` is label id 0."""
     ids = {TAU: 0}
-    succ = [[] for _ in lts.states]
+    succ = [[] for _ in range(len(lts.states))]  # reads no state's Marking
     for src, label, dst in lts.edges:
         succ[src].append((ids.setdefault(label, len(ids)), dst))
     return succ, len(ids)
@@ -150,7 +150,9 @@ def decide_interleaving(
     `states` and `edges`, the seconds spent building it (`reach_s`) and
     refining its partition (`refine_s`), and the number of signature rounds
     run (`refine_rounds`), which is smaller than a full refinement's when
-    the two markings were split early.
+    the two markings were split early. Deciding reads only the graph's edges
+    and state count, so no state's Marking is built: `lts.states` builds
+    one when a caller reads it.
     """
     t0 = time.perf_counter()
     lts = reach_lts(net, [m1, m2], state_cap=state_cap, edge_cap=edge_cap)

@@ -1,9 +1,9 @@
 """Place/Transition nets, the token game, and bounded reachability graphs."""
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
 
 from .errors import ModelError, NotEnabledError, StateSpaceLimitError
 from .multiset import MAX_MULTIPLICITY, Marking
@@ -152,11 +152,55 @@ def fire(net: Net, m: Marking, t: Transition) -> Marking:
 
 @dataclass
 class Lts:
-    """A reachability graph: deduplicated markings and labelled edges."""
+    """A reachability graph: deduplicated markings and labelled edges.
 
-    states: list[Marking] = field(default_factory=list)
+    `reach_lts` keeps its states as token counts: `states` is a read-only
+    sequence that builds a state's Marking when it is first read.
+    """
+
+    states: Sequence[Marking] = field(default_factory=list)
     edges: list[tuple[int, str, int]] = field(default_factory=list)
     initials: list[int] = field(default_factory=list)
+
+
+class _States(Sequence):
+    """The states of a graph from `reach_lts`, each kept as its
+    `Net.marking_key`. A state's Marking is built on first read and kept,
+    so repeated reads return the same object; an initial state reads as
+    the caller's own Marking. Compares equal to the list of its Markings."""
+
+    __slots__ = ("_places", "_keys", "_built")
+
+    def __init__(self, places: Sequence[str], keys: list, built: dict):
+        self._places = places
+        self._keys = keys
+        self._built = built  # state -> its Marking, once read
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self._keys)))]
+        key = self._keys[i]  # raises IndexError past either end
+        if i < 0:
+            i += len(self._keys)
+        m = self._built.get(i)
+        if m is None:
+            places = self._places
+            m = self._built[i] = Marking._trusted({places[p]: n for p, n in key})
+        return m
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self._keys)))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (_States, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
 
 
 def _compile(net: Net) -> list:
@@ -203,29 +247,29 @@ def reach_lts(
 
     The transitions are compiled once per call to place-index form, and
     states are explored as tuples of token counts in place order: a state
-    tries only the transitions whose first pre-set place holds a token, and
-    its Marking is built once, when it is first reached.
+    tries only the transitions whose first pre-set place holds a token.
+    The graph keeps each state as its counts; `lts.states` builds a state's
+    Marking only when a caller reads it, so a caller that needs only the
+    edges and the state count builds none.
     """
     if state_cap <= 0 or edge_cap <= 0:
         raise ModelError("state and edge caps must be positive")
     by_first = _compile(net)
     places = net.places
-    lts = Lts()
-    states, edges = lts.states, lts.edges
     vectors: list[tuple] = []
     keys: list[tuple] = []  # per state, its marking_key
+    built: dict[int, Marking] = {}  # the initials as given; others once read
+    lts = Lts(states=_States(places, keys, built))
+    edges = lts.edges
     index: dict[tuple, int] = {}
 
-    def intern(w: tuple, key: tuple, m: Marking | None) -> int:
-        if len(states) >= state_cap:
+    def intern(w: tuple, key: tuple) -> int:
+        if len(keys) >= state_cap:
             raise StateSpaceLimitError(
                 f"state space too large or unbounded (cap {state_cap})",
-                count=len(states),
+                count=len(keys),
             )
-        s = index[w] = len(states)
-        if m is None:
-            m = Marking._trusted({places[i]: n for i, n in key})
-        states.append(m)
+        s = index[w] = len(keys)
         vectors.append(w)
         keys.append(key)
         return s
@@ -238,9 +282,12 @@ def reach_lts(
             w[i] = n
         w = tuple(w)
         s = index.get(w)
-        lts.initials.append(intern(w, key, m) if s is None else s)
+        if s is None:
+            s = intern(w, key)
+            built[s] = m
+        lts.initials.append(s)
     src = 0
-    while src < len(states):
+    while src < len(keys):
         w = vectors[src]
         top = max(w, default=0)
         batch = []
@@ -254,7 +301,7 @@ def reach_lts(
                     for i, d in effect:
                         v[i] += d
                     if top + rise > MAX_MULTIPLICITY and max(v) > MAX_MULTIPLICITY:
-                        _overflow(net, states[src])  # raises
+                        _overflow(net, lts.states[src])  # raises
                     v = tuple(v)
                     s = index.get(v)
                     key = keys[s] if s is not None else tuple(
@@ -265,7 +312,7 @@ def reach_lts(
         for key, label, v in batch:
             dst = index.get(v)
             if dst is None:
-                dst = intern(v, key, None)
+                dst = intern(v, key)
             if len(edges) >= edge_cap:
                 raise StateSpaceLimitError(
                     f"edge count exceeded cap {edge_cap}", count=len(edges)

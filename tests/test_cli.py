@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from pneq import PlaceRelation, THETA, check_relation, parse_net
+from lts_reference import reference_reach_lts
+from pneq import PlaceRelation, THETA, check_relation, parse_marking, parse_net
 from pneq.cli import main
+from pneq.formats import lts_to_dot
 
 
 @pytest.fixture(scope="module")
@@ -181,6 +183,24 @@ class TestLts:
         assert "states: 3" in out and "edges: 2" in out
         dot = dot_file.read_text()
         assert dot.count("[shape=") == 3 and dot.count(" -> ") == 2
+
+    def test_listing_and_dot_render_every_reference_state(self, run, data_dir, tmp_path):
+        # The listing and the DOT file are the paths that read every state's
+        # Marking, which the graph builds only when read.
+        net = parse_net(data_dir.joinpath("latent_sync.pn").read_text())
+        want = reference_reach_lts(net, [parse_marking("2*s1+s4", net)], 100, 1_000)
+        dot_file = tmp_path / "out.dot"
+        code, out, _ = run(
+            "lts", "--cap", "100", "--dot", str(dot_file), "data:latent_sync.pn", "2*s1+s4",
+        )
+        assert code == 0
+        listing = [line for line in out.splitlines() if line[:1] in "* " and ": " in line]
+        assert listing == [
+            f"{'*' if i in want.initials else ' '} {i}: {net.format_marking(m)}"
+            for i, m in enumerate(want.states)
+        ]
+        assert len(listing) == len(want.states) == 21
+        assert dot_file.read_text() == lts_to_dot(want, net)
 
     def test_cap_exceeded_exits_three(self, run):
         code, _, err = run("lts", "--cap", "100", "data:token_pump.pn", "s3")

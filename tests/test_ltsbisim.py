@@ -12,7 +12,11 @@ from lts_reference import (
 from lts_reference import strong_relation as reference_strong
 from pneq import (
     TAU,
+    Marking,
+    Net,
+    Transition,
     branching_bisim,
+    decide_interleaving,
     parse_marking,
     reach_lts,
     strong_bisim,
@@ -108,6 +112,45 @@ CORPUS_LTSS = [
     ("spawn_deadlock", "s1", "s4"),
     ("tau_chain", "s1", "s4+s5"),
 ]
+
+
+def _ring(n: int) -> Net:
+    """n places in a cycle, moves alternately visible and silent."""
+    places = [f"r{i}" for i in range(n)]
+    return Net("ring", places, [
+        Transition(f"t{i}", Marking([p]), "a" if i % 2 else TAU,
+                   Marking([places[(i + 1) % n]]))
+        for i, p in enumerate(places)
+    ])
+
+
+def test_the_graph_oracles_build_no_state_marking(nets, monkeypatch):
+    # `decide_interleaving` reads only the edges and the number of states,
+    # so the graph's Markings stay unbuilt: the initials are the caller's.
+    built = []
+
+    def counted(fn):
+        def wrapper(*args):
+            built.append(args)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(Marking, "_trusted", classmethod(counted(Marking._trusted.__func__)))
+    monkeypatch.setattr(Marking, "__init__", counted(Marking.__init__))
+    latent, ring = nets["latent_sync"], _ring(10)
+    queries = [
+        (latent, Marking({"s1": 2}), Marking({"s4": 2}), 13),
+        (ring, Marking({"r0": 3}), Marking({"r0": 1, "r1": 1, "r2": 1}), 220),
+    ]
+    for net, m1, m2, states in queries:
+        built.clear()
+        for branching in (False, True):
+            _, lts = decide_interleaving(net, m1, m2, branching)
+            assert len(lts.states) == states
+            assert lts.states[lts.initials[0]] is m1
+        assert built == []
+        lts.states[-1]  # a read builds that state's Marking, and only it
+        assert len(built) == 1
 
 
 @pytest.mark.parametrize("name,e1,e2", CORPUS_LTSS)

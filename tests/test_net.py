@@ -217,6 +217,37 @@ def test_reach_lts_matches_the_marking_arithmetic_reference():
     assert hits["overflow"] >= 10, hits
 
 
+def test_reach_lts_states_read_as_the_reference_list():
+    # `reach_lts` keeps each state as token counts and builds its Marking on
+    # first read; read in any order or way, the states must be the
+    # reference's Markings, each built once.
+    rng = random.Random(4051)
+    graphs = 0
+    for case in range(300):
+        net, initials, _ = _random_reach_case(rng)
+        try:
+            want = reference_reach_lts(net, initials, 200, 1_000).states
+        except (ModelError, StateSpaceLimitError):
+            continue
+        lts = reach_lts(net, initials, 200, 1_000)
+        states, n = lts.states, len(want)
+        assert len(states) == n, case
+        assert states[-1] == want[-1] and states[n // 2] == want[n // 2], case
+        assert states[1:3] == want[1:3] and states[::-2] == want[::-2], case
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                states[i]
+        assert [states[i] for i in range(n)] == want, case
+        assert list(states) == want and states == want and want == states, case
+        assert repr(states) == repr(want), case
+        assert states[-1] is states[n - 1], case
+        assert all(states[i] is m for i, m in enumerate(states)), case
+        assert states[lts.initials[0]] is initials[0], case
+        assert lts == reach_lts(net, initials, 200, 1_000), case
+        graphs += 1
+    assert graphs >= 200, graphs  # 237 when written
+
+
 class TestSafety:
     @pytest.mark.parametrize(
         "name,m0",

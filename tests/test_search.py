@@ -302,3 +302,34 @@ def test_node_cap_error_counts_the_nodes(nets):
     # the attempt keeps its counters and timings up to the error
     assert stats["search_nodes"] == 11 and stats["associations"] == 1
     assert stats["compile_s"] >= 0.0 and stats["search_s"] >= 0.0
+
+
+
+def test_related_under_a_finer_kind_is_related_under_a_coarser_one():
+    """On random queries, each arrow (finer, coarser) of `order` holds:
+    `related` under the finer kind implies `related` under the coarser.
+
+    ~p ⊆ ~d is stated in Gor21, which introduces d-place bisimilarity as a
+    coarser variant of place bisimilarity. The other three are stated in
+    the paper (Gorrieri, "Branching Place Bisimilarity", arXiv 2305.04222):
+    ≈p ⊆ ≈d, as it introduces branching d-place bisimilarity as a slightly
+    coarser variant of branching place bisimilarity; and ~p ⊆ ≈p and
+    ~d ⊆ ≈d, as its branching games extend the strong ones to silent moves,
+    where a strong answer to a move is also a branching answer.
+    """
+    order = (("place", "dplace"), ("place", "bplace"),
+             ("bplace", "bdplace"), ("dplace", "bdplace"))
+    rng = random.Random(11)
+    implied = {arrow: 0 for arrow in order}
+    distinct = dict(implied)  # of those, on two different markings
+    for i in range(1000):
+        net, m1, m2 = _random_query(rng, KINDS[i % len(KINDS)])
+        status = {kind: decide(net, m1, m2, kind, "exhaustive").status for kind in KINDS}
+        for finer, coarser in order:
+            if status[finer] == "related":
+                assert status[coarser] == "related", (finer, coarser, net.transitions, m1, m2)
+                implied[finer, coarser] += 1
+                distinct[finer, coarser] += m1 != m2
+    # 589 to 601 related, 11 to 23 of them on different markings, when written
+    assert all(n >= 550 for n in implied.values()), implied
+    assert all(n >= 10 for n in distinct.values()), distinct
