@@ -5,7 +5,15 @@ independently; not-related only ever comes from an exhausted enumeration.
 
 Run with:  PYTHONPATH=src python demos/03_equivalences.py
 """
-from pneq import Marking, check_relation, corpus, decide, parse_marking, verify
+from pneq import (
+    Marking,
+    check_relation,
+    corpus,
+    decide,
+    is_tau_sequential,
+    parse_marking,
+    verify,
+)
 
 # The producer-consumer pair: two different unbounded systems that are
 # branching place bisimilar.
@@ -34,6 +42,10 @@ v = decide(
 )
 print("\nsilent synchronization vs local step:", v.status)
 print("stats:", {k: v.stats[k] for k in ("universe", "relations_examined")})
+# Only a silent transition with one input and one output token is a local
+# step the branching games can abstract; the silent synchronization t3 is not.
+for tid in ("t1", "t3"):
+    print(f"  {tid} tau-sequential:", is_tau_sequential(sync, sync.transition_index[tid]))
 
 # The theta-extended kinds can relate a place to the empty marking, which
 # lets the spawned dead token on the right be matched away.

@@ -29,7 +29,7 @@ from typing import Optional
 
 from .errors import ModelError, PneqError, SearchBudgetError
 from .multiset import Marking
-from .net import TAU, Net
+from .net import Net
 from .relations import (
     THETA,
     PlaceRelation,
@@ -39,7 +39,7 @@ from .relations import (
     format_side,
     iter_matchings,
 )
-from .silent import DEFAULT_NODE_BUDGET, run_search, silent_graph
+from .silent import DEFAULT_NODE_BUDGET, _tau_sequential, run_search, silent_graph
 # silent_reachable is unused here; perfbench/spans.CROSS_MODULE times it by this name
 from .silent import silent_reachable  # noqa: F401
 
@@ -152,10 +152,7 @@ class _Engine:
         self.trans = list(net.transitions)
         self.pre_tok = [t.pre.tokens() for t in self.trans]
         self.post_tok = [t.post.tokens() for t in self.trans]
-        self.tau_seq = [
-            t.label == TAU and t.pre.size == 1 and t.post.size == 1
-            for t in self.trans
-        ]
+        self.tau_seq = [_tau_sequential(t) for t in self.trans]
         self.by_label: dict = {}
         self.by_pre: dict = {}
         for i, t in enumerate(self.trans):
@@ -312,8 +309,10 @@ class _Engine:
         else:
             psi_ok = lambda mk: self.member_plain(mk, anchor, bar)
 
-        def record(markings):
+        def record(markings=None, stay=0):
             if collector is not None:
+                if markings is None:  # a response that stays at m: m, stay times
+                    markings = (Marking(m),) * stay
                 collector.append(
                     (Marking(anchor), "psi" if side == 1 else "phi", tuple(markings))
                 )
@@ -336,7 +335,7 @@ class _Engine:
                     f, post, bar
                 )
             if final_ok(m):
-                record((Marking(m), Marking(m)))
+                record(stay=2)
                 return True
             hit = run_search(
                 self.adj, m, psi_ok, final_ok=final_ok, node_budget=self.node_budget
@@ -362,7 +361,7 @@ class _Engine:
                     continue
             if cpre == m:
                 # answering with idling on every token
-                record([Marking(m)] * (len(m) + 1))
+                record(stay=len(m) + 1)
                 return True
             hit = run_search(
                 self.adj, m, psi_ok, target=cpre, node_budget=self.node_budget

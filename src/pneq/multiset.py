@@ -74,6 +74,18 @@ class Marking(Mapping):
     def __contains__(self, place) -> bool:
         return place in self._counts
 
+    # The views of the count dict, not the Mapping mixins, which read every
+    # entry back through __getitem__.
+
+    def keys(self):
+        return self._counts.keys()
+
+    def items(self):
+        return self._counts.items()
+
+    def values(self):
+        return self._counts.values()
+
     @property
     def size(self) -> int:
         """Total number of tokens (with multiplicity)."""

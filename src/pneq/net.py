@@ -4,6 +4,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 
 from .errors import ModelError, NotEnabledError, StateSpaceLimitError
 from .multiset import MAX_MULTIPLICITY, Marking
@@ -214,13 +215,16 @@ def _compile(net: Net) -> list:
     index = net.place_index
     by_first: list = [[] for _ in net.places]
     for t in net.transitions:
-        pre = tuple(sorted((index[p], n) for p, n in t.pre.items()))
-        delta = {i: -n for i, n in pre}
-        for p, n in t.post.items():
-            delta[index[p]] = delta.get(index[p], 0) + n
+        delta = {index[p]: n for p, n in t.post.items()}
+        pre = []
+        for p, n in t.pre.items():
+            i = index[p]
+            pre.append((i, n))
+            delta[i] = delta.get(i, 0) - n
+        pre.sort()
         effect = tuple((i, d) for i, d in sorted(delta.items()) if d)
-        rise = max((d for _, d in effect), default=0)
-        by_first[pre[0][0]].append((pre, effect, rise, t.label))
+        rise = max([d for _, d in effect], default=0)
+        by_first[pre[0][0]].append((tuple(pre), effect, rise, t.label))
     return by_first
 
 
@@ -251,6 +255,18 @@ def reach_lts(
     The graph keeps each state as its counts; `lts.states` builds a state's
     Marking only when a caller reads it, so a caller that needs only the
     edges and the state count builds none.
+
+    A firing that takes a count past MAX_MULTIPLICITY raises the ModelError
+    of `Marking` arithmetic (`_overflow`). Looking for one costs a scan of
+    each state's largest count, which is skipped when no firing can
+    overflow: when the largest initial count plus `state_cap` times the
+    largest rise of one place by one transition is at most
+    MAX_MULTIPLICITY. The bound is sound: breadth-first search reaches a
+    state along a shortest firing path from an initial marking, whose
+    states are distinct and all in the graph, so a state that is expanded
+    is at most `state_cap - 1` firings from an initial marking and a
+    successor it computes at most `state_cap`, and no firing raises a count
+    by more than the largest rise.
     """
     if state_cap <= 0 or edge_cap <= 0:
         raise ModelError("state and edge caps must be positive")
@@ -286,10 +302,17 @@ def reach_lts(
             s = intern(w, key)
             built[s] = m
         lts.initials.append(s)
+    # The docstring's bound: unless `scan`, no firing can overflow, `top`
+    # stays 0 and no single rise passes the overflow test below.
+    top_start = max((n for key in keys for _, n in key), default=0)
+    top_rise = max([0] + [r for ts in by_first for _, _, r, _ in ts])
+    scan = top_start + state_cap * top_rise > MAX_MULTIPLICITY
+    top = 0
     src = 0
     while src < len(keys):
         w = vectors[src]
-        top = max(w, default=0)
+        if scan:
+            top = max(w, default=0)
         batch = []
         for first, _ in keys[src]:
             for pre, effect, rise, label in by_first[first]:
@@ -304,9 +327,7 @@ def reach_lts(
                         _overflow(net, lts.states[src])  # raises
                     v = tuple(v)
                     s = index.get(v)
-                    key = keys[s] if s is not None else tuple(
-                        (i, n) for i, n in enumerate(v) if n
-                    )
+                    key = keys[s] if s is not None else tuple(compress(enumerate(v), v))
                     batch.append((key, label, v))
         batch.sort()  # keys differ for different vectors: (marking_key, label)
         for key, label, v in batch:

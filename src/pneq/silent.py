@@ -26,6 +26,10 @@ class SilentStep(NamedTuple):
 def is_tau_sequential(net: Net, t: Transition) -> bool:
     """Silent with exactly one input token and one output token."""
     net.check_transition(t)
+    return _tau_sequential(t)
+
+
+def _tau_sequential(t: Transition) -> bool:
     return t.label == TAU and t.pre.size == 1 and t.post.size == 1
 
 
@@ -36,8 +40,8 @@ def silent_graph(net: Net) -> dict:
     are synthesized by the search instead and are never part of the graph.
     """
     adj: dict[str, list] = {}
-    for t in net.transitions:
-        if is_tau_sequential(net, t):
+    for t in net.transitions:  # the net's own, so valid: no check_transition
+        if _tau_sequential(t):
             src = next(iter(t.pre))
             dst = next(iter(t.post))
             adj.setdefault(src, []).append((dst, t.tid))

@@ -1,3 +1,7 @@
+import sys
+from collections import Counter
+from types import CodeType
+
 import pytest
 
 from pneq import (
@@ -14,6 +18,7 @@ from pneq import (
     parse_marking,
     verify,
 )
+from pneq.checkers import _Engine
 from relation_algebra import compose, identity, inverse
 
 
@@ -91,6 +96,44 @@ class TestCheckRelationBranching:
                 "bplace",
                 node_budget=1,
             )
+
+    def test_responses_build_witness_traces_only_for_a_collector(
+        self, nets, relations, monkeypatch
+    ):
+        # The two responses that stay at m (m itself acceptable, or idling
+        # on every token) build their trace of Markings only when a
+        # collector will keep it.
+        # Markings built in _respond_compute's own frame or in a function
+        # nested in it (its local `record`), matched by code object.
+        code = _Engine._respond_compute.__code__
+        codes = {code} | {c for c in code.co_consts if isinstance(c, CodeType)}
+        built = Counter()
+        init = Marking.__init__
+
+        def spy(self, *args, **kwargs):
+            caller = sys._getframe(1).f_code
+            if caller in codes:
+                built[caller.co_name] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Marking, "__init__", spy)
+        net = nets["producer_consumer"]
+        m1, m2 = parse_marking("P1+C", net), parse_marking("P1'+C'", net)
+        for kind in ("bplace", "bdplace"):
+            v = decide(net, m1, m2, kind, "exhaustive")
+            assert v.status == "related"
+            assert sum(built.values()) == 0, (kind, built)
+        # with a collector the same spy sees the traces being built
+        rel = relations["producer_consumer"]
+        witnesses = check_relation(net, rel, "bplace", collect_witnesses=True)
+        assert witnesses.ok and sum(built.values()) > 0
+        traces = witnesses.silent_witnesses
+        assert all(isinstance(m, Marking) for _, _, trace in traces for m in trace)
+        # the relation's collected traces, pinned: 38, 30 of them staying at m
+        assert len(traces) == 38
+        stays = [t for _, _, t in traces if len(set(t)) == 1]
+        assert len(stays) == 30
+        assert all(len(t) in (2, t[0].size + 1) for t in stays)
 
 
 class TestCheckRelationD:

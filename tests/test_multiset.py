@@ -1,4 +1,6 @@
 import random
+from collections.abc import ItemsView, KeysView, Set, ValuesView
+from operator import and_, eq, ge, gt, le, lt, ne, or_, sub, xor
 
 import pytest
 
@@ -87,3 +89,33 @@ def test_multiplicity_overflow_checked():
     Marking({"s1": MAX_MULTIPLICITY})
     with pytest.raises(ModelError):
         Marking({"s1": MAX_MULTIPLICITY}) + Marking({"s1": 1})
+
+
+def test_views_read_as_the_mapping_views():
+    # keys(), items() and values() are the count dict's views; they must
+    # read as the collections.abc views built on the same marking.
+    rng = random.Random(29)
+    places = [f"s{i}" for i in range(6)]
+    markings = [Marking()]
+    for _ in range(200):
+        chosen = rng.sample(places, rng.randint(0, len(places)))
+        markings.append(Marking({p: rng.choice((1, 1, 2, 3, MAX_MULTIPLICITY)) for p in chosen}))
+    for m, other in zip(markings, markings[1:] + markings[:1]):
+        for view, mixin in ((m.keys(), KeysView(m)), (m.items(), ItemsView(m))):
+            assert isinstance(view, Set) and list(view) == list(mixin)
+            for theirs in (type(mixin)(other), set(mixin), set(type(mixin)(other))):
+                for op in (eq, ne, le, lt, ge, gt, and_, or_, sub, xor):
+                    assert op(view, theirs) == op(mixin, theirs), (m, other, op)
+        assert list(m.values()) == list(ValuesView(m))
+        views = (m.keys(), m.items(), m.values())
+        for view, mixin in zip(views, (KeysView, ItemsView, ValuesView)):
+            assert isinstance(view, mixin) and len(view) == len(mixin(m)) == len(m)
+        for p in places + ["absent"]:
+            assert (p in m.keys()) == (p in KeysView(m))
+            for n in (1, 2, 3, MAX_MULTIPLICITY):
+                assert ((p, n) in m.items()) == ((p, n) in ItemsView(m))
+                assert (n in m.values()) == (n in ValuesView(m))
+            # The mixin finds (p, 0) for an absent p through m[p] == 0, an
+            # item it never yields; the dict view contains what it yields.
+            assert (p, 0) not in m.items() and 0 not in m.values()
+            assert ((p, 0) in ItemsView(m)) == (p not in m)

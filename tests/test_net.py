@@ -217,6 +217,30 @@ def test_reach_lts_matches_the_marking_arithmetic_reference():
     assert hits["overflow"] >= 10, hits
 
 
+@pytest.mark.parametrize("rise,state_cap", [(1, 1), (1, 5), (2, 5), (3, 40)])
+def test_reach_lts_overflow_bound_edge(rise, state_cap):
+    # `reach_lts` skips its overflow scan when the largest initial count
+    # plus state_cap times the largest rise is at most MAX_MULTIPLICITY.
+    # Here b rises by `rise` per firing: from the largest start that skips
+    # the scan the graph fills the state cap below the bound; from one more
+    # the last state's firing overflows before the cap is hit.
+    net = Net(
+        "o", ["a", "b"],
+        [Transition("t", Marking(["a"]), "x", Marking({"a": 1, "b": rise}))],
+    )
+    edge = MAX_MULTIPLICITY - state_cap * rise
+    outcomes = []
+    for start in (edge, edge + 1):
+        initials, caps = [Marking({"a": 1, "b": start})], (state_cap, 1_000)
+        got = _reach_outcome(reach_lts, net, initials, caps)
+        assert got == _reach_outcome(reference_reach_lts, net, initials, caps)
+        outcomes.append(got[:2])
+    assert outcomes == [
+        (StateSpaceLimitError, f"state space too large or unbounded (cap {state_cap})"),
+        (ModelError, "multiplicity overflow at 'b'"),
+    ]
+
+
 def test_reach_lts_states_read_as_the_reference_list():
     # `reach_lts` keeps each state as token counts and builds its Marking on
     # first read; read in any order or way, the states must be the

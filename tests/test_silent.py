@@ -1,12 +1,16 @@
+import random
+
 import pytest
 
 from pneq import (
     TAU,
     Marking,
     ModelError,
+    Net,
     PlaceRelation,
     SearchBudgetError,
     SilentStep,
+    Transition,
     additive_member,
     is_tau_sequential,
     parse_marking,
@@ -90,6 +94,33 @@ class TestSilentGraph:
             ("C1'", "C2'"),
             ("C3'", "C'"),
         }
+
+    def test_adjacency_is_that_of_the_public_predicate(self, nets, monkeypatch):
+        # silent_graph tests its own net's transitions without re-validating
+        # them; the adjacency must be the one `is_tau_sequential` gives.
+        def reference(net):
+            adj = {}
+            for t in net.transitions:
+                if is_tau_sequential(net, t):
+                    adj.setdefault(next(iter(t.pre)), []).append((next(iter(t.post)), t.tid))
+            return {p: tuple(sorted(targets)) for p, targets in adj.items()}
+
+        rng = random.Random(1313)
+        cases = list(nets.values())
+        for n in range(300):
+            places = [f"p{i}" for i in range(rng.randint(1, 6))]
+            transitions = []
+            for j in range(rng.randint(0, 8)):
+                pre = Marking(rng.choices(places, k=rng.choice((1, 1, 1, 2))))
+                post = Marking(rng.choices(places, k=rng.choice((0, 1, 1, 1, 2))))
+                transitions.append(Transition(f"t{j}", pre, rng.choice(("a", TAU, TAU)), post))
+            cases.append(Net(f"r{n}", places, transitions))
+        want = [reference(net) for net in cases]
+        checked = []
+        monkeypatch.setattr(Net, "check_transition", lambda net, t: checked.append(t))
+        assert [silent_graph(net) for net in cases] == want
+        assert checked == []
+        assert sum(map(len, want)) >= 250, sum(map(len, want))  # 296 when written
 
 
 class TestFindSilentResponse:
