@@ -273,13 +273,7 @@ class _Engine:
         hit = self._images_cache.get(key)
         if hit is not None:
             return hit
-        per_token = []
-        for p in tokens:
-            imgs = [q for q, b in table.get(p, ()) if rbits & b]
-            if not imgs:
-                self._images_cache[key] = ()
-                return ()
-            per_token.append(imgs)
+        per_token = [[q for q, b in table.get(p, ()) if rbits & b] for p in tokens]
         seen = set()
         for combo in itertools.product(*per_token):
             seen.add(tuple(sorted(combo)))
@@ -293,37 +287,30 @@ class _Engine:
         key = (ti, m, side, rbits & self.resp_mask[side][ti])
         hit = self._resp_cache.get(key)
         if hit is None:
-            hit = self._resp_cache[key] = self._respond_compute(ti, m, side, rbits)
+            hit = self._resp_cache[key] = self._respond_compute(ti, m, side, rbits) is not None
         return hit
 
-    def _respond_compute(
-        self, ti: int, m: tuple, side: int, rbits, collector=None
-    ) -> bool:
+    def _respond_compute(self, ti: int, m: tuple, side: int, rbits) -> Optional[tuple]:
+        """The trace of a response to transition `ti` moving from `m` on
+        `side` under `rbits`: the sorted token tuples of the markings it
+        passes, `(m,)` for a strong answer. None when there is none."""
         t = self.trans[ti]
-        bar = rbits & self.core_mask if self.d else rbits
-        anchor = self.pre_tok[ti]
         post = self.post_tok[ti]
-
-        if side == 1:
-            psi_ok = lambda mk: self.member_plain(anchor, mk, bar)
-        else:
-            psi_ok = lambda mk: self.member_plain(mk, anchor, bar)
-
-        def record(markings=None, stay=0):
-            if collector is not None:
-                if markings is None:  # a response that stays at m: m, stay times
-                    markings = (Marking(m),) * stay
-                collector.append(
-                    (Marking(anchor), "psi" if side == 1 else "phi", tuple(markings))
-                )
 
         if not self.branching:
             for cj in self.by_pre.get((t.label, m), ()):
                 cpost = self.post_tok[cj]
                 left, right = (post, cpost) if side == 1 else (cpost, post)
                 if self.member_posts(left, right, rbits):
-                    return True
-            return False
+                    return (m,)
+            return None
+
+        bar = rbits & self.core_mask if self.d else rbits
+        anchor = self.pre_tok[ti]
+        if side == 1:
+            psi_ok = lambda mk: self.member_plain(anchor, mk, bar)
+        else:
+            psi_ok = lambda mk: self.member_plain(mk, anchor, bar)
 
         if self.tau_seq[ti]:
             if side == 1:
@@ -335,14 +322,10 @@ class _Engine:
                     f, post, bar
                 )
             if final_ok(m):
-                record(stay=2)
-                return True
-            hit = run_search(
-                self.adj, m, psi_ok, final_ok=final_ok, node_budget=self.node_budget
-            )
-            if hit is not None:
-                record(hit[1])
-                return True
+                return (m, m)
+            found = run_search(self.adj, m, psi_ok, final_ok, self.node_budget)
+            if found:
+                return found[0][1]
 
         for cj in self.by_label.get(t.label, ()):
             cpre = self.pre_tok[cj]
@@ -361,15 +344,11 @@ class _Engine:
                     continue
             if cpre == m:
                 # answering with idling on every token
-                record(stay=len(m) + 1)
-                return True
-            hit = run_search(
-                self.adj, m, psi_ok, target=cpre, node_budget=self.node_budget
-            )
-            if hit is not None:
-                record(hit[1])
-                return True
-        return False
+                return (m,) * (len(m) + 1)
+            found = run_search(self.adj, m, psi_ok, cpre.__eq__, self.node_budget)
+            if found:
+                return found[0][1]
+        return None
 
     # -- the condition walk ---------------------------------------------------
 
@@ -398,10 +377,17 @@ class _Engine:
                 if pre & placed != pre:
                     continue  # an unpartnered pre-set place: no images
                 for m in self.images(self.pre_tok[ti], bar, side):
-                    if collector is not None:
-                        ok = self._respond_compute(ti, m, side, upper, collector)
-                    else:
+                    if collector is None:
                         ok = self.respond(ti, m, side, upper)
+                    else:
+                        trace = self._respond_compute(ti, m, side, upper)
+                        ok = trace is not None
+                        if ok and self.branching:
+                            collector.append((
+                                Marking(self.pre_tok[ti]),
+                                "psi" if side == 1 else "phi",
+                                tuple(map(Marking, trace)),
+                            ))
                     if not ok:
                         yield ti, m, side
 
@@ -781,19 +767,11 @@ def _repair_options(engine, ti, m, side, rbits, rel_pairs, universe_set, core_un
     if engine.branching:
         sigma_limit = 4
         if engine.tau_seq[ti]:
-            for blocks, markings in run_search(
-                engine.adj,
-                m,
-                always_true,
-                final_ok=lambda f: True,
-                node_budget=engine.node_budget,
-                collect=sigma_limit,
+            for _blocks, trace in run_search(
+                engine.adj, m, always_true, always_true, engine.node_budget, sigma_limit
             ):
-                final = markings[-1].tokens()
-                reqs = [
-                    (oriented(anchor, mk.tokens()), "core")
-                    for mk in markings[:-1]
-                ]
+                final = trace[-1]
+                reqs = [(oriented(anchor, mk), "core") for mk in trace[:-1]]
                 reqs.append((oriented(anchor, final), "core"))
                 reqs.append((oriented(post, final), "core"))
                 requirements_sets.append(reqs)
@@ -802,18 +780,10 @@ def _repair_options(engine, ti, m, side, rbits, rel_pairs, universe_set, core_un
             if len(cpre) != len(m):
                 continue
             cpost = engine.post_tok[cj]
-            for blocks, markings in run_search(
-                engine.adj,
-                m,
-                always_true,
-                target=cpre,
-                node_budget=engine.node_budget,
-                collect=sigma_limit,
+            for _blocks, trace in run_search(
+                engine.adj, m, always_true, cpre.__eq__, engine.node_budget, sigma_limit
             ):
-                reqs = [
-                    (oriented(anchor, mk.tokens()), "core")
-                    for mk in markings[:-1]
-                ]
+                reqs = [(oriented(anchor, mk), "core") for mk in trace[:-1]]
                 reqs.append((oriented(anchor, cpre), "core"))
                 reqs.append((oriented(post, cpost), "post"))
                 requirements_sets.append(reqs)

@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .checkers import decide, verify
+from .checkers import KINDS, _is_branching, decide, verify
 from .errors import PneqError
 from .formats import parse_marking, parse_net, parse_relation
 from .ltsbisim import decide_interleaving
@@ -76,10 +76,9 @@ def load_relation(name: str, net: Net) -> PlaceRelation:
 
 def _oracle_check(case: CorpusCase, net: Net, m1: Marking, m2: Marking) -> str:
     """Graph-level inclusion check for a related place-based verdict."""
-    branching = case.query["eq"] in ("bplace", "bdplace")
     try:
         equivalent, _ = decide_interleaving(
-            net, m1, m2, branching, ORACLE_STATE_CAP, ORACLE_EDGE_CAP
+            net, m1, m2, _is_branching(case.query["eq"]), ORACLE_STATE_CAP, ORACLE_EDGE_CAP
         )
     except PneqError:
         return "failed"  # a bounded case must stay bounded
@@ -110,7 +109,7 @@ def run_case(case: CorpusCase) -> CaseResult:
         stats = result.stats
     seconds = time.perf_counter() - t0
     oracle = ""
-    if q["eq"] in ("place", "dplace", "bplace", "bdplace") and verdict == "related":
+    if q["eq"] in KINDS and verdict == "related":
         oracle = "skipped" if case.oracle_skip else _oracle_check(case, net, m1, m2)
     passed = verdict == case.expected and oracle != "failed"
     return CaseResult(case.name, case.expected, verdict, passed, oracle, seconds, stats)

@@ -9,10 +9,9 @@ closure-related to the anchor marking (the matched transition's pre-set).
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 from .errors import SearchBudgetError
-from .multiset import Marking
 from .net import TAU, Net, Transition
 
 DEFAULT_NODE_BUDGET = 1_000_000
@@ -70,52 +69,35 @@ def run_search(
     adj: dict,
     start_tokens: tuple,
     psi_ok: Callable[[tuple], bool],
-    target: Optional[tuple] = None,
-    final_ok: Optional[Callable[[tuple], bool]] = None,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    collect: int = 0,
-):
-    """Breadth-first search for a silent response from `start_tokens`.
+    goal: Callable[[tuple], bool],
+    node_budget: int,
+    limit: int = 1,
+) -> list:
+    """The first `limit` silent responses from `start_tokens`, breadth first.
 
     States are (pending tokens, active block, finished tokens); every step
     fires from a marking that must satisfy `psi_ok`, the final marking is
-    exempt. The response succeeds when all tokens are finished and either
-    the finished multiset equals `target` or `final_ok` accepts it.
+    exempt. A response succeeds when all tokens are finished and `goal`
+    accepts the finished tokens.
 
-    Returns (blocks, markings) for the first hit, a list of those tuples
-    when `collect` > 0, or None/[] when no acyclic response exists. The
+    A response is (blocks, trace): its blocks of SilentSteps, and the sorted
+    token tuples of the markings it passes, one before each step plus the
+    final one. The list is empty when no acyclic response exists. The
     per-block acyclicity bound caps every block at one visit per place, so
-    absence of a hit is conclusive. Raises SearchBudgetError past the
-    node budget: an aborted search never reports absence.
+    absence of a hit is conclusive. Raises SearchBudgetError past the node
+    budget: an aborted search never reports absence.
     """
-
-    def marking_of(state):
-        pending, active, done = state
-        toks = list(pending) + list(done)
-        if active is not None:
-            toks.append(active[1])
-        return tuple(sorted(toks))
-
-    def goal_hit(done):
-        if target is not None:
-            return done == target
-        return final_ok(done)
-
     start = (tuple(sorted(start_tokens)), None, ())
     parents: dict = {start: None}
     queue = deque([start])
     psi_cache: dict = {}
-    results = []
+    found = []
     nodes = 0
 
     def psi(mk):
         if mk not in psi_cache:
             psi_cache[mk] = psi_ok(mk)
         return psi_cache[mk]
-
-    def record(state):
-        blocks, markings = _reconstruct(parents, state, start)
-        results.append((blocks, markings))
 
     while queue:
         state = queue.popleft()
@@ -126,17 +108,18 @@ def run_search(
             )
         pending, active, done = state
         if active is None and not pending:
-            if goal_hit(done):
-                record(state)
-                if not collect or len(results) >= collect:
+            if goal(done):
+                found.append(_reconstruct(parents, state))
+                if len(found) == limit:
                     break
             continue
+        # (action, next state); an action is ("idle", place), ("move", tid)
+        # opening a block, ("step", tid) extending it, or None closing it
         successors = []
-        mk = marking_of(state)
-        can_step = psi(mk)
+        can_step = psi(_tokens(state))
         if active is not None:
             p0, cur, visited = active
-            successors.append((("close",), (pending, None, tuple(sorted(done + (cur,))))))
+            successors.append((None, (pending, None, tuple(sorted(done + (cur,))))))
             if can_step:
                 for nxt, tid in adj.get(cur, ()):
                     if nxt in visited:  # cur itself is always in visited
@@ -146,69 +129,51 @@ def run_search(
                         nstate = (pending, None, tuple(sorted(done + (nxt,))))
                     else:
                         nstate = (pending, (p0, nxt, visited | {nxt}), done)
-                    successors.append((("step", tid, nxt), nstate))
+                    successors.append((("step", tid), nstate))
         elif can_step:
             for p in sorted(set(pending)):
                 rest = list(pending)
                 rest.remove(p)
                 rest = tuple(rest)
-                successors.append(
-                    (("idle", p), (rest, None, tuple(sorted(done + (p,)))))
-                )
+                successors.append((("idle", p), (rest, None, tuple(sorted(done + (p,))))))
                 for nxt, tid in adj.get(p, ()):
                     if nxt == p:
                         nstate = (rest, None, tuple(sorted(done + (p,))))
                     else:
                         nstate = (rest, (p, nxt, frozenset((nxt,))), done)
-                    successors.append((("start", tid, p, nxt), nstate))
+                    successors.append((("move", tid), nstate))
         for action, nstate in successors:
             if nstate not in parents:
                 parents[nstate] = (state, action)
                 queue.append(nstate)
-    if collect:
-        return results
-    return results[0] if results else None
+    return found
 
 
-def _reconstruct(parents, state, start):
-    actions = []
-    cur = state
-    while parents[cur] is not None:
-        prev, action = parents[cur]
-        actions.append(action)
-        cur = prev
-    actions.reverse()
-    # Replay the actions into blocks and the marking trace.
-    tokens = list(start[0])
-    markings = [Marking(tokens)]
+def _tokens(state) -> tuple:
+    """The sorted tokens of a search state's marking."""
+    pending, active, done = state
+    toks = list(pending) + list(done)
+    if active is not None:
+        toks.append(active[1])
+    return tuple(sorted(toks))
+
+
+def _reconstruct(parents, state) -> tuple:
+    """(blocks, trace) of the path from the start to `state`."""
+    path = []
+    while parents[state] is not None:
+        prev, action = parents[state]
+        path.append((action, state))
+        state = prev
     blocks: list[list[SilentStep]] = []
-    open_block: Optional[list] = None
-    open_pos: Optional[str] = None
-
-    def step_to(old: str, new: str):
-        tokens.remove(old)
-        tokens.append(new)
-        markings.append(Marking(tokens))
-
-    for action in actions:
-        if action[0] == "idle":
-            blocks.append([SilentStep("idle", action[1])])
-            markings.append(markings[-1])
-        elif action[0] == "start":
-            _, tid, p0, nxt = action
-            step_to(p0, nxt)
-            if nxt == p0:
-                blocks.append([SilentStep("move", tid)])
-            else:
-                open_block = [SilentStep("move", tid)]
-                open_pos = nxt
-                blocks.append(open_block)
-        elif action[0] == "step":
-            _, tid, nxt = action
-            step_to(open_pos, nxt)
-            open_block.append(SilentStep("move", tid))
-            open_pos = nxt
-        else:  # close
-            open_block = None
-            open_pos = None
-    return tuple(tuple(b) for b in blocks), tuple(markings)
+    trace = [_tokens(state)]
+    for action, reached in reversed(path):
+        if action is None:
+            continue  # closing a block leaves the marking as it is
+        kind, ref = action
+        if kind == "step":
+            blocks[-1].append(SilentStep("move", ref))
+        else:
+            blocks.append([SilentStep(kind, ref)])
+        trace.append(_tokens(reached))
+    return tuple(tuple(b) for b in blocks), tuple(trace)

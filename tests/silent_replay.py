@@ -4,8 +4,9 @@ A response is a tuple of per-token blocks of SilentSteps: a single idling
 step, or a chain of tau-sequential moves of one token that visits no place
 twice (it may end where it started). `replay` re-fires a response from its
 start marking without the search machinery and returns the traversed
-markings, one before each step plus the final one; a malformed response
-raises ModelError.
+markings, one before each step plus the final one, each as its sorted
+token tuple: the form of the trace run_search returns with the response.
+A malformed response raises ModelError.
 """
 from pneq import (
     TAU,
@@ -29,7 +30,7 @@ def replay(net, start: Marking, blocks) -> tuple:
             f"malformed response: {len(blocks)} blocks for {start.size} tokens"
         )
     tokens = list(start.tokens())
-    trace = [Marking(tokens)]
+    trace = [start.tokens()]
     for block in blocks:
         if not block:
             raise ModelError("malformed response: empty block")
@@ -40,7 +41,7 @@ def replay(net, start: Marking, blocks) -> tuple:
                 raise ModelError(
                     f"malformed response: no token on {block[0].ref!r} to idle"
                 )
-            trace.append(Marking(tokens))
+            trace.append(tuple(sorted(tokens)))
             continue
         first = cur = None
         positions = []
@@ -59,7 +60,7 @@ def replay(net, start: Marking, blocks) -> tuple:
                 raise ModelError("malformed response: block does not chain")
             tokens.remove(src)
             tokens.append(dst)
-            trace.append(Marking(tokens))
+            trace.append(tuple(sorted(tokens)))
             positions.append(dst)
             cur = dst
         if len(set(positions)) != len(positions) or first in positions[:-1]:
@@ -68,9 +69,11 @@ def replay(net, start: Marking, blocks) -> tuple:
 
 
 def steps_stay_related(rel, anchor: Marking, trace, direction: str) -> bool:
-    """Every marking a response steps from (all but the last) is closure-
-    related to the anchor: as (anchor, m) for 'psi', as (m, anchor) for 'phi'."""
-    for m in trace[:-1]:
+    """Every marking a response steps from (all but the last token tuple of
+    its trace) is closure-related to the anchor: as (anchor, m) for 'psi',
+    as (m, anchor) for 'phi'."""
+    for tokens in trace[:-1]:
+        m = Marking(tokens)
         pair = (anchor, m) if direction == "psi" else (m, anchor)
         if additive_member(rel, *pair) is None:
             return False

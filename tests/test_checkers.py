@@ -100,19 +100,19 @@ class TestCheckRelationBranching:
     def test_responses_build_witness_traces_only_for_a_collector(
         self, nets, relations, monkeypatch
     ):
-        # The two responses that stay at m (m itself acceptable, or idling
-        # on every token) build their trace of Markings only when a
-        # collector will keep it.
+        # Responses come back as token traces; their Markings are built only
+        # when a collector will keep them, in the frame of `failures`.
         # Markings built in _respond_compute's own frame or in a function
-        # nested in it (its local `record`), matched by code object.
+        # nested in it (its psi and goal closures), matched by code object.
         code = _Engine._respond_compute.__code__
         codes = {code} | {c for c in code.co_consts if isinstance(c, CodeType)}
+        walk = _Engine.failures.__code__
         built = Counter()
         init = Marking.__init__
 
         def spy(self, *args, **kwargs):
             caller = sys._getframe(1).f_code
-            if caller in codes:
+            if caller in codes or caller is walk:
                 built[caller.co_name] += 1
             init(self, *args, **kwargs)
 
@@ -123,10 +123,12 @@ class TestCheckRelationBranching:
             v = decide(net, m1, m2, kind, "exhaustive")
             assert v.status == "related"
             assert sum(built.values()) == 0, (kind, built)
-        # with a collector the same spy sees the traces being built
+        # with a collector the same spy sees the traces being built, by
+        # `failures` and never by _respond_compute
         rel = relations["producer_consumer"]
         witnesses = check_relation(net, rel, "bplace", collect_witnesses=True)
-        assert witnesses.ok and sum(built.values()) > 0
+        assert witnesses.ok and built["failures"] > 0
+        assert sum(built.values()) == built["failures"], built
         traces = witnesses.silent_witnesses
         assert all(isinstance(m, Marking) for _, _, trace in traces for m in trace)
         # the relation's collected traces, pinned: 38, 30 of them staying at m

@@ -14,9 +14,10 @@ from pneq import (
     additive_member,
     is_tau_sequential,
     parse_marking,
+    parse_net,
     silent_graph,
 )
-from pneq.silent import run_search
+from pneq.silent import DEFAULT_NODE_BUDGET, run_search
 from relation_algebra import inverse
 from silent_replay import idle, replay, steps_stay_related
 
@@ -41,15 +42,18 @@ def answer_silently(rel, t, direction):
     return lambda f: related(rel, f, pre) and related(rel, f, post)
 
 
-def respond(net, rel, anchor, start, direction, **search):
-    """run_search from `start` under the anchor's constraint; a hit must replay."""
-    hit = run_search(
-        silent_graph(net), start.tokens(), psi_ok(rel, anchor, direction), **search
+def respond(net, rel, anchor, start, direction, goal, node_budget=DEFAULT_NODE_BUDGET):
+    """The first response run_search finds from `start` under the anchor's
+    constraint, or None; a goal tuple is the final marking's tokens. Every
+    hit must replay to its trace."""
+    if isinstance(goal, tuple):
+        goal = goal.__eq__
+    found = run_search(
+        silent_graph(net), start.tokens(), psi_ok(rel, anchor, direction), goal, node_budget
     )
-    if hit is not None:
-        blocks, markings = hit
-        assert replay(net, start, blocks) == markings
-    return hit
+    for blocks, trace in found:
+        assert replay(net, start, blocks) == trace
+    return found[0] if found else None
 
 
 class TestTauSequential:
@@ -130,12 +134,12 @@ class TestFindSilentResponse:
         lt1 = net.transition_index["lt1"]
         start = Marking(["P1'"])
         hit = respond(
-            net, rel, lt1.pre, start, "psi", final_ok=answer_silently(rel, lt1, "psi")
+            net, rel, lt1.pre, start, "psi", answer_silently(rel, lt1, "psi")
         )
         assert hit is not None
-        blocks, markings = hit
+        blocks, trace = hit
         assert blocks == ((("idle", "P1'"),),)
-        assert steps_stay_related(rel, lt1.pre, markings, "psi")
+        assert steps_stay_related(rel, lt1.pre, trace, "psi")
 
     def test_silent_hop_reaches_a_response(self, nets, relations):
         net = nets["producer_consumer"]
@@ -143,19 +147,19 @@ class TestFindSilentResponse:
         lt9 = net.transition_index["lt9"]
         rt9 = net.transition_index["rt9"]
         hit = respond(
-            net, rel, lt9.pre, Marking(["C1'"]), "psi", target=rt9.pre.tokens()
+            net, rel, lt9.pre, Marking(["C1'"]), "psi", rt9.pre.tokens()
         )
         assert hit is not None
-        blocks, markings = hit
+        blocks, trace = hit
         assert [s.ref for block in blocks for s in block] == ["rt7"]
-        assert markings[-1] == Marking(["C2'"])
+        assert trace[-1] == ("C2'",)
 
     def test_no_response_for_silent_synchronization(self, nets):
         net = nets["silent_sync"]
         rel = PlaceRelation.of({("s1", "s5"), ("s3", "s6")})
         t3 = net.transition_index["t3"]
         start = parse_marking("s1+s3", net)
-        assert respond(net, rel, t3.pre, start, "phi", target=t3.pre.tokens()) is None
+        assert respond(net, rel, t3.pre, start, "phi", t3.pre.tokens()) is None
 
     def test_multi_token_response_mixes_idles_and_moves(self, nets, relations):
         net = nets["producer_consumer"]
@@ -163,13 +167,13 @@ class TestFindSilentResponse:
         rt5 = net.transition_index["rt5"]  # needs D1'+C'
         lt5 = net.transition_index["lt5"]  # pre D1+C
         start = parse_marking("D1+C3", net)
-        hit = respond(net, rel, rt5.pre, start, "phi", target=lt5.pre.tokens())
+        hit = respond(net, rel, rt5.pre, start, "phi", lt5.pre.tokens())
         assert hit is not None
-        blocks, markings = hit
-        assert markings[-1] == parse_marking("D1+C", net)
+        blocks, trace = hit
+        assert trace[-1] == parse_marking("D1+C", net).tokens()
         kinds = sorted(step.kind for block in blocks for step in block)
         assert kinds == ["idle", "move"]
-        assert steps_stay_related(rel, rt5.pre, markings, "phi")
+        assert steps_stay_related(rel, rt5.pre, trace, "phi")
 
     def test_witness_blocks_are_acyclic(self, nets, relations):
         net = nets["producer_consumer"]
@@ -177,7 +181,7 @@ class TestFindSilentResponse:
         lt9 = net.transition_index["lt9"]
         rt9 = net.transition_index["rt9"]
         blocks, _ = respond(
-            net, rel, lt9.pre, Marking(["C1'"]), "psi", target=rt9.pre.tokens()
+            net, rel, lt9.pre, Marking(["C1'"]), "psi", rt9.pre.tokens()
         )
         for block in blocks:
             moves = [s for s in block if s.kind == "move"]
@@ -192,7 +196,7 @@ class TestFindSilentResponse:
         lt9 = net.transition_index["lt9"]
         rt9 = net.transition_index["rt9"]
         blocks, _ = respond(
-            net, rel, lt9.pre, Marking(["C1'"]), "psi", target=rt9.pre.tokens()
+            net, rel, lt9.pre, Marking(["C1'"]), "psi", rt9.pre.tokens()
         )
         moves = [s.ref for block in blocks for s in block if s.kind == "move"]
         assert moves and all(net.transition_index[m].label == TAU for m in moves)
@@ -203,8 +207,8 @@ class TestFindSilentResponse:
         rt5 = net.transition_index["rt5"]
         lt5 = net.transition_index["lt5"]
         start = parse_marking("D1+C3", net)
-        a = respond(net, rel, rt5.pre, start, "phi", target=lt5.pre.tokens())
-        b = respond(net, rel, rt5.pre, start, "phi", target=lt5.pre.tokens())
+        a = respond(net, rel, rt5.pre, start, "phi", lt5.pre.tokens())
+        b = respond(net, rel, rt5.pre, start, "phi", lt5.pre.tokens())
         assert a == b
 
     def test_budget_exhaustion_is_an_error(self, nets, relations):
@@ -219,8 +223,8 @@ class TestFindSilentResponse:
                 rt5.pre,
                 parse_marking("D1+C3", net),
                 "phi",
+                lt5.pre.tokens(),
                 node_budget=2,
-                target=lt5.pre.tokens(),
             )
         assert exc.value.count == 3
 
@@ -231,13 +235,41 @@ class TestFindSilentResponse:
         lt1 = net.transition_index["lt1"]
         start = parse_marking("P1'+C'", net)
         goal = answer_silently(rel, lt1, "psi")
-        assert respond(net, rel, lt1.pre, start, "psi", final_ok=goal) is None
+        assert respond(net, rel, lt1.pre, start, "psi", goal) is None
+
+    def test_limit_and_budget_over_several_responses(self):
+        # From a, every silent response is accepted: idling, or an acyclic
+        # walk to b, c or d, so the search has four responses to give.
+        net = parse_net(
+            "net fan\nplace a b c d\n"
+            "trans t1 : a -> tau -> b\ntrans t2 : a -> tau -> c\n"
+            "trans t3 : b -> tau -> d\ntrans t4 : c -> tau -> d\n"
+        )
+        adj = silent_graph(net)
+        anything = lambda tokens: True
+
+        def search(node_budget, limit):
+            return run_search(adj, ("a",), anything, anything, node_budget, limit)
+
+        every = search(DEFAULT_NODE_BUDGET, 10)
+        assert len(every) >= 3
+        assert [trace[-1] for _, trace in every] == [("a",), ("b",), ("c",), ("d",)]
+        for k in range(1, len(every) + 1):
+            assert search(DEFAULT_NODE_BUDGET, k) == every[:k]
+        for blocks, trace in every:
+            assert replay(net, Marking(["a"]), blocks) == trace
+        # the start and the idling response are the first two nodes: a
+        # budget of two finds that response and no more
+        assert search(2, 1) == every[:1]
+        for node_budget, limit in ((1, 1), (2, len(every))):
+            with pytest.raises(SearchBudgetError, match="silent response"):
+                search(node_budget, limit)
 
 
 class TestPsiHolds:
     def test_empty_sequence_vacuously_holds(self, nets, relations):
         trace = replay(nets["handshake"], Marking(), ())
-        assert trace == (Marking(),)
+        assert trace == ((),)
         assert steps_stay_related(relations["permute"], Marking(), trace, "psi")
 
     def test_non_tau_sequential_step_rejected(self, nets):
@@ -260,7 +292,7 @@ class TestPsiHolds:
             Marking(["s1"]),
             Marking(["s2"]),
             "psi",
-            final_ok=answer_silently(rel, idle("s1"), "psi"),
+            answer_silently(rel, idle("s1"), "psi"),
         )
         assert hit is not None
         # the response requires (s1, s2); an unrelated anchor must fail
@@ -272,7 +304,7 @@ class TestPsiHolds:
         rt5 = net.transition_index["rt5"]
         lt5 = net.transition_index["lt5"]
         start = parse_marking("D1+C3", net)
-        _, trace = respond(net, rel, rt5.pre, start, "phi", target=lt5.pre.tokens())
+        _, trace = respond(net, rel, rt5.pre, start, "phi", lt5.pre.tokens())
         assert steps_stay_related(rel, rt5.pre, trace, "phi") == steps_stay_related(
             inverse(rel), rt5.pre, trace, "psi"
         )

@@ -66,6 +66,37 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     assert sorted(set(pneq.__all__) - used - exempt) == []
 
 
+def _unread_imports(path) -> set:
+    """Names a module imports and never reads: neither loads them nor, in
+    `__init__.py`, lists them in `__all__`."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported.add(alias.asname or alias.name.partition(".")[0])
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+    return imported - read - {"annotations"}  # from __future__
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # The one exception is a name perfbench/spans.CROSS_MODULE reaches in
+    # the importing module: the traced pass swaps it there by that name.
+    traced = {(module, attr) for module, attr, _span in _cross_module()}
+    unread = {
+        (f"pneq.{path.stem}", name)
+        for path in (ROOT / "src" / "pneq").glob("*.py")
+        for name in _unread_imports(path)
+    }
+    assert sorted(unread - traced) == []
+
+
 def test_graph_oracles_reach_the_traced_partition_names(monkeypatch, nets):
     # The per-layer spans ltsbisim.strong_partition_s and
     # ltsbisim.branching_relation_s time these module-global names; a caller
