@@ -85,6 +85,7 @@ class Verdict:
     witness: Optional[PlaceRelation]
     mode_used: str  # exhaustive | guided | verify
     stats: dict = field(default_factory=dict)
+    violations: tuple = ()  # verify: the failed conditions of the relation
 
 
 def _is_d(kind: str) -> bool:
@@ -505,6 +506,7 @@ def verify(
         rel if ok else None,
         "verify",
         stats,
+        report.violations,
     )
 
 
@@ -594,8 +596,6 @@ def _decide_exhaustive(engine, m1, m2, compile_t0, node_cap, stats) -> Verdict:
     for q in iter_matchings(engine.pairs, m1, m2, engine.d):
         mask = 0
         for pr in q:
-            if pr[0] is THETA and pr[1] is THETA:
-                continue
             mask |= engine.bit[pr]
         masks.add(mask)
     bad = 0
@@ -796,7 +796,6 @@ def _repair_options(engine, ti, m, side, rbits, rel_pairs, universe_set, core_un
     seen = set()
     for reqs in requirements_sets:
         choice_lists = []
-        feasible = True
         for (left, right), closure in reqs:
             use_d = d and closure == "post"
             member = (
@@ -817,20 +816,17 @@ def _repair_options(engine, ti, m, side, rbits, rel_pairs, universe_set, core_un
                 )
             ]
             if not choices:
-                feasible = False
-                break
+                break  # a requirement no addition can meet
             choice_lists.append(choices)
-        if not feasible:
-            continue
-        if not choice_lists:
-            continue  # nothing addable would change this response
-        for combo in itertools.islice(
-            itertools.product(*choice_lists), GUIDED_WIDTH * 4
-        ):
-            additions = frozenset().union(*combo)
-            if additions and additions not in seen:
-                seen.add(additions)
-                options.append(additions)
+        else:
+            # with no choice lists, the one empty addition is dropped below
+            for combo in itertools.islice(
+                itertools.product(*choice_lists), GUIDED_WIDTH * 4
+            ):
+                additions = frozenset().union(*combo)
+                if additions and additions not in seen:
+                    seen.add(additions)
+                    options.append(additions)
     options.sort(
         key=lambda s: (len(s), sorted((format_side(a), format_side(b)) for a, b in s))
     )

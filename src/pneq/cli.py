@@ -1,20 +1,21 @@
 """Command line interface.
 
-Exit codes: 0 related/ok, 1 not-related, 2 usage or model errors,
-3 unknown verdicts and exceeded caps or budgets.
+Exit codes: 0 related/member/ok, 1 not-related/not-member, 2 usage or
+model errors, 3 unknown verdicts and exceeded caps or budgets.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import corpus as corpus_mod
-from .checkers import KINDS, DecideCaps, check_relation, decide, verify
+from .checkers import KINDS, DecideCaps, decide, verify
 from .errors import ParseError, PneqError, SearchBudgetError, StateSpaceLimitError
 from .formats import lts_to_dot, parse_marking, parse_net, parse_relation
-from .ltsbisim import decide_interleaving
+from .ltsbisim import GRAPH_KINDS, decide_interleaving
 from .net import reach_lts
 from .relations import additive_member, d_additive_member, format_side
 from .silent import DEFAULT_NODE_BUDGET
@@ -23,8 +24,11 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_UNKNOWN = 3
-
-GRAPH_KINDS = ("int", "bint")
+# every other verdict ("unknown") exits with EXIT_UNKNOWN
+_EXIT_CODES = {
+    "related": EXIT_OK, "member": EXIT_OK, "ok": EXIT_OK,
+    "not-related": EXIT_NEGATIVE, "not-member": EXIT_NEGATIVE,
+}
 
 
 def _read(path: str) -> str:
@@ -39,78 +43,73 @@ def _load_net(path: str):
     return parse_net(_read(path))
 
 
-def _witness_pairs(rel) -> list:
-    return [[format_side(a), format_side(b)] for a, b in rel.sorted_pairs()]
-
-
 def _emit(report: dict, as_json: bool) -> None:
     if as_json:
         print(json.dumps(report, indent=2, sort_keys=True))
         return
     mode = f" ({report['mode_used']})" if "mode_used" in report else ""
     print(f"verdict: {report['verdict']}{mode}")
-    if report.get("witness"):
+    if report["witness"]:
         pairs = " ".join(f"({a},{b})" for a, b in report["witness"])
         print(f"witness: {pairs}")
-    for v in report.get("violations", []):
+    for v in report["violations"]:
         print(
             f"violation: transition {v['transition']} side {v['side']} "
             f"against {v['marking']}: {v['reason']}"
         )
-    stats = report.get("stats", {})
+    stats = report["stats"]
     if stats:
         short = ", ".join(f"{k}={stats[k]}" for k in sorted(stats))
         print(f"stats: {short}")
 
 
-def _verdict_exit(status: str) -> int:
-    if status == "related":
-        return EXIT_OK
-    if status == "not-related":
-        return EXIT_NEGATIVE
-    return EXIT_UNKNOWN
+def _report(
+    args, net, fields, verdict, witness=None, violations=(), stats=None, **extra
+) -> int:
+    """Print the report of a query command and return its exit code.
+
+    `fields` name the arguments echoed under "query"; `witness` is None or
+    a sequence of place pairs; `violations` are `checkers.Violation`s.
+    `extra` adds top-level keys, such as "mode_used".
+    """
+    report = {
+        "query": {"command": args.command, **{f: getattr(args, f) for f in fields}},
+        "verdict": verdict,
+        "witness": (
+            None if witness is None
+            else [[format_side(a), format_side(b)] for a, b in witness]
+        ),
+        "violations": [
+            {**vars(v), "marking": net.format_marking(v.marking)} for v in violations
+        ],
+        "stats": stats or {},
+        **extra,
+    }
+    _emit(report, args.json)
+    return _EXIT_CODES.get(verdict, EXIT_UNKNOWN)
 
 
 def cmd_check(args) -> int:
     net = _load_net(args.net)
     m1 = parse_marking(args.m1, net)
     m2 = parse_marking(args.m2, net)
-    query = {
-        "command": "check",
-        "net": args.net,
-        "eq": args.eq,
-        "m1": args.m1,
-        "m2": args.m2,
-    }
+    fields = ("net", "eq", "m1", "m2")
     if args.eq in GRAPH_KINDS:
         stats: dict = {}
         equivalent, _ = decide_interleaving(
-            net, m1, m2, args.eq == "bint", args.state_cap, 10 * args.state_cap,
+            net, m1, m2, GRAPH_KINDS[args.eq], args.state_cap, 10 * args.state_cap,
             stats=stats,
         )
-        status = "related" if equivalent else "not-related"
-        report = {
-            "query": query,
-            "verdict": status,
-            "witness": None,
-            "violations": [],
-            "stats": stats,
-        }
-        _emit(report, args.json)
-        return _verdict_exit(status)
+        return _report(
+            args, net, fields, "related" if equivalent else "not-related", stats=stats
+        )
     caps = DecideCaps(node_budget=args.node_budget)
     verdict = decide(net, m1, m2, args.eq, args.mode, caps)
-    query["mode"] = args.mode
-    report = {
-        "query": query,
-        "verdict": verdict.status,
-        "mode_used": verdict.mode_used,
-        "witness": _witness_pairs(verdict.witness) if verdict.witness else None,
-        "violations": [],
-        "stats": verdict.stats,
-    }
-    _emit(report, args.json)
-    return _verdict_exit(verdict.status)
+    return _report(
+        args, net, fields + ("mode",), verdict.status,
+        verdict.witness.sorted_pairs() if verdict.witness else None,
+        stats=verdict.stats, mode_used=verdict.mode_used,
+    )
 
 
 def cmd_verify(args) -> int:
@@ -119,35 +118,11 @@ def cmd_verify(args) -> int:
     m1 = parse_marking(args.m1, net)
     m2 = parse_marking(args.m2, net)
     verdict = verify(net, rel, args.eq, m1, m2)
-    violations = []
-    if not verdict.stats.get("relation_ok", False):
-        report = check_relation(net, rel, args.eq)
-        violations = [
-            {
-                "transition": v.transition,
-                "marking": net.format_marking(v.marking),
-                "side": v.side,
-                "reason": v.reason,
-                "details": v.details,
-            }
-            for v in report.violations
-        ]
-    report = {
-        "query": {
-            "command": "verify",
-            "net": args.net,
-            "eq": args.eq,
-            "relation": args.relation,
-            "m1": args.m1,
-            "m2": args.m2,
-        },
-        "verdict": verdict.status,
-        "witness": _witness_pairs(verdict.witness) if verdict.witness else None,
-        "violations": violations,
-        "stats": verdict.stats,
-    }
-    _emit(report, args.json)
-    return _verdict_exit(verdict.status)
+    return _report(
+        args, net, ("net", "eq", "relation", "m1", "m2"), verdict.status,
+        verdict.witness.sorted_pairs() if verdict.witness else None,
+        verdict.violations, verdict.stats,
+    )
 
 
 def cmd_closure(args) -> int:
@@ -156,27 +131,11 @@ def cmd_closure(args) -> int:
     m1 = parse_marking(args.m1, net)
     m2 = parse_marking(args.m2, net)
     witness = d_additive_member(rel, m1, m2) if args.d else additive_member(rel, m1, m2)
-    member = witness is not None
-    report = {
-        "query": {
-            "command": "closure",
-            "net": args.net,
-            "relation": args.relation,
-            "d": args.d,
-            "m1": args.m1,
-            "m2": args.m2,
-        },
-        "verdict": "member" if member else "not-member",
-        "witness": (
-            [[format_side(a), format_side(b)] for a, b in witness.pairs]
-            if member
-            else None
-        ),
-        "violations": [],
-        "stats": {},
-    }
-    _emit(report, args.json)
-    return EXIT_OK if member else EXIT_NEGATIVE
+    return _report(
+        args, net, ("net", "relation", "d", "m1", "m2"),
+        "not-member" if witness is None else "member",
+        None if witness is None else witness.pairs,
+    )
 
 
 def cmd_lts(args) -> int:
@@ -185,21 +144,14 @@ def cmd_lts(args) -> int:
     lts = reach_lts(net, [m0], state_cap=args.cap, edge_cap=10 * args.cap)
     if args.dot:
         Path(args.dot).write_text(lts_to_dot(lts, net))
-    report = {
-        "query": {"command": "lts", "net": args.net, "m0": args.m0, "cap": args.cap},
-        "verdict": "ok",
-        "witness": None,
-        "violations": [],
-        "stats": {"states": len(lts.states), "edges": len(lts.edges)},
-    }
     if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(f"states: {len(lts.states)}")
-        print(f"edges: {len(lts.edges)}")
-        for i, m in enumerate(lts.states):
-            mark = "*" if i in lts.initials else " "
-            print(f"{mark} {i}: {net.format_marking(m)}")
+        stats = {"states": len(lts.states), "edges": len(lts.edges)}
+        return _report(args, net, ("net", "m0", "cap"), "ok", stats=stats)
+    print(f"states: {len(lts.states)}")
+    print(f"edges: {len(lts.edges)}")
+    for i, m in enumerate(lts.states):
+        mark = "*" if i in lts.initials else " "
+        print(f"{mark} {i}: {net.format_marking(m)}")
     return EXIT_OK
 
 
@@ -207,27 +159,9 @@ def cmd_corpus(args) -> int:
     results = corpus_mod.run_corpus(include_slow=args.include_slow)
     failures = [r for r in results if not r.passed]
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "cases": [
-                        {
-                            "name": r.name,
-                            "expected": r.expected,
-                            "verdict": r.verdict,
-                            "passed": r.passed,
-                            "oracle": r.oracle,
-                            "seconds": round(r.seconds, 3),
-                            "stats": r.stats,
-                        }
-                        for r in results
-                    ],
-                    "failures": len(failures),
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
+        cases = [asdict(r) | {"seconds": round(r.seconds, 3)} for r in results]
+        report = {"cases": cases, "failures": len(failures)}
+        print(json.dumps(report, indent=2, sort_keys=True))
     else:
         for r in results:
             status = "PASS" if r.passed else "FAIL"
@@ -249,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_check = sub.add_parser("check", help="decide an equivalence for two markings")
-    p_check.add_argument("--eq", required=True, choices=KINDS + GRAPH_KINDS)
+    p_check.add_argument("--eq", required=True, choices=(*KINDS, *GRAPH_KINDS))
     p_check.add_argument(
         "--mode", default="auto", choices=("exhaustive", "guided", "auto")
     )

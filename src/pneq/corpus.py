@@ -15,7 +15,7 @@ from importlib import resources
 from .checkers import KINDS, _is_branching, decide, verify
 from .errors import PneqError
 from .formats import parse_marking, parse_net, parse_relation
-from .ltsbisim import decide_interleaving
+from .ltsbisim import GRAPH_KINDS, decide_interleaving
 from .multiset import Marking
 from .net import Net
 from .relations import PlaceRelation
@@ -92,9 +92,9 @@ def run_case(case: CorpusCase) -> CaseResult:
     m2 = parse_marking(q["m2"], net)
     t0 = time.perf_counter()
     stats: dict = {}
-    if q["eq"] in ("int", "bint"):
+    if q["eq"] in GRAPH_KINDS:
         equivalent, _ = decide_interleaving(
-            net, m1, m2, q["eq"] == "bint", ORACLE_STATE_CAP, ORACLE_EDGE_CAP,
+            net, m1, m2, GRAPH_KINDS[q["eq"]], ORACLE_STATE_CAP, ORACLE_EDGE_CAP,
             stats=stats,
         )
         verdict = "related" if equivalent else "not-related"

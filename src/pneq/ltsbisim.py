@@ -133,6 +133,10 @@ def branching_bisim(lts: Lts, i: int, j: int) -> bool:
     return _same_block(branching_relation, lts, i, j)
 
 
+# The graph-level kinds, each mapped to whether it compares branching bisimilarity.
+GRAPH_KINDS = {"int": False, "bint": True}
+
+
 def decide_interleaving(
     net: Net,
     m1: Marking,

@@ -140,15 +140,53 @@ class TestVerifyAndClosure:
         }
         assert check_relation(net, PlaceRelation.of(pairs), "bplace").ok
 
-    def test_failed_verify_reports_violations(self, run):
+    def test_failed_membership_is_unknown(self, run):
         code, out, _ = run(
             "verify", "--eq", "bplace", "--relation", "data:tau_loops_r1.rel",
             "--json", "data:tau_loops.pn", "s1+s2", "s6+s8",
         )
         assert code == 3
         report = json.loads(out)
-        assert report["verdict"] == "unknown"
+        assert report["verdict"] == "unknown" and report["violations"] == []
         assert report["stats"]["membership_ok"] is False
+
+    def test_failed_verify_reports_violations(self, run, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args[2])
+            return check_relation(*args, **kwargs)
+
+        # counted under both names it could be called by
+        for module in ("pneq.checkers", "pneq.cli"):
+            monkeypatch.setattr(f"{module}.check_relation", spy, raising=False)
+        args = ("--eq", "place", "--relation", "data:tau_loops_r2.rel",
+                "data:tau_loops.pn", "s1+s2", "s6+s8")
+        code, out, _ = run("verify", "--json", *args)
+        assert code == 3 and calls == ["place"]
+        report = json.loads(out)
+        assert report["stats"]["relation_ok"] is False
+        assert [
+            (v["transition"], v["side"], v["marking"], v["reason"])
+            for v in report["violations"]
+        ] == [
+            ("ta", 1, "s6+s8", "no-response"),
+            ("ta", 1, "s6+s9", "no-response"),
+            ("ta", 1, "s7+s8", "no-response"),
+            ("tc1", 2, "s1", "no-response"),
+            ("tc3", 2, "s2", "no-response"),
+        ]
+        assert report["violations"][0]["details"] == (
+            "no matching response from Marking(s6 + s8)"
+        )
+        code, out, _ = run("verify", *args)
+        assert code == 3 and out.splitlines()[1:6] == [
+            "violation: transition ta side 1 against s6+s8: no-response",
+            "violation: transition ta side 1 against s6+s9: no-response",
+            "violation: transition ta side 1 against s7+s8: no-response",
+            "violation: transition tc1 side 2 against s1: no-response",
+            "violation: transition tc3 side 2 against s2: no-response",
+        ]
 
     def test_closure_membership(self, run):
         code, out, _ = run(
@@ -202,9 +240,39 @@ class TestLts:
         assert len(listing) == len(want.states) == 21
         assert dot_file.read_text() == lts_to_dot(want, net)
 
+    def test_json_report(self, run):
+        code, out, _ = run("lts", "--json", "--cap", "100", "data:latent_sync.pn", "s1")
+        report = json.loads(out)
+        assert code == 0 and report["verdict"] == "ok"
+        assert report["query"] == {
+            "command": "lts", "net": report["query"]["net"], "m0": "s1", "cap": 100,
+        }
+        assert report["stats"] == {"states": 3, "edges": 2}
+
     def test_cap_exceeded_exits_three(self, run):
         code, _, err = run("lts", "--cap", "100", "data:token_pump.pn", "s3")
         assert code == 3 and "100" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "--eq", "place", "data:handshake.pn", "s1", "s2"),
+    ("check", "--eq", "bdplace", "--mode", "guided", "data:tau_chain.pn", "s1", "s4+s5"),
+    ("check", "--eq", "int", "data:latent_sync.pn", "s1", "s4"),
+    ("check", "--eq", "bint", "data:latent_sync.pn", "s1", "s4"),
+    ("verify", "--eq", "place", "--relation", "data:tau_loops_r2.rel",
+     "data:tau_loops.pn", "s1+s2", "s6+s8"),
+    ("closure", "--d", "--relation", "data:spawn_deadlock.rel",
+     "data:spawn_deadlock.pn", "s1", "s4+s5"),
+    ("lts", "data:latent_sync.pn", "s1"),
+], ids=["check-place", "check-bdplace", "check-int", "check-bint", "verify", "closure", "lts"])
+def test_every_json_report_has_the_same_keys(run, argv):
+    _, out, _ = run(argv[0], "--json", *argv[1:])
+    report = json.loads(out)
+    keys = {"query", "verdict", "witness", "violations", "stats"}
+    if argv[0] == "check" and argv[2] not in ("int", "bint"):
+        keys.add("mode_used")
+    assert set(report) == keys
+    assert report["query"]["command"] == argv[0]
 
 
 class TestCorpusCommand:

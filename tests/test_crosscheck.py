@@ -22,6 +22,7 @@ from pneq import (
     check_relation,
     decide,
 )
+from pneq.relations import _match
 from bruteforce import d_perm_member, perm_member
 
 
@@ -198,6 +199,40 @@ def test_check_relation_matches_the_naive_checker(kind):
         assert got == expected, (kind, net.transitions, sorted(rel.pairs, key=str))
         agree += 1
     assert agree == 120
+
+
+# One a-move to three tokens on each side: its post-sets take the engine's
+# general closure path (`_pairs_from_bits`, then `_match`), past the one- and
+# two-token cases.
+FAN_OUT = Net("fan_out", ["s0", "s1", "s2", "s3", "r0", "r1", "r2", "r3"], [
+    Transition("t", Marking(["s0"]), "a", Marking(["s1", "s2", "s3"])),
+    Transition("u", Marking(["r0"]), "a", Marking(["r1", "r2", "r3"])),
+])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_fan_out_runs_the_general_matcher(kind, monkeypatch):
+    calls = []
+
+    def spy(pairs, m1, m2, d):
+        calls.append(d)
+        return _match(pairs, m1, m2, d)
+
+    monkeypatch.setattr("pneq.checkers._match", spy)
+    v = decide(FAN_OUT, Marking(["s0"]), Marking(["r0"]), kind)
+    assert v.status == "related"
+    witness = {("s0", "r0"), ("s1", "r1"), ("s2", "r2"), ("s3", "r3")}
+    assert v.witness.pairs == witness
+    d = kind in ("dplace", "bdplace")
+    assert calls and set(calls) == {d}  # member_plain on plain, member_d on d kinds
+    if kind == "place":
+        assert len(calls) == 75
+    # the naive checker agrees on the witness and on each pair dropped from it;
+    # only dropping (s0,r0) leaves a relation that passes
+    for pr in [None] + sorted(witness):
+        pairs = witness - {pr}
+        got = check_relation(FAN_OUT, PlaceRelation.of(pairs), kind).ok
+        assert got == _brute_check(FAN_OUT, pairs, kind) == (pr in (None, ("s0", "r0")))
 
 
 def _brute_decide(net, m1, m2, kind):
