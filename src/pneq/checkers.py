@@ -47,6 +47,7 @@ KINDS = ("place", "dplace", "bplace", "bdplace")
 AUTO_NODES = 100_000  # auto mode: exhaustive search nodes before the guided fallback
 GUIDED_NODES = 20_000  # candidate relations guided mode checks before giving up
 GUIDED_WIDTH = 12  # repair options guided mode tries per failed condition
+SMALL_MATCH = 6  # closure membership: past this many tokens in all, max-flow
 
 
 @dataclass(frozen=True)
@@ -115,7 +116,9 @@ class _Engine:
     relations that the branch-and-bound search visits share most of their
     work. `failures` is the one walk over the finite conditions:
     `check_relation`, guided repair, static pruning and the branch-and-bound
-    all consume it.
+    all consume it. `member` is the one closure-membership routine, for the
+    additive closure and the d one alike: it backtracks over the tokens up
+    to `SMALL_MATCH` tokens in all, and runs the max-flow `_match` past it.
     """
 
     def __init__(self, net: Net, universe, kind: str, node_budget: int):
@@ -194,73 +197,58 @@ class _Engine:
 
     # -- closure membership ------------------------------------------------
 
-    def _pairs_from_bits(self, rbits, supp1, supp2, d):
-        out = []
-        for a in supp1:
-            for c in supp2:
-                b = self.bit.get((a, c))
-                if b and rbits & b:
-                    out.append((a, c))
-        if d:
-            for a in supp1:
-                b = self.theta_row.get(a, 0)
-                if rbits & b:
-                    out.append((a, THETA))
-            for c in supp2:
-                b = self.theta_col.get(c, 0)
-                if rbits & b:
-                    out.append((THETA, c))
-        return out
-
-    def member_plain(self, m1, m2, rbits) -> bool:
-        if len(m1) != len(m2):
-            return False
-        k = len(m1)
-        if k == 0:
-            return True
-        self.matchings_solved += 1
-        bit = self.bit
-        if k == 1:
-            b = bit.get((m1[0], m2[0]))
-            return bool(b and rbits & b)
-        if k == 2:
-            a, b_ = m1
-            c, d_ = m2
-            x1 = bit.get((a, c))
-            x2 = bit.get((b_, d_))
-            if x1 and x2 and rbits & x1 and rbits & x2:
+    def member(self, m1, m2, rbits, d) -> bool:
+        """Whether the sorted token tuples (m1, m2) are in the closure of
+        `rbits`: the additive one, or with `d` the one where a token may
+        pair with theta. Counts a matching for every `d` call and for plain
+        ones with equal, non-zero sizes."""
+        n1, n2 = len(m1), len(m2)
+        if not d:
+            if n1 != n2:
+                return False
+            if not n1:
                 return True
-            x3 = bit.get((a, d_))
-            x4 = bit.get((b_, c))
-            return bool(x3 and x4 and rbits & x3 and rbits & x4)
-        supp1, supp2 = set(m1), set(m2)
-        allowed = self._pairs_from_bits(rbits, supp1, supp2, False)
-        return _match(allowed, Marking(m1), Marking(m2), d=False) is not None
-
-    def member_d(self, m1, m2, rbits) -> bool:
         self.matchings_solved += 1
+        if n1 == 1 == n2:  # one token per side: a direct bit lookup
+            b = self.bit.get((m1[0], m2[0]))
+            if b and rbits & b:
+                return True
+            if not d:
+                return False
+        if n1 + n2 > SMALL_MATCH:
+            allowed = [pair for pair, b in self.bit.items() if rbits & b]
+            return _match(allowed, Marking(m1), Marking(m2), d) is not None
+        return self._assign(m1, 0, m2, rbits, d)
+
+    def _assign(self, m1, i, rest, rbits, d) -> bool:
+        """Whether the left tokens from `m1[i]` on pair off with the right
+        tokens `rest`: each left token with an unused right one (equal
+        right tokens tried once) or, under `d`, with theta; each right
+        token left over with theta."""
         bit = self.bit
-        if len(m1) == 0 and len(m2) == 0:
-            return True
-        if len(m1) == 1 and len(m2) == 1:
-            b = bit.get((m1[0], m2[0]))
+        if len(rest) == 1 and i + 1 == len(m1):
+            # the last token of each side, as the loop below would pair them
+            c = rest[0]
+            b = bit.get((m1[i], c))
             if b and rbits & b:
                 return True
             return bool(
-                rbits & self.theta_row.get(m1[0], 0)
-                and rbits & self.theta_col.get(m2[0], 0)
+                d and rbits & self.theta_row.get(m1[i], 0) and rbits & self.theta_col.get(c, 0)
             )
-        if len(m1) == 1 and len(m2) == 0:
-            return bool(rbits & self.theta_row.get(m1[0], 0))
-        if len(m1) == 0 and len(m2) == 1:
-            return bool(rbits & self.theta_col.get(m2[0], 0))
-        allowed = self._pairs_from_bits(rbits, set(m1), set(m2), True)
-        return _match(allowed, Marking(m1), Marking(m2), d=True) is not None
-
-    def member_posts(self, mleft, mright, rbits) -> bool:
-        if self.d:
-            return self.member_d(mleft, mright, rbits)
-        return self.member_plain(mleft, mright, rbits)
+        if i == len(m1):
+            col = self.theta_col
+            return all(rbits & col.get(c, 0) for c in rest)
+        a = m1[i]
+        prev = None
+        for j, c in enumerate(rest):
+            if c != prev:
+                prev = c
+                b = bit.get((a, c))
+                if b and rbits & b and self._assign(m1, i + 1, rest[:j] + rest[j + 1:], rbits, d):
+                    return True
+        return bool(d and rbits & self.theta_row.get(a, 0)) and self._assign(
+            m1, i + 1, rest, rbits, d
+        )
 
     # -- image sets ----------------------------------------------------------
 
@@ -302,25 +290,25 @@ class _Engine:
             for cj in self.by_pre.get((t.label, m), ()):
                 cpost = self.post_tok[cj]
                 left, right = (post, cpost) if side == 1 else (cpost, post)
-                if self.member_posts(left, right, rbits):
+                if self.member(left, right, rbits, self.d):
                     return (m,)
             return None
 
         bar = rbits & self.core_mask if self.d else rbits
         anchor = self.pre_tok[ti]
         if side == 1:
-            psi_ok = lambda mk: self.member_plain(anchor, mk, bar)
+            psi_ok = lambda mk: self.member(anchor, mk, bar, False)
         else:
-            psi_ok = lambda mk: self.member_plain(mk, anchor, bar)
+            psi_ok = lambda mk: self.member(mk, anchor, bar, False)
 
         if self.tau_seq[ti]:
             if side == 1:
-                final_ok = lambda f: self.member_plain(anchor, f, bar) and self.member_plain(
-                    post, f, bar
+                final_ok = lambda f: (
+                    self.member(anchor, f, bar, False) and self.member(post, f, bar, False)
                 )
             else:
-                final_ok = lambda f: self.member_plain(f, anchor, bar) and self.member_plain(
-                    f, post, bar
+                final_ok = lambda f: (
+                    self.member(f, anchor, bar, False) and self.member(f, post, bar, False)
                 )
             if final_ok(m):
                 return (m, m)
@@ -334,14 +322,14 @@ class _Engine:
                 continue
             cpost = self.post_tok[cj]
             if side == 1:
-                if not self.member_plain(anchor, cpre, bar):
+                if not self.member(anchor, cpre, bar, False):
                     continue
-                if not self.member_posts(post, cpost, rbits):
+                if not self.member(post, cpost, rbits, self.d):
                     continue
             else:
-                if not self.member_plain(cpre, anchor, bar):
+                if not self.member(cpre, anchor, bar, False):
                     continue
-                if not self.member_posts(cpost, post, rbits):
+                if not self.member(cpost, post, rbits, self.d):
                     continue
             if cpre == m:
                 # answering with idling on every token
@@ -798,12 +786,7 @@ def _repair_options(engine, ti, m, side, rbits, rel_pairs, universe_set, core_un
         choice_lists = []
         for (left, right), closure in reqs:
             use_d = d and closure == "post"
-            member = (
-                engine.member_d(left, right, rbits)
-                if use_d
-                else engine.member_plain(left, right, bar)
-            )
-            if member:
+            if engine.member(left, right, rbits if use_d else bar, use_d):
                 continue
             allowed = universe_set if use_d else core_universe
             choices = [

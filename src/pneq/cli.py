@@ -107,7 +107,7 @@ def cmd_check(args) -> int:
     verdict = decide(net, m1, m2, args.eq, args.mode, caps)
     return _report(
         args, net, fields + ("mode",), verdict.status,
-        verdict.witness.sorted_pairs() if verdict.witness else None,
+        verdict.witness.sorted_pairs() if verdict.witness is not None else None,
         stats=verdict.stats, mode_used=verdict.mode_used,
     )
 
@@ -120,7 +120,7 @@ def cmd_verify(args) -> int:
     verdict = verify(net, rel, args.eq, m1, m2)
     return _report(
         args, net, ("net", "eq", "relation", "m1", "m2"), verdict.status,
-        verdict.witness.sorted_pairs() if verdict.witness else None,
+        verdict.witness.sorted_pairs() if verdict.witness is not None else None,
         verdict.violations, verdict.stats,
     )
 

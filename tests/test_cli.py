@@ -188,6 +188,21 @@ class TestVerifyAndClosure:
             "violation: transition tc3 side 2 against s2: no-response",
         ]
 
+    def test_empty_related_witness_is_an_empty_list(self, run, tmp_path):
+        # an empty PlaceRelation is falsy; as a witness it still prints as []
+        empty = tmp_path / "empty.rel"
+        empty.write_text("relation empty\n")
+        for argv in (
+            ("check", "--eq", "place"),
+            ("verify", "--eq", "place", "--relation", str(empty)),
+            ("closure", "--relation", str(empty)),
+        ):
+            code, out, _ = run(*argv, "--json", "data:handshake.pn", "0", "0")
+            report = json.loads(out)
+            assert code == 0 and report["witness"] == [], argv
+            code, out, _ = run(*argv, "data:handshake.pn", "0", "0")
+            assert code == 0 and "witness" not in out, argv
+
     def test_closure_membership(self, run):
         code, out, _ = run(
             "closure", "--relation", "data:permute.rel",

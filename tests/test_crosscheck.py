@@ -22,6 +22,7 @@ from pneq import (
     check_relation,
     decide,
 )
+from pneq.checkers import SMALL_MATCH, _Engine
 from pneq.relations import _match
 from bruteforce import d_perm_member, perm_member
 
@@ -201,12 +202,12 @@ def test_check_relation_matches_the_naive_checker(kind):
     assert agree == 120
 
 
-# One a-move to three tokens on each side: its post-sets take the engine's
-# general closure path (`_pairs_from_bits`, then `_match`), past the one- and
-# two-token cases.
-FAN_OUT = Net("fan_out", ["s0", "s1", "s2", "s3", "r0", "r1", "r2", "r3"], [
-    Transition("t", Marking(["s0"]), "a", Marking(["s1", "s2", "s3"])),
-    Transition("u", Marking(["r0"]), "a", Marking(["r1", "r2", "r3"])),
+# One a-move to four tokens on each side: its post-sets, eight tokens in all,
+# take the engine's general closure path, the max-flow `_match`, past the
+# backtracking for small token counts.
+FAN_OUT = Net("fan_out", [f"{s}{i}" for s in "sr" for i in range(5)], [
+    Transition("t", Marking(["s0"]), "a", Marking(["s1", "s2", "s3", "s4"])),
+    Transition("u", Marking(["r0"]), "a", Marking(["r1", "r2", "r3", "r4"])),
 ])
 
 
@@ -221,18 +222,51 @@ def test_fan_out_runs_the_general_matcher(kind, monkeypatch):
     monkeypatch.setattr("pneq.checkers._match", spy)
     v = decide(FAN_OUT, Marking(["s0"]), Marking(["r0"]), kind)
     assert v.status == "related"
-    witness = {("s0", "r0"), ("s1", "r1"), ("s2", "r2"), ("s3", "r3")}
+    witness = {(f"s{i}", f"r{i}") for i in range(5)}
     assert v.witness.pairs == witness
     d = kind in ("dplace", "bdplace")
-    assert calls and set(calls) == {d}  # member_plain on plain, member_d on d kinds
+    assert calls and set(calls) == {d}  # post-sets: the plain closure, or the d one
     if kind == "place":
-        assert len(calls) == 75
+        assert len(calls) == 655
     # the naive checker agrees on the witness and on each pair dropped from it;
     # only dropping (s0,r0) leaves a relation that passes
     for pr in [None] + sorted(witness):
         pairs = witness - {pr}
         got = check_relation(FAN_OUT, PlaceRelation.of(pairs), kind).ok
         assert got == _brute_check(FAN_OUT, pairs, kind) == (pr in (None, ("s0", "r0")))
+
+
+def test_member_matches_the_max_flow_matcher():
+    """`_Engine.member` against `_match` on random relations over a universe
+    with theta pairs, 0-4 tokens per side with repeated places, under both
+    closures, on each side of its switch to max-flow past SMALL_MATCH
+    tokens; `matchings_solved` counts every d call and the plain ones with
+    equal, non-zero sizes."""
+    rng = random.Random(4242)
+    seen = {(small, d, ans): 0 for small in (True, False) for d in (False, True)
+            for ans in (False, True)}
+    for _ in range(60):
+        net = _random_net(rng)
+        places = net.places
+        universe = [(a, b) for a in places for b in places]
+        universe += [(a, THETA) for a in places] + [(THETA, b) for b in places]
+        engine = _Engine(net, universe, "dplace", 1_000)
+        for _ in range(50):
+            density = rng.choice((0.3, 0.6, 0.9))
+            rbits = sum(b for b in engine.bit.values() if rng.random() < density)
+            allowed = [pr for pr, b in engine.bit.items() if rbits & b]
+            pool = rng.sample(places, rng.randint(1, len(places)))
+            m1, m2 = (tuple(sorted(rng.choice(pool) for _ in range(rng.randint(0, 4))))
+                      for _ in range(2))
+            for d in (False, True):
+                before = engine.matchings_solved
+                got = engine.member(m1, m2, rbits, d)
+                assert got == (_match(allowed, Marking(m1), Marking(m2), d) is not None), (
+                    m1, m2, sorted(allowed, key=str), d)
+                counted = d or (len(m1) == len(m2) > 0)
+                assert engine.matchings_solved == before + counted
+                seen[len(m1) + len(m2) <= SMALL_MATCH, d, got] += 1
+    assert min(seen.values()) >= 30, seen
 
 
 def _brute_decide(net, m1, m2, kind):
