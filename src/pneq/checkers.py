@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from math import comb
 from typing import Optional
@@ -37,7 +37,6 @@ from .relations import (
     additive_member,
     d_additive_member,
     format_side,
-    iter_matchings,
 )
 from .silent import DEFAULT_NODE_BUDGET, _tau_sequential, run_search, silent_graph
 # silent_reachable is unused here; perfbench/spans.CROSS_MODULE times it by this name
@@ -119,6 +118,8 @@ class _Engine:
     all consume it. `member` is the one closure-membership routine, for the
     additive closure and the d one alike: it backtracks over the tokens up
     to `SMALL_MATCH` tokens in all, and runs the max-flow `_match` past it.
+    `associations` is the one enumeration of the associations of two
+    markings, for the exhaustive search and guided mode alike.
     """
 
     def __init__(self, net: Net, universe, kind: str, node_budget: int):
@@ -249,6 +250,59 @@ class _Engine:
         return bool(d and rbits & self.theta_row.get(a, 0)) and self._assign(
             m1, i + 1, rest, rbits, d
         )
+
+    def associations(self, left, right, allowed, d):
+        """The pair mask of each distinct association of two markings,
+        given as sorted (place, count) pairs, over the bits of `allowed`:
+        each left token pairs with a right token or, under `d`, with theta,
+        and each right token left over with theta. Tokens on a place are
+        alike, so a left place's count is split over its partners (by name,
+        theta last), more tokens to an earlier partner first. Distinct
+        associations may share a mask; each yields it. Under `d` theta takes
+        any count, so the associations grow in number with the counts."""
+        bit, theta_col = self.bit, self.theta_col
+        rest = dict(right)
+        places = []
+        for a, n in left:
+            opts = [(q, b) for q in rest if (b := bit.get((a, q), 0) & allowed)]
+            if d and (b := self.theta_row.get(a, 0) & allowed):
+                opts.append((THETA, b))
+            if not opts:
+                return iter(())
+            places.append((n, opts))
+        rest[THETA] = sum(n for _, n in left)  # theta takes any left token
+
+        def spread(i, mask):  # the left places from i on
+            if i == len(places):
+                for q, _ in right:
+                    if rest[q]:
+                        b = d and theta_col.get(q, 0) & allowed
+                        if not b:
+                            return
+                        mask |= b
+                yield mask
+            elif places[i][0] > 1:
+                yield from split(i, places[i][0], 0, mask)
+            else:
+                for q, b in places[i][1]:
+                    if rest[q]:
+                        rest[q] -= 1
+                        yield from spread(i + 1, mask | b)
+                        rest[q] += 1
+
+        def split(i, n, j, mask):  # n tokens of left place i, partners from j on
+            if not n:
+                yield from spread(i + 1, mask)
+                return
+            opts = places[i][1]
+            q, b = opts[j]
+            room = sum(rest[p] for p, _ in opts[j + 1:])  # what later partners can take
+            for c in range(min(n, rest[q]), max(n - room, 0) - 1, -1):
+                rest[q] -= c
+                yield from split(i, n - c, j + 1, mask | b if c else mask)
+                rest[q] += c
+
+        return spread(0, 0)
 
     # -- image sets ----------------------------------------------------------
 
@@ -516,10 +570,11 @@ def decide(
     conclusive. Before it starts, pairs that fail a condition on their own
     are pruned, and associations of the two markings that fail a condition
     under every unpruned pair are refuted, since each witness contains an
-    association; when all are refuted, the search rules out the
-    candidates of each pair count in one cut. All these conditions come from one walk,
-    `_Engine.failures`. Guided mode grows a candidate from the query pair
-    and answers related or unknown, never not-related.
+    association; when all are refuted, the search rules out the candidates
+    of each pair count in one cut. All these conditions come from one walk,
+    `_Engine.failures`, and both modes take their associations from
+    `_Engine.associations`. Guided mode grows a candidate from the query
+    pair and answers related or unknown, never not-related.
 
     Auto mode runs the exhaustive search within `AUTO_NODES` nodes; when a
     budget runs out, it falls back to guided mode, noting why in
@@ -555,8 +610,8 @@ def decide(
     return verdict
 
 
-def _witness_verdict(engine, pairs, mode, stats) -> Verdict:
-    rel = PlaceRelation.of(pairs)
+def _witness_verdict(engine, mask, mode, stats) -> Verdict:
+    rel = PlaceRelation.of(pair for pair, b in engine.bit.items() if mask & b)
     t0 = time.perf_counter()
     report = check_relation(engine.net, rel, engine.kind, node_budget=engine.node_budget)
     stats["reverify_s"] = time.perf_counter() - t0
@@ -580,12 +635,8 @@ def _decide_exhaustive(engine, m1, m2, compile_t0, node_cap, stats) -> Verdict:
                 "cuts_association", "cuts_theta", "cuts_response",
                 "associations", "associations_refuted")
     stats |= dict.fromkeys(counters, 0) | {"search_s": 0.0, "reverify_s": 0.0}
-    masks = set()
-    for q in iter_matchings(engine.pairs, m1, m2, engine.d):
-        mask = 0
-        for pr in q:
-            mask |= engine.bit[pr]
-        masks.add(mask)
+    masks = set(engine.associations(
+        m1.sorted_items(), m2.sorted_items(), engine.universe_mask, engine.d))
     bad = 0
     reason = "no association over the pair universe"
     if masks:
@@ -625,8 +676,7 @@ def _decide_exhaustive(engine, m1, m2, compile_t0, node_cap, stats) -> Verdict:
         stats["search_s"] = time.perf_counter() - t0
     if found is None:
         return Verdict("not-related", None, "exhaustive", stats)
-    pairs = [pair for pair in engine.pairs if found & engine.bit[pair]]
-    return _witness_verdict(engine, pairs, "exhaustive", stats)
+    return _witness_verdict(engine, found, "exhaustive", stats)
 
 
 def _branch_and_bound(engine, bits, masks, node_cap, stats):
@@ -701,55 +751,54 @@ def _branch_and_bound(engine, bits, masks, node_cap, stats):
 
 
 def _decide_guided(engine, m1, m2) -> Verdict:
-    universe_set = set(engine.pairs)
-    core_universe = {pr for pr in universe_set if THETA not in pr}
     stats = {"relations_examined": 0, "relations_checked": 0}
 
-    def pairs_key(pairs):
-        return tuple(sorted((format_side(a), format_side(b)) for a, b in pairs))
+    def printed(mask):  # the sorted printed pairs of a mask: guided mode's order
+        out = []
+        while mask:
+            low = mask & -mask
+            a, b = engine.pairs[low.bit_length() - 1]
+            out.append((format_side(a), format_side(b)))
+            mask ^= low
+        return sorted(out)
 
-    seeds = sorted(
-        (frozenset(q) for q in iter_matchings(engine.pairs, m1, m2, engine.d)),
-        key=pairs_key,
-    )
-    queue = deque(seeds)
+    seeds = engine.associations(
+        m1.sorted_items(), m2.sorted_items(), engine.universe_mask, engine.d)
+    queue = deque(sorted(seeds, key=printed))
     seen = set()
     while queue and stats["relations_examined"] < GUIDED_NODES:
-        rel_pairs = queue.popleft()
-        if rel_pairs in seen:
+        rbits = queue.popleft()
+        if rbits in seen:
             continue
-        seen.add(rel_pairs)
+        seen.add(rbits)
         stats["relations_examined"] += 1
         stats["relations_checked"] += 1
-        rbits = 0
-        for pr in rel_pairs:
-            rbits |= engine.bit[pr]
         failure = next(engine.failures(rbits, rbits), None)
         if failure is None:
-            return _witness_verdict(engine, rel_pairs, "guided", stats)
-        ti, m, side = failure
-        if m is None:
+            return _witness_verdict(engine, rbits, "guided", stats)
+        if failure[1] is None:
             continue  # theta viability cannot be repaired by adding pairs
-        options = _repair_options(
-            engine, ti, m, side, rbits, rel_pairs, universe_set, core_universe
-        )
+        options = sorted(_repair_options(engine, *failure, rbits),
+                         key=lambda add: (add.bit_count(), printed(add)))
         for additions in options[:GUIDED_WIDTH]:
-            queue.append(rel_pairs | additions)
+            queue.append(rbits | additions)
     stats["reason"] = "guided search exhausted without finding a witness"
     return Verdict("unknown", None, "guided", stats)
 
 
-def _repair_options(engine, ti, m, side, rbits, rel_pairs, universe_set, core_universe):
-    """Pair additions that could discharge the failed condition (ti, m, side)."""
+def _repair_options(engine, ti, m, side, rbits) -> set:
+    """The masks of pair additions that could discharge the failed
+    condition (ti, m, side), each once, in no particular order."""
     t = engine.trans[ti]
     anchor = engine.pre_tok[ti]
     post = engine.post_tok[ti]
     d = engine.d
-    bar = rbits & engine.core_mask if d else rbits
 
     def oriented(x, y):
         return (x, y) if side == 1 else (y, x)
 
+    # a requirement: a marking pair, and whether it is a post-set pair, which
+    # d matches under the theta-extended closure
     requirements_sets = []
     always_true = lambda mk: True
     if engine.branching:
@@ -759,9 +808,9 @@ def _repair_options(engine, ti, m, side, rbits, rel_pairs, universe_set, core_un
                 engine.adj, m, always_true, always_true, engine.node_budget, sigma_limit
             ):
                 final = trace[-1]
-                reqs = [(oriented(anchor, mk), "core") for mk in trace[:-1]]
-                reqs.append((oriented(anchor, final), "core"))
-                reqs.append((oriented(post, final), "core"))
+                reqs = [(oriented(anchor, mk), False) for mk in trace[:-1]]
+                reqs.append((oriented(anchor, final), False))
+                reqs.append((oriented(post, final), False))
                 requirements_sets.append(reqs)
         for cj in engine.by_label.get(t.label, ()):
             cpre = engine.pre_tok[cj]
@@ -771,33 +820,25 @@ def _repair_options(engine, ti, m, side, rbits, rel_pairs, universe_set, core_un
             for _blocks, trace in run_search(
                 engine.adj, m, always_true, cpre.__eq__, engine.node_budget, sigma_limit
             ):
-                reqs = [(oriented(anchor, mk), "core") for mk in trace[:-1]]
-                reqs.append((oriented(anchor, cpre), "core"))
-                reqs.append((oriented(post, cpost), "post"))
+                reqs = [(oriented(anchor, mk), False) for mk in trace[:-1]]
+                reqs.append((oriented(anchor, cpre), False))
+                reqs.append((oriented(post, cpost), d))
                 requirements_sets.append(reqs)
     else:
         for cj in engine.by_pre.get((t.label, m), ()):
             cpost = engine.post_tok[cj]
-            requirements_sets.append([(oriented(post, cpost), "post")])
+            requirements_sets.append([(oriented(post, cpost), d)])
 
-    options = []
-    seen = set()
+    options = set()
     for reqs in requirements_sets:
         choice_lists = []
-        for (left, right), closure in reqs:
-            use_d = d and closure == "post"
-            if engine.member(left, right, rbits if use_d else bar, use_d):
+        for (left, right), use_d in reqs:
+            allowed = engine.universe_mask if use_d else engine.core_mask
+            if engine.member(left, right, rbits & allowed, use_d):
                 continue
-            allowed = universe_set if use_d else core_universe
-            choices = [
-                frozenset(q) - rel_pairs
-                for q in itertools.islice(
-                    iter_matchings(
-                        allowed, Marking(left), Marking(right), use_d
-                    ),
-                    GUIDED_WIDTH,
-                )
-            ]
+            found = engine.associations(Counter(left).items(), Counter(right).items(),
+                                        allowed, use_d)
+            choices = [q & ~rbits for q in itertools.islice(found, GUIDED_WIDTH)]
             if not choices:
                 break  # a requirement no addition can meet
             choice_lists.append(choices)
@@ -806,11 +847,9 @@ def _repair_options(engine, ti, m, side, rbits, rel_pairs, universe_set, core_un
             for combo in itertools.islice(
                 itertools.product(*choice_lists), GUIDED_WIDTH * 4
             ):
-                additions = frozenset().union(*combo)
-                if additions and additions not in seen:
-                    seen.add(additions)
-                    options.append(additions)
-    options.sort(
-        key=lambda s: (len(s), sorted((format_side(a), format_side(b)) for a, b in s))
-    )
+                additions = 0
+                for q in combo:
+                    additions |= q
+                options.add(additions)
+    options.discard(0)
     return options

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from .errors import ModelError
 from .multiset import Marking
@@ -232,8 +232,9 @@ def related_markings(rel: PlaceRelation, m: Marking, side: str = "left") -> set:
     """All markings paired with m under the plain closure, on the given side.
 
     side='left' gives every m2 with (m, m2) in the closure; side='right'
-    every m1 with (m1, m). THETA entries contribute nothing here: the
-    result is the deduplicated product of the per-token image sets.
+    every m1 with (m1, m). THETA entries contribute nothing here. Tokens on
+    a place are alike, so each place's n tokens take the multisets of n of
+    its images, and the result is the deduplicated product over the places.
     """
     if side not in ("left", "right"):
         raise ModelError(f"side must be 'left' or 'right', not {side!r}")
@@ -243,50 +244,9 @@ def related_markings(rel: PlaceRelation, m: Marking, side: str = "left") -> set:
             continue
         src, dst = (a, b) if side == "left" else (b, a)
         images.setdefault(src, set()).add(dst)
-    token_images = []
-    for token in m.tokens():
-        if token not in images:
-            return set()
-        token_images.append(sorted(images[token]))
-    out = set()
-    for combo in itertools.product(*token_images):
-        out.add(Marking(combo))
-    return out
-
-
-def iter_matchings(pairs, m1: Marking, m2: Marking, d: bool = False) -> Iterator[tuple]:
-    """Yield every distinct association multiset over `pairs` for (m1, m2).
-
-    Used by the guided search to enumerate repair options; exponential in
-    marking size, which stays small there.
-    """
-    allowed = set(pairs)
-    tokens1 = list(m1.tokens())
-    seen = set()
-
-    def rec(i, remaining, used):
-        if i == len(tokens1):
-            # Leftover right tokens must each be THETA-covered.
-            extra = []
-            for q, n in sorted(remaining.items()):
-                if n < 0:
-                    return
-                if n > 0:
-                    if not d or (THETA, q) not in allowed:
-                        return
-                    extra.extend([(THETA, q)] * n)
-            key = tuple(sorted(used + extra, key=lambda pr: (format_side(pr[0]), format_side(pr[1]))))
-            if key not in seen:
-                seen.add(key)
-                yield key
-            return
-        a = tokens1[i]
-        for q in sorted(remaining):
-            if remaining[q] > 0 and (a, q) in allowed:
-                remaining[q] -= 1
-                yield from rec(i + 1, remaining, used + [(a, q)])
-                remaining[q] += 1
-        if d and (a, THETA) in allowed:
-            yield from rec(i + 1, remaining, used + [(a, THETA)])
-
-    yield from rec(0, dict(m2.sorted_items()), [])
+    if any(p not in images for p in m):
+        return set()
+    per_place = [
+        itertools.combinations_with_replacement(sorted(images[p]), n) for p, n in m.items()
+    ]
+    return {Marking(itertools.chain(*combo)) for combo in itertools.product(*per_place)}

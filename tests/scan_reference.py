@@ -15,14 +15,8 @@ import itertools
 import time
 
 from pneq import DecideCaps, Verdict
-from pneq.checkers import (
-    THETA,
-    _Engine,
-    _is_d,
-    _witness_verdict,
-    iter_matchings,
-    pair_universe,
-)
+from pneq.checkers import THETA, _Engine, _is_d, _witness_verdict, pair_universe
+from relations_reference import iter_matchings
 
 
 def scan_decide(net, m1, m2, kind, caps=None) -> Verdict:
@@ -80,8 +74,7 @@ def _decide_exhaustive(engine, net, m1, m2, kind, universe) -> Verdict:
     stats["relations_checked"] = checked
     if found is None:
         return Verdict("not-related", None, "exhaustive", stats)
-    pairs = [pair for pair in engine.pairs if found & engine.bit[pair]]
-    return _witness_verdict(engine, pairs, "exhaustive", stats)
+    return _witness_verdict(engine, found, "exhaustive", stats)
 
 
 def static_bad_mask(engine) -> int:

@@ -105,6 +105,16 @@ class TestCheck:
         code, _, err = run("check", "--eq", "place", "data:handshake.pn", "zz", "s2")
         assert code == 2 and "zz" in err
 
+    @pytest.mark.parametrize("mode", ["auto", "exhaustive", "guided"])
+    @pytest.mark.parametrize("kind", ["place", "dplace", "bplace", "bdplace"])
+    def test_thousands_of_tokens_on_one_place(self, run, kind, mode):
+        # tokens on a place are alike: the associations split the count
+        # instead of recursing once per token
+        code, out, err = run("check", "--eq", kind, "--mode", mode,
+                             "data:handshake.pn", "2000*s1+s2", "2000*s1+s2")
+        assert code == 0, err
+        assert "witness: (s1,s1) (s2,s2) (s3,s3)" in out
+
     def test_python_dash_m_runs_the_cli(self, data_dir):
         src = Path(__file__).resolve().parent.parent / "src"
         env = dict(os.environ, PYTHONPATH=str(src))

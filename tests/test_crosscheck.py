@@ -25,6 +25,7 @@ from pneq import (
 from pneq.checkers import SMALL_MATCH, _Engine
 from pneq.relations import _match
 from bruteforce import d_perm_member, perm_member
+from relations_reference import iter_matchings
 
 
 def _acyclic_walks(adj, start, limit):
@@ -267,6 +268,45 @@ def test_member_matches_the_max_flow_matcher():
                 assert engine.matchings_solved == before + counted
                 seen[len(m1) + len(m2) <= SMALL_MATCH, d, got] += 1
     assert min(seen.values()) >= 30, seen
+
+
+def test_associations_match_the_token_walk():
+    """`_Engine.associations` against the token-level `iter_matchings`:
+    the same masks in the same order, one per distinct association, on
+    random allowed pair sets with 0-6 tokens per side, under both closures.
+    Floors: associations that put leftover right tokens on theta, and left
+    places with two or more tokens split over two or more partners."""
+    rng = random.Random(5150)
+    cases = theta_leftover = split_places = 0
+    for _ in range(200):
+        net = _random_net(rng, n_places=rng.randint(2, 3))
+        places = net.places
+        universe = [(a, b) for a in places for b in places]
+        universe += [(a, THETA) for a in places] + [(THETA, b) for b in places]
+        engine = _Engine(net, universe, "dplace", 1_000)
+        theta_cols = sum(engine.theta_col.values())
+        for _ in range(25):
+            density = rng.choice((0.4, 0.7, 1.0))
+            allowed = sum(b for b in engine.bit.values() if rng.random() < density)
+            pairs = [pr for pr, b in engine.bit.items() if allowed & b]
+            most = rng.choice((3, 6))
+            m1 = Marking(rng.choice(places) for _ in range(rng.randint(0, most)))
+            size = m1.size if rng.random() < 0.5 else rng.randint(0, most)
+            m2 = Marking(rng.choice(places) for _ in range(size))
+            for d in (False, True):
+                got = list(engine.associations(m1.sorted_items(), m2.sorted_items(), allowed, d))
+                want = [sum(engine.bit[pr] for pr in set(q))
+                        for q in iter_matchings(pairs, m1, m2, d)]
+                assert got == want, (m1, m2, sorted(pairs, key=str), d)
+                cases += 1
+                theta_leftover += any(mask & theta_cols for mask in got)
+                split_places += len(got) > 1 and any(
+                    n > 1 and sum(allowed & engine.bit[a, q] != 0 for q in m2) > 1
+                    for a, n in m1.items()
+                )
+    assert cases >= 10_000, cases
+    # 2,321 and 1,180 when written
+    assert theta_leftover >= 1_500 and split_places >= 800, (theta_leftover, split_places)
 
 
 def _brute_decide(net, m1, m2, kind):

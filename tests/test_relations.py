@@ -15,6 +15,7 @@ from pneq import (
 )
 from bruteforce import d_perm_member, perm_member, random_instance
 from relation_algebra import compose, identity, inverse
+import relations_reference
 
 
 class TestAdditiveMember:
@@ -118,6 +119,31 @@ class TestRelatedMarkings:
 
     def test_token_without_image_kills_product(self, relations):
         assert related_markings(relations["permute"], Marking(["s5"]), "left") == set()
+
+    def test_agrees_with_the_token_product(self):
+        # One image multiset per place against the product over tokens, on
+        # random relations with theta pairs and up to 5 tokens on a place.
+        rng = random.Random(404)
+        places = ["p0", "p1", "p2", "p3"]
+        sides = THETA, *places
+        nonempty = 0
+        for _ in range(600):
+            pairs = {(a, b) for a in sides for b in sides
+                     if (a, b) != (THETA, THETA) and rng.random() < 0.35}
+            rel = PlaceRelation.of(pairs)
+            m = Marking(rng.choice(places[:rng.randint(1, 4)]) for _ in range(rng.randint(0, 5)))
+            for side in ("left", "right"):
+                got = related_markings(rel, m, side)
+                assert got == relations_reference.related_markings(rel, m, side), (pairs, m, side)
+                nonempty += len(got) > 1
+        assert nonempty >= 400, nonempty  # 506 when written
+
+    def test_many_tokens_on_one_place(self):
+        # 200 tokens on a place with two images: 201 images, not 2^200 products
+        rel = PlaceRelation.of({("s1", "s2"), ("s1", "s3")})
+        got = related_markings(rel, Marking({"s1": 200}), "left")
+        assert len(got) == 201
+        assert Marking({"s2": 120, "s3": 80}) in got
 
 
 class TestAlgebra:

@@ -29,6 +29,7 @@ from pneq import (
 from pneq.checkers import _decide_exhaustive, _Engine, _is_branching, pair_universe
 from pneq.errors import SearchBudgetError
 from pneq.ltsbisim import branching_relation, strong_partition
+from guided_reference import guided_decide
 from scan_reference import scan_decide, static_bad_mask
 from test_crosscheck import _random_net
 
@@ -276,6 +277,27 @@ def test_guided_agrees_with_exhaustive_on_random_queries():
     for kind in KINDS:
         for status in ("related", "not-related"):
             assert outcomes.get((kind, status), 0) >= 20, outcomes
+
+
+def test_guided_matches_the_pair_set_reference():
+    # Guided mode on pair masks against the same search on sets of pairs:
+    # the same status, witness and candidates examined, which pins the
+    # order of the queue and of the repair options.
+    rng = random.Random(83)
+    outcomes = {}
+    for i in range(1200):
+        kind = KINDS[i % len(KINDS)]
+        net, m1, m2 = _random_query(rng, kind)
+        got, want = (
+            (v.status, v.witness, v.stats["relations_examined"])
+            for v in (decide(net, m1, m2, kind, "guided"), guided_decide(net, m1, m2, kind))
+        )
+        assert got == want, (kind, net.transitions, m1, m2)
+        key = kind, got[0], got[2] > 1
+        outcomes[key] = outcomes.get(key, 0) + 1
+    for kind in KINDS:  # with repairs: at least 40 per cell when written
+        for status in ("related", "unknown"):
+            assert outcomes.get((kind, status, True), 0) >= 30, outcomes
 
 
 def test_auto_matches_exhaustive_on_random_queries():
