@@ -113,11 +113,14 @@ class _Engine:
     cached keyed by the pairs of the pre-set's places; responses are cached
     keyed by `resp_mask`, built once per transition and side, so the many
     relations that the branch-and-bound search visits share most of their
-    work. `failures` is the one walk over the finite conditions:
-    `check_relation`, guided repair, static pruning and the branch-and-bound
-    all consume it. `member` is the one closure-membership routine, for the
-    additive closure and the d one alike: it backtracks over the tokens up
-    to `SMALL_MATCH` tokens in all, and runs the max-flow `_match` past it.
+    work. `failures` is the one walk over the finite conditions of a set
+    of pairs: `check_relation`, guided repair, the association cut and the
+    branch-and-bound all consume it. `depth_one_cut` finds the pairs that
+    fail a condition on their own in closed form, from `lone`, the
+    transitions whose pre-set holds a single place. `member` is the one
+    closure-membership routine, for the additive closure and the d one
+    alike: it backtracks over the tokens up to `SMALL_MATCH` tokens in all,
+    and runs the max-flow `_match` past it.
     `associations` is the one enumeration of the associations of two
     markings, for the exhaustive search and guided mode alike.
     """
@@ -155,42 +158,56 @@ class _Engine:
         self.col = {p: sorted(v, key=lambda e: key[e[0]]) for p, v in col_items.items()}
         self.adj = silent_graph(net)
         self.trans = list(net.transitions)
-        self.pre_tok = [t.pre.tokens() for t in self.trans]
-        self.post_tok = [t.post.tokens() for t in self.trans]
-        self.tau_seq = [_tau_sequential(t) for t in self.trans]
+        # The per-transition tables, in one pass; a pre-set's places are its
+        # keys. A transition has images on a side only when every place of
+        # its pre-set (`pre_places`, places as bits) has a partner there.
+        self.pre_tok = []
+        self.post_tok = []
+        self.tau_seq = []
+        self.pre_places = []
         self.by_label: dict = {}
         self.by_pre: dict = {}
-        for i, t in enumerate(self.trans):
-            self.by_label.setdefault(t.label, []).append(i)
-            self.by_pre.setdefault((t.label, self.pre_tok[i]), []).append(i)
-        # Places as bits: a transition has images on a side only when every
-        # place of its pre-set has a partner there.
-        self.pre_places = [sum(1 << key[p] for p in set(tok)) for tok in self.pre_tok]
-        self.partnered = {
-            side: [(1 << key[p], mask) for p, mask in masks.items()]
-            for side, masks in ((1, self.rowmask), (2, self.colmask))
-        }
+        self.lone: dict = {}  # place -> the transitions whose pre-set holds only it
         # (ti, side, per pre-set place its partner-or-theta mask, theta mask)
         self.theta_conds = []
-        for ti, tok in enumerate(self.pre_tok if self.d else ()):
-            dom = set(tok)
-            for side, masks, thetas in (
-                (1, self.rowmask, self.theta_row),
-                (2, self.colmask, self.theta_col),
-            ):
-                theta = sum(thetas.get(p, 0) for p in dom)  # distinct bits
-                if theta:
-                    covers = tuple(masks.get(p, 0) | thetas.get(p, 0) for p in dom)
-                    self.theta_conds.append((ti, side, covers, theta))
-        # The bits a response can read: the moving side's pairs on the
-        # transition's pre- and post-set places, and every theta pair.
+        resp1, resp2 = [], []
+        self.resp_mask = {1: resp1, 2: resp2}  # per side and transition
         thetas = self.universe_mask & ~self.core_mask if self.d else 0
-        self.resp_mask = {
-            side: [
-                sum(masks.get(p, 0) for p in set(pre) | set(post)) | thetas
-                for pre, post in zip(self.pre_tok, self.post_tok)
-            ]
-            for side, masks in ((1, self.rowmask), (2, self.colmask))
+        rowmask, colmask = self.rowmask, self.colmask
+        theta_row, theta_col = self.theta_row, self.theta_col
+        for ti, t in enumerate(self.trans):
+            pre = t.pre.tokens()
+            dom = t.pre.keys()
+            self.pre_tok.append(pre)
+            self.post_tok.append(t.post.tokens())
+            self.tau_seq.append(_tau_sequential(t))
+            self.by_label.setdefault(t.label, []).append(ti)
+            self.by_pre.setdefault((t.label, pre), []).append(ti)
+            places = 0
+            for p in dom:
+                places |= 1 << key[p]
+            self.pre_places.append(places)
+            if len(dom) == 1:
+                self.lone.setdefault(pre[0], []).append(ti)
+            # the bits a response can read: the moving side's pairs on the
+            # pre- and post-set places, and every theta pair
+            reads1 = reads2 = thetas
+            for p in dom | t.post.keys():
+                reads1 |= rowmask.get(p, 0)
+                reads2 |= colmask.get(p, 0)
+            resp1.append(reads1)
+            resp2.append(reads2)
+            if self.d:
+                for side, masks, theta_masks in ((1, rowmask, theta_row), (2, colmask, theta_col)):
+                    theta = 0
+                    for p in dom:
+                        theta |= theta_masks.get(p, 0)
+                    if theta:
+                        covers = tuple(masks.get(p, 0) | theta_masks.get(p, 0) for p in dom)
+                        self.theta_conds.append((ti, side, covers, theta))
+        self.partnered = {
+            side: [(1 << key[p], mask) for p, mask in masks.items()]
+            for side, masks in ((1, rowmask), (2, colmask))
         }
         self._images_cache: dict = {}
         self._resp_cache: dict = {}
@@ -434,6 +451,35 @@ class _Engine:
                     if not ok:
                         yield ti, m, side
 
+    def depth_one_cut(self) -> int:
+        """The bits whose pair alone fails a condition under the full
+        universe: what `failures(b, universe_mask)` finds for each bit b,
+        in closed form. One pair activates only the transitions whose
+        pre-set holds just its place (`lone`). A theta pair fails the theta
+        condition of any such transition on its place. A core pair (a, c)
+        fails when one on a has no response from k tokens on c (side 1),
+        or one on c none from k tokens on a (side 2), k the size of its
+        pre-set; the responses are asked in the walk's order, up to its
+        first failure."""
+        full = self.universe_mask
+        lone = self.lone
+        bad = 0
+        for (a, c), b in self.bit.items():
+            if a is THETA or c is THETA:
+                if (c if a is THETA else a) in lone:
+                    bad |= b
+                continue
+            for ti in lone.get(a, ()):
+                if not self.respond(ti, (c,) * len(self.pre_tok[ti]), 1, full):
+                    bad |= b
+                    break
+            else:
+                for ti in lone.get(c, ()):
+                    if not self.respond(ti, (a,) * len(self.pre_tok[ti]), 2, full):
+                        bad |= b
+                        break
+        return bad
+
     def violation(self, ti, m, side) -> Violation:
         t = self.trans[ti]
         if m is None:
@@ -571,8 +617,10 @@ def decide(
     are pruned, and associations of the two markings that fail a condition
     under every unpruned pair are refuted, since each witness contains an
     association; when all are refuted, the search rules out the candidates
-    of each pair count in one cut. All these conditions come from one walk,
-    `_Engine.failures`, and both modes take their associations from
+    of each pair count in one cut. A pair fails on its own only through a
+    transition whose pre-set holds just its place, so `_Engine.depth_one_cut`
+    asks those responses directly; every other condition comes from one
+    walk, `_Engine.failures`. Both modes take their associations from
     `_Engine.associations`. Guided mode grows a candidate from the query
     pair and answers related or unknown, never not-related.
 
@@ -625,10 +673,11 @@ def _decide_exhaustive(engine, m1, m2, compile_t0, node_cap, stats) -> Verdict:
 
     Compiling prunes the pairs and associations that are in no witness: a
     pair bit is bad when its relation fails a condition even under the
-    full universe, and an association mask is refuted when it fails a
-    condition under every pair that is not bad. The branch-and-bound then
-    runs over the good bits with the surviving masks; with none left, its
-    root cut counts every candidate at once. `stats` keeps its counters
+    full universe (`_Engine.depth_one_cut`), and an association mask is
+    refuted when it fails a condition under every pair that is not bad
+    (`_Engine.failures`); `prune_s` times the two. The branch-and-bound
+    then runs over the good bits with the surviving masks; with none left,
+    its root cut counts every candidate at once. `stats` keeps its counters
     and timings when a budget error ends the search.
     """
     counters = ("relations_examined", "relations_checked", "pruned_pairs", "search_nodes",
@@ -637,15 +686,14 @@ def _decide_exhaustive(engine, m1, m2, compile_t0, node_cap, stats) -> Verdict:
     stats |= dict.fromkeys(counters, 0) | {"search_s": 0.0, "reverify_s": 0.0}
     masks = set(engine.associations(
         m1.sorted_items(), m2.sorted_items(), engine.universe_mask, engine.d))
+    prune_t0 = time.perf_counter()
     bad = 0
     reason = "no association over the pair universe"
     if masks:
         # the search's own cut at depth one: a pair whose relation fails a
-        # condition even under the full universe is in no witness
-        full = engine.universe_mask
-        for b in engine.bit.values():
-            if next(engine.failures(b, full), None) is not None:
-                bad |= b
+        # condition even under the full universe is in no witness; one pair
+        # activates only the transitions whose pre-set holds just its place
+        bad = engine.depth_one_cut()
         stats["pruned_pairs"] = bad.bit_count()
         masks = [mm for mm in masks if not mm & bad]
         reason = "every association uses a statically infeasible pair"
@@ -662,6 +710,7 @@ def _decide_exhaustive(engine, m1, m2, compile_t0, node_cap, stats) -> Verdict:
             kept.append(mm)
     stats["associations"] = len(masks)
     stats["associations_refuted"] = len(masks) - len(kept)
+    stats["prune_s"] = time.perf_counter() - prune_t0
     stats["compile_s"] = time.perf_counter() - compile_t0
     if not masks:
         stats["reason"] = reason

@@ -7,9 +7,11 @@ branch-and-bound is compared against: same status, same witness, same
 `relations_examined` and `pruned_pairs`.
 
 `static_bad_mask` is the static pruning pass the engine ran before
-pruning became the search's own cut at depth one: it derives the bad
-pairs from the single-place pre-sets directly, not from
-`_Engine.failures`, so the two derivations are checked against each other.
+pruning became the search's own cut at depth one. It derives the bad
+pairs from the single-place pre-sets (`singleton_dom`), as
+`_Engine.depth_one_cut` does, but builds its own index from the token
+tuples. `tests/test_search.py` checks it against that cut and against
+the per-bit `_Engine.failures` walk the cut replaced.
 """
 import itertools
 import time
@@ -84,11 +86,7 @@ def static_bad_mask(engine) -> int:
     induces fails even under the full universe (response feasibility
     is monotone in the relation, so no candidate can rescue it).
     """
-    singleton_dom = {}
-    for ti in range(len(engine.trans)):
-        dom = set(engine.pre_tok[ti])
-        if len(dom) == 1:
-            singleton_dom.setdefault(next(iter(dom)), []).append(ti)
+    singleton_dom = single_place_presets(engine)
     bad = 0
     full = engine.universe_mask
     for pair, b in engine.bit.items():
@@ -112,3 +110,14 @@ def static_bad_mask(engine) -> int:
                         bad |= b
                         break
     return bad
+
+
+def single_place_presets(engine) -> dict:
+    """Place -> the transitions whose pre-set holds only that place, in net
+    order."""
+    singleton_dom = {}
+    for ti in range(len(engine.trans)):
+        dom = set(engine.pre_tok[ti])
+        if len(dom) == 1:
+            singleton_dom.setdefault(next(iter(dom)), []).append(ti)
+    return singleton_dom

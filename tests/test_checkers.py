@@ -285,8 +285,9 @@ class TestDecide:
         assert v.stats["exhaustive_pruned_pairs"] == 39
         assert v.stats["exhaustive_associations"] == 1
         assert v.stats["exhaustive_associations_refuted"] == 0
-        for key in ("exhaustive_compile_s", "exhaustive_search_s"):
+        for key in ("exhaustive_compile_s", "exhaustive_prune_s", "exhaustive_search_s"):
             assert isinstance(v.stats[key], float) and 0.0 <= v.stats[key] <= v.stats["wall_time_s"]
+        assert v.stats["exhaustive_prune_s"] <= v.stats["exhaustive_compile_s"]
         assert v.stats["relations_examined"] == 25  # guided's own count
         # an exhausted cap is never a refutation, even where the full search is one
         net = nets["latent_sync"]

@@ -2,14 +2,18 @@
 
 It is compared against the power-set scan it replaced
 (`scan_reference.py`): the same status, witness, `relations_examined` and
-`pruned_pairs` on random nets, and the same budget errors. Its static
-pruning is compared bit for bit against the old pruning pass, and guided
-and auto verdicts against exhaustive ones. The up-front association cut
-must refute every association of the silent-sync family.
+`pruned_pairs` on random nets, and the same budget errors. Its depth-one
+cut is compared bit for bit against the per-bit `failures` walk it
+replaced and the old pruning pass, the engine's tables against the build
+it replaced (`engine_reference.py`), and guided and auto verdicts against
+exhaustive ones. The up-front association cut must refute every
+association of the silent-sync family.
 """
 import itertools
 import random
+import sys
 import time
+from collections import Counter
 
 import pytest
 
@@ -26,11 +30,13 @@ from pneq import (
     parse_net,
     reach_lts,
 )
+from pneq import checkers
 from pneq.checkers import _decide_exhaustive, _Engine, _is_branching, pair_universe
 from pneq.errors import SearchBudgetError
 from pneq.ltsbisim import branching_relation, strong_partition
+from engine_reference import engine_tables
 from guided_reference import guided_decide
-from scan_reference import scan_decide, static_bad_mask
+from scan_reference import scan_decide, single_place_presets, static_bad_mask
 from test_crosscheck import _random_net
 
 COUNTERS = ("relations_examined", "pruned_pairs")
@@ -134,23 +140,26 @@ def test_the_response_cache_is_transparent():
     assert conditions >= 30_000, conditions  # 33,546 when written
 
 
-def _pruned(net, m1, m2, kind):
-    """(mask, matchings solved) of the reference pruning pass and of the
-    depth-one walk of `_Engine.failures` that `_decide_exhaustive` runs,
-    each on a fresh engine. The walk's bit count reaches `pruned_pairs`,
-    which the scan comparison above checks."""
-    universe = pair_universe(net, m1, m2, kind)
-    reference = _Engine(net, universe, kind, DecideCaps().node_budget)
-    walk = _Engine(net, universe, kind, DecideCaps().node_budget)
-    full = walk.universe_mask
+def _failures_walk(engine) -> int:
+    """The depth-one cut as `_decide_exhaustive` ran it before
+    `_Engine.depth_one_cut`: a full `failures` walk per universe bit."""
+    full = engine.universe_mask
     mask = 0
-    for b in walk.bit.values():
-        if next(walk.failures(b, full), None) is not None:
+    for b in engine.bit.values():
+        if next(engine.failures(b, full), None) is not None:
             mask |= b
-    return (
-        (static_bad_mask(reference), reference.matchings_solved),
-        (mask, walk.matchings_solved),
-    )
+    return mask
+
+
+def _pruned(net, m1, m2, kind):
+    """(mask, matchings solved) of `_Engine.depth_one_cut`, of the per-bit
+    `failures` walk it replaced and of the reference pruning pass, each on
+    a fresh engine, and the cut's engine. The cut's bit count reaches
+    `pruned_pairs`, which the scan comparison above checks."""
+    universe = pair_universe(net, m1, m2, kind)
+    engines = [_Engine(net, universe, kind, DecideCaps().node_budget) for _ in range(3)]
+    prunes = (_Engine.depth_one_cut, _failures_walk, static_bad_mask)
+    return [(prune(e), e.matchings_solved) for prune, e in zip(prunes, engines)], engines[0]
 
 
 def _corpus_queries():
@@ -164,6 +173,8 @@ def _corpus_queries():
 
 
 def test_depth_one_walk_prunes_the_reference_bits():
+    # The closed-form cut, the per-bit walk and the reference pass agree on
+    # the bits and on the matchings solved, so they ask the same responses.
     rng = random.Random(5)
     queries = []
     for i in range(1000):
@@ -171,12 +182,89 @@ def test_depth_one_walk_prunes_the_reference_bits():
         queries.append((*_random_query(rng, kind), kind))
     corpus_queries = list(_corpus_queries())
     assert len(corpus_queries) >= 68
-    pruned = 0
+    pruned = theta = multiple = 0
     for net, m1, m2, kind in queries + corpus_queries:
-        want, got = _pruned(net, m1, m2, kind)
-        assert got == want, (kind, net.transitions, m1, m2)
-        pruned += want[0] != 0
-    assert pruned >= 600, pruned
+        (cut, walk, reference), engine = _pruned(net, m1, m2, kind)
+        assert cut == walk == reference, (kind, net.transitions, m1, m2)
+        pruned += cut[0] != 0
+        for (a, c), b in engine.bit.items():
+            if not cut[0] & b:
+                continue
+            if THETA in (a, c):
+                theta += 1
+            elif any(len(engine.pre_tok[ti]) > 1
+                     for ti in engine.lone.get(a, []) + engine.lone.get(c, [])):
+                multiple += 1  # a lone pre-set of two or more tokens
+    assert pruned >= 600, pruned  # 770 when written
+    assert theta >= 1000, theta  # 1,232 when written
+    assert multiple >= 800, multiple  # 1,033 when written
+
+
+def test_the_depth_one_cut_walks_no_condition(monkeypatch):
+    # Before the branch-and-bound starts, `failures` runs once per
+    # association, for the up-front refutation, and never for the
+    # depth-one cut. Calls counted by the caller's code object.
+    walk = _Engine.failures
+    search = checkers._branch_and_bound
+    callers = Counter()
+    searching = False
+
+    def failures_spy(self, *args):
+        if not searching:
+            callers[sys._getframe(1).f_code] += 1
+        return walk(self, *args)
+
+    def search_spy(*args):
+        nonlocal searching
+        searching = True
+        return search(*args)
+
+    monkeypatch.setattr(_Engine, "failures", failures_spy)
+    monkeypatch.setattr(checkers, "_branch_and_bound", search_spy)
+    rng = random.Random(11)
+    queries = [(*_random_query(rng, KINDS[i % len(KINDS)]), KINDS[i % len(KINDS)])
+               for i in range(400)]
+    refuting = 0  # decides that ran the refutation
+    for net, m1, m2, kind in queries + list(_corpus_queries()):
+        callers.clear()
+        searching = False
+        try:
+            v = decide(net, m1, m2, kind, "exhaustive")
+        except SearchBudgetError:
+            continue
+        assert sum(callers.values()) == v.stats["associations"], (kind, net.transitions, m1, m2)
+        assert set(callers) <= {_decide_exhaustive.__code__}, callers
+        refuting += v.stats["associations"] > 0
+    assert refuting >= 250, refuting  # 300 when written
+
+
+def test_engine_tables_match_the_reference_build():
+    # The one-pass build against the per-table build it replaced, on random
+    # universes with theta pairs under the d kinds.
+    rng = random.Random(97)
+    theta_conds = lone = 0
+    for i in range(600):
+        kind = KINDS[i % len(KINDS)]
+        net = _random_net(rng)
+        places = list(net.places)
+        universe = [(a, c) for a in places for c in places if rng.random() < 0.4]
+        if kind in ("dplace", "bdplace"):
+            universe += [(a, THETA) for a in places if rng.random() < 0.4]
+            universe += [(THETA, c) for c in places if rng.random() < 0.4]
+        rng.shuffle(universe)
+        engine = _Engine(net, universe, kind, DecideCaps().node_budget)
+        for name, want in engine_tables(engine).items():
+            got = getattr(engine, name)
+            if name == "theta_conds":  # the reference's covers follow set order
+                got, want = ([(ti, side, Counter(covers), theta)
+                              for ti, side, covers, theta in conds] for conds in (got, want))
+            assert got == want, (name, kind, net.transitions, universe)
+        assert engine.lone == single_place_presets(engine)
+        # engines with a theta condition on a two-place pre-set, and with
+        # a single-place pre-set
+        theta_conds += any(len(covers) > 1 for _, _, covers, _ in engine.theta_conds)
+        lone += bool(engine.lone)
+    assert theta_conds >= 150 and lone >= 500, (theta_conds, lone)  # 210, 571 when written
 
 
 def test_bdplace_silent_sync_is_decided(nets):
@@ -249,8 +337,9 @@ def test_phase_stats_are_flat_and_repeatable(nets, net_name, m1, m2, kind):
         for _ in range(2)
     ]
     for v in runs:
-        for key in ("compile_s", "search_s", "reverify_s"):
+        for key in ("compile_s", "prune_s", "search_s", "reverify_s"):
             assert isinstance(v.stats[key], float) and v.stats[key] >= 0.0
+        assert v.stats["prune_s"] <= v.stats["compile_s"]
         assert sum(v.stats[k] for k in CUTS) <= v.stats["search_nodes"]
         assert v.stats["relations_checked"] <= v.stats["relations_examined"]
     counters = [{k: x for k, x in v.stats.items() if not k.endswith("_s")} for v in runs]
