@@ -31,7 +31,7 @@ from .relations import (
     d_additive_member,
     related_markings,
 )
-from .silent import SilentStep, is_tau_sequential, silent_graph
+from .silent import is_tau_sequential, silent_graph
 
 __version__ = "0.1.0"
 
@@ -49,7 +49,6 @@ __all__ = [
     "PlaceRelation",
     "PneqError",
     "SearchBudgetError",
-    "SilentStep",
     "StateSpaceLimitError",
     "TAU",
     "THETA",

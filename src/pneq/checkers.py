@@ -47,6 +47,7 @@ AUTO_NODES = 100_000  # auto mode: exhaustive search nodes before the guided fal
 GUIDED_NODES = 20_000  # candidate relations guided mode checks before giving up
 GUIDED_WIDTH = 12  # repair options guided mode tries per failed condition
 SMALL_MATCH = 6  # closure membership: past this many tokens in all, max-flow
+_MISS = object()  # `_Engine.respond`: no cached trace yet
 
 
 @dataclass(frozen=True)
@@ -110,14 +111,16 @@ class _Engine:
     """Relation checks compiled against a fixed pair universe.
 
     Candidate relations are bitmasks over the universe. Image sets are
-    cached keyed by the pairs of the pre-set's places; responses are cached
-    keyed by `resp_mask`, built once per transition and side, so the many
-    relations that the branch-and-bound search visits share most of their
-    work. `failures` is the one walk over the finite conditions of a set
-    of pairs: `check_relation`, guided repair, the association cut and the
-    branch-and-bound all consume it. `depth_one_cut` finds the pairs that
-    fail a condition on their own in closed form, from `lone`, the
-    transitions whose pre-set holds a single place. `member` is the one
+    cached keyed by the pairs of the pre-set's places; `respond` caches each
+    response's trace, or None, keyed by `resp_mask`, built once per
+    transition and side, so the many relations that the branch-and-bound
+    search visits share most of their work. `failures` is the one walk over
+    the finite conditions of a set of pairs, and it asks every response
+    through `respond`: `check_relation`, its witness collector, guided
+    repair, the association cut and the branch-and-bound all consume it.
+    `depth_one_cut` finds the pairs that fail a condition on their own in
+    closed form, from the theta conditions on one place and from `lone`,
+    the transitions whose pre-set holds a single place. `member` is the one
     closure-membership routine, for the additive closure and the d one
     alike: it backtracks over the tokens up to `SMALL_MATCH` tokens in all,
     and runs the max-flow `_match` past it.
@@ -343,11 +346,12 @@ class _Engine:
 
     # -- response feasibility ---------------------------------------------------
 
-    def respond(self, ti: int, m: tuple, side: int, rbits) -> bool:
+    def respond(self, ti: int, m: tuple, side: int, rbits) -> Optional[tuple]:
+        """The trace `_respond_compute` gives, cached by `resp_mask`."""
         key = (ti, m, side, rbits & self.resp_mask[side][ti])
-        hit = self._resp_cache.get(key)
-        if hit is None:
-            hit = self._resp_cache[key] = self._respond_compute(ti, m, side, rbits) is not None
+        hit = self._resp_cache.get(key, _MISS)
+        if hit is _MISS:
+            hit = self._resp_cache[key] = self._respond_compute(ti, m, side, rbits)
         return hit
 
     def _respond_compute(self, ti: int, m: tuple, side: int, rbits) -> Optional[tuple]:
@@ -385,7 +389,7 @@ class _Engine:
                 return (m, m)
             found = run_search(self.adj, m, psi_ok, final_ok, self.node_budget)
             if found:
-                return found[0][1]
+                return found[0]
 
         for cj in self.by_label.get(t.label, ()):
             cpre = self.pre_tok[cj]
@@ -407,7 +411,7 @@ class _Engine:
                 return (m,) * (len(m) + 1)
             found = run_search(self.adj, m, psi_ok, cpre.__eq__, self.node_budget)
             if found:
-                return found[0][1]
+                return found[0]
         return None
 
     # -- the condition walk ---------------------------------------------------
@@ -423,6 +427,9 @@ class _Engine:
         (ti, m, side) for a response failure, thetas first. Image sets,
         theta conditions and `respond` are monotone in the relation, so a
         condition failing here fails for every relation between the two.
+        Every response comes from `respond`; a `collector` under the
+        branching kinds gets the (anchor, direction, markings) of each one
+        found, its trace made `Marking`s.
         """
         for ti, side, covers, theta in self.theta_conds:
             if lower & theta and all(lower & c for c in covers):
@@ -437,37 +444,34 @@ class _Engine:
                 if pre & placed != pre:
                     continue  # an unpartnered pre-set place: no images
                 for m in self.images(self.pre_tok[ti], bar, side):
-                    if collector is None:
-                        ok = self.respond(ti, m, side, upper)
-                    else:
-                        trace = self._respond_compute(ti, m, side, upper)
-                        ok = trace is not None
-                        if ok and self.branching:
-                            collector.append((
-                                Marking(self.pre_tok[ti]),
-                                "psi" if side == 1 else "phi",
-                                tuple(map(Marking, trace)),
-                            ))
-                    if not ok:
+                    trace = self.respond(ti, m, side, upper)
+                    if trace is None:
                         yield ti, m, side
+                    elif collector is not None and self.branching:
+                        collector.append((
+                            Marking(self.pre_tok[ti]),
+                            "psi" if side == 1 else "phi",
+                            tuple(map(Marking, trace)),
+                        ))
 
     def depth_one_cut(self) -> int:
         """The bits whose pair alone fails a condition under the full
         universe: what `failures(b, universe_mask)` finds for each bit b,
         in closed form. One pair activates only the transitions whose
-        pre-set holds just its place (`lone`). A theta pair fails the theta
-        condition of any such transition on its place. A core pair (a, c)
-        fails when one on a has no response from k tokens on c (side 1),
-        or one on c none from k tokens on a (side 2), k the size of its
-        pre-set; the responses are asked in the walk's order, up to its
-        first failure."""
+        pre-set holds just its place (`lone`). A theta pair fails a theta
+        condition that covers one place, its own: the rule `failures`
+        applies. A core pair (a, c) fails when one on a has no response
+        from k tokens on c (side 1), or one on c none from k tokens on a
+        (side 2), k the size of its pre-set; the responses are asked in the
+        walk's order, up to its first failure."""
         full = self.universe_mask
         lone = self.lone
         bad = 0
+        for _ti, _side, covers, theta in self.theta_conds:
+            if len(covers) == 1:
+                bad |= theta
         for (a, c), b in self.bit.items():
             if a is THETA or c is THETA:
-                if (c if a is THETA else a) in lone:
-                    bad |= b
                 continue
             for ti in lone.get(a, ()):
                 if not self.respond(ti, (c,) * len(self.pre_tok[ti]), 1, full):
@@ -550,6 +554,7 @@ def check_relation(
     check is never reported as a violation.
     """
     _check_kind(kind)
+    DecideCaps(node_budget)  # the budget is checked as `decide`'s caps are
     if not _is_d(kind) and rel.is_d_extended:
         raise ModelError(f"{kind} requires a plain relation")
     for a, b in rel.pairs:
@@ -620,9 +625,10 @@ def decide(
     of each pair count in one cut. A pair fails on its own only through a
     transition whose pre-set holds just its place, so `_Engine.depth_one_cut`
     asks those responses directly; every other condition comes from one
-    walk, `_Engine.failures`. Both modes take their associations from
-    `_Engine.associations`. Guided mode grows a candidate from the query
-    pair and answers related or unknown, never not-related.
+    walk, `_Engine.failures`. Both modes take the query pair's associations,
+    which `_Engine.associations` enumerates once per call. Guided mode grows
+    a candidate from them and answers related or unknown, never
+    not-related.
 
     Auto mode runs the exhaustive search within `AUTO_NODES` nodes; when a
     budget runs out, it falls back to guided mode, noting why in
@@ -639,17 +645,19 @@ def decide(
     universe = pair_universe(net, m1, m2, kind)
     compile_t0 = time.perf_counter()
     engine = _Engine(net, universe, kind, caps.node_budget)
+    masks = set(engine.associations(
+        m1.sorted_items(), m2.sorted_items(), engine.universe_mask, engine.d))
     if mode == "guided":
-        verdict = _decide_guided(engine, m1, m2)
+        verdict = _decide_guided(engine, masks)
     else:
         node_cap = AUTO_NODES if mode == "auto" else None
         attempt: dict = {}
         try:
-            verdict = _decide_exhaustive(engine, m1, m2, compile_t0, node_cap, attempt)
+            verdict = _decide_exhaustive(engine, masks, compile_t0, node_cap, attempt)
         except SearchBudgetError as exc:
             if mode == "exhaustive":
                 raise
-            verdict = _decide_guided(engine, m1, m2)
+            verdict = _decide_guided(engine, masks)
             verdict.stats["fallback"] = str(exc)
             verdict.stats |= {f"exhaustive_{k}": x for k, x in attempt.items()}
     verdict.stats["universe"] = len(universe)
@@ -668,8 +676,9 @@ def _witness_verdict(engine, mask, mode, stats) -> Verdict:
     return Verdict("related", rel, mode, stats)
 
 
-def _decide_exhaustive(engine, m1, m2, compile_t0, node_cap, stats) -> Verdict:
-    """Fill `stats` and return the exhaustive verdict.
+def _decide_exhaustive(engine, masks, compile_t0, node_cap, stats) -> Verdict:
+    """Fill `stats` and return the exhaustive verdict over the association
+    masks `masks` of the query pair.
 
     Compiling prunes the pairs and associations that are in no witness: a
     pair bit is bad when its relation fails a condition even under the
@@ -684,8 +693,6 @@ def _decide_exhaustive(engine, m1, m2, compile_t0, node_cap, stats) -> Verdict:
                 "cuts_association", "cuts_theta", "cuts_response",
                 "associations", "associations_refuted")
     stats |= dict.fromkeys(counters, 0) | {"search_s": 0.0, "reverify_s": 0.0}
-    masks = set(engine.associations(
-        m1.sorted_items(), m2.sorted_items(), engine.universe_mask, engine.d))
     prune_t0 = time.perf_counter()
     bad = 0
     reason = "no association over the pair universe"
@@ -799,7 +806,8 @@ def _branch_and_bound(engine, bits, masks, node_cap, stats):
     return found
 
 
-def _decide_guided(engine, m1, m2) -> Verdict:
+def _decide_guided(engine, masks) -> Verdict:
+    """Grow a witness breadth first from the association masks `masks`."""
     stats = {"relations_examined": 0, "relations_checked": 0}
 
     def printed(mask):  # the sorted printed pairs of a mask: guided mode's order
@@ -811,9 +819,7 @@ def _decide_guided(engine, m1, m2) -> Verdict:
             mask ^= low
         return sorted(out)
 
-    seeds = engine.associations(
-        m1.sorted_items(), m2.sorted_items(), engine.universe_mask, engine.d)
-    queue = deque(sorted(seeds, key=printed))
+    queue = deque(sorted(masks, key=printed))
     seen = set()
     while queue and stats["relations_examined"] < GUIDED_NODES:
         rbits = queue.popleft()
@@ -853,7 +859,7 @@ def _repair_options(engine, ti, m, side, rbits) -> set:
     if engine.branching:
         sigma_limit = 4
         if engine.tau_seq[ti]:
-            for _blocks, trace in run_search(
+            for trace in run_search(
                 engine.adj, m, always_true, always_true, engine.node_budget, sigma_limit
             ):
                 final = trace[-1]
@@ -866,7 +872,7 @@ def _repair_options(engine, ti, m, side, rbits) -> set:
             if len(cpre) != len(m):
                 continue
             cpost = engine.post_tok[cj]
-            for _blocks, trace in run_search(
+            for trace in run_search(
                 engine.adj, m, always_true, cpre.__eq__, engine.node_budget, sigma_limit
             ):
                 reqs = [(oriented(anchor, mk), False) for mk in trace[:-1]]

@@ -1,25 +1,22 @@
 """Silent-move machinery: idling steps and constrained silent responses.
 
 Only silent transitions with singleton pre- and post-set can be abstracted
-in the branching games. A response is a sequence of per-token blocks, each
-block either a single idling step or an acyclic walk of such transitions
-over one token; every marking the sequence steps from must stay
-closure-related to the anchor marking (the matched transition's pre-set).
+in the branching games. A response moves each token in its own block,
+either a single idling step or an acyclic walk of such transitions over
+that token; every marking it steps from must stay closure-related to the
+anchor marking (the matched transition's pre-set). The blocks shape the
+search's states; a response is read only through the markings it passes,
+so the search returns those, its trace.
 """
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .errors import SearchBudgetError
 from .net import TAU, Net, Transition
 
 DEFAULT_NODE_BUDGET = 1_000_000
-
-
-class SilentStep(NamedTuple):
-    kind: str  # "idle" or "move"
-    ref: str  # the idled place, or the transition id
 
 
 def is_tau_sequential(net: Net, t: Transition) -> bool:
@@ -80,15 +77,16 @@ def run_search(
     exempt. A response succeeds when all tokens are finished and `goal`
     accepts the finished tokens.
 
-    A response is (blocks, trace): its blocks of SilentSteps, and the sorted
-    token tuples of the markings it passes, one before each step plus the
-    final one. The list is empty when no acyclic response exists. The
-    per-block acyclicity bound caps every block at one visit per place, so
-    absence of a hit is conclusive. Raises SearchBudgetError past the node
-    budget: an aborted search never reports absence.
+    A response is its trace: the sorted token tuples of the markings it
+    passes, one before each step plus the final one. A step idles or moves
+    a token; closing a block is no step. The list is empty when no acyclic
+    response exists. The per-block acyclicity bound caps every block at one
+    visit per place, so absence of a hit is conclusive. Raises
+    SearchBudgetError past the node budget: an aborted search never reports
+    absence.
     """
     start = (tuple(sorted(start_tokens)), None, ())
-    parents: dict = {start: None}
+    parents: dict = {start: None}  # state -> (parent, whether a step reached it)
     queue = deque([start])
     psi_cache: dict = {}
     found = []
@@ -109,19 +107,19 @@ def run_search(
         pending, active, done = state
         if active is None and not pending:
             if goal(done):
-                found.append(_reconstruct(parents, state))
+                found.append(_trace(parents, state))
                 if len(found) == limit:
                     break
             continue
-        # (action, next state); an action is ("idle", place), ("move", tid)
-        # opening a block, ("step", tid) extending it, or None closing it
+        # (whether a step idles or moves a token, next state); closing a
+        # block is no step
         successors = []
         can_step = psi(_tokens(state))
         if active is not None:
             p0, cur, visited = active
-            successors.append((None, (pending, None, tuple(sorted(done + (cur,))))))
+            successors.append((False, (pending, None, tuple(sorted(done + (cur,))))))
             if can_step:
-                for nxt, tid in adj.get(cur, ()):
+                for nxt, _tid in adj.get(cur, ()):
                     if nxt in visited:  # cur itself is always in visited
                         continue
                     if nxt == p0:
@@ -129,22 +127,22 @@ def run_search(
                         nstate = (pending, None, tuple(sorted(done + (nxt,))))
                     else:
                         nstate = (pending, (p0, nxt, visited | {nxt}), done)
-                    successors.append((("step", tid), nstate))
+                    successors.append((True, nstate))
         elif can_step:
             for p in sorted(set(pending)):
                 rest = list(pending)
                 rest.remove(p)
                 rest = tuple(rest)
-                successors.append((("idle", p), (rest, None, tuple(sorted(done + (p,))))))
-                for nxt, tid in adj.get(p, ()):
+                successors.append((True, (rest, None, tuple(sorted(done + (p,))))))
+                for nxt, _tid in adj.get(p, ()):
                     if nxt == p:
                         nstate = (rest, None, tuple(sorted(done + (p,))))
                     else:
                         nstate = (rest, (p, nxt, frozenset((nxt,))), done)
-                    successors.append((("move", tid), nstate))
-        for action, nstate in successors:
+                    successors.append((True, nstate))
+        for stepped, nstate in successors:
             if nstate not in parents:
-                parents[nstate] = (state, action)
+                parents[nstate] = (state, stepped)
                 queue.append(nstate)
     return found
 
@@ -158,22 +156,14 @@ def _tokens(state) -> tuple:
     return tuple(sorted(toks))
 
 
-def _reconstruct(parents, state) -> tuple:
-    """(blocks, trace) of the path from the start to `state`."""
-    path = []
+def _trace(parents, state) -> tuple:
+    """The markings of the path from the start to `state`: the start's and
+    each one a step reaches."""
+    trace = []
     while parents[state] is not None:
-        prev, action = parents[state]
-        path.append((action, state))
+        prev, stepped = parents[state]
+        if stepped:
+            trace.append(_tokens(state))
         state = prev
-    blocks: list[list[SilentStep]] = []
-    trace = [_tokens(state)]
-    for action, reached in reversed(path):
-        if action is None:
-            continue  # closing a block leaves the marking as it is
-        kind, ref = action
-        if kind == "step":
-            blocks[-1].append(SilentStep("move", ref))
-        else:
-            blocks.append([SilentStep(kind, ref)])
-        trace.append(_tokens(reached))
-    return tuple(tuple(b) for b in blocks), tuple(trace)
+    trace.append(_tokens(state))
+    return tuple(reversed(trace))

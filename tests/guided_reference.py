@@ -21,8 +21,8 @@ from pneq.checkers import (
     pair_universe,
 )
 from pneq.relations import format_side
-from pneq.silent import run_search
 from relations_reference import iter_matchings
+from silent_reference import run_search
 
 
 def guided_decide(net, m1, m2, kind, caps=None) -> Verdict:

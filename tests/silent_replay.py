@@ -1,11 +1,12 @@
-"""Independent replay of silent responses, used to cross-check run_search.
+"""Independent replay of silent responses, used to cross-check the searches.
 
-A response is a tuple of per-token blocks of SilentSteps: a single idling
-step, or a chain of tau-sequential moves of one token that visits no place
-twice (it may end where it started). `replay` re-fires a response from its
-start marking without the search machinery and returns the traversed
-markings, one before each step plus the final one, each as its sorted
-token tuple: the form of the trace run_search returns with the response.
+A response is a tuple of per-token blocks of SilentSteps, as
+`silent_reference.run_search` builds them: a single idling step, or a
+chain of tau-sequential moves of one token that visits no place twice (it
+may end where it started). `replay` re-fires a response from its start
+marking without the search machinery and returns the traversed markings,
+one before each step plus the final one, each as its sorted token tuple:
+the trace both searches return for the response.
 A malformed response raises ModelError.
 """
 from pneq import (

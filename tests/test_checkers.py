@@ -272,10 +272,23 @@ class TestDecide:
 
     def test_auto_falls_back_to_guided_past_the_node_cap(self, nets, monkeypatch):
         monkeypatch.setattr("pneq.checkers.AUTO_NODES", 1)
+        # the query's associations are enumerated once per decide, for the
+        # exhaustive attempt and guided mode alike; guided repair makes its
+        # own calls. Calls counted by the caller's name.
+        associations = _Engine.associations
+        callers = Counter()
+
+        def spy(self, *args):
+            callers[sys._getframe(1).f_code.co_name] += 1
+            return associations(self, *args)
+
+        monkeypatch.setattr(_Engine, "associations", spy)
         net = nets["producer_consumer"]
         m1, m2 = parse_marking("P1+C", net), parse_marking("P1'+C'", net)
         v = decide(net, m1, m2, "bplace", "auto")
         assert v.mode_used == "guided" and v.status == "related"
+        assert callers.pop("_repair_options") > 0
+        assert callers == {"decide": 1}, callers
         assert v.stats["fallback"] == "relation search exceeded 1 nodes"
         assert check_relation(net, v.witness, "bplace").ok
         # the exhaustive attempt's stats survive the fallback, prefixed
@@ -294,9 +307,12 @@ class TestDecide:
         m1, m2 = Marking(["s1"]), Marking(["s4"])
         v = decide(net, m1, m2, "place", "exhaustive")
         assert v.status == "not-related" and v.stats["search_nodes"] == 49
+        callers.clear()
         v = decide(net, m1, m2, "place", "auto")
         assert v.status == "unknown" and v.mode_used == "guided"
         assert "fallback" in v.stats
+        callers.pop("_repair_options", None)
+        assert callers == {"decide": 1}, callers
 
     def test_minimal_witness_in_pair_count(self, nets):
         net = nets["handshake"]
@@ -350,11 +366,17 @@ class TestDecide:
         "field,value",
         [
             ("node_budget", -1),
+            ("node_budget", 0),
         ],
     )
-    def test_caps_are_validated(self, field, value):
-        with pytest.raises(ModelError):
+    def test_caps_are_validated(self, field, value, nets, relations):
+        with pytest.raises(ModelError, match="caps must be positive"):
             DecideCaps(**{field: value})
+        # check_relation takes the same budget, under every kind
+        net, rel = nets["producer_consumer"], relations["producer_consumer"]
+        for kind in KINDS:
+            with pytest.raises(ModelError, match="caps must be positive"):
+                check_relation(net, rel, kind, **{field: value})
 
 
 class TestVerify:

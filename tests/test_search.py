@@ -118,7 +118,7 @@ def test_the_response_cache_is_transparent():
     # `respond` keys its cache by the bits of `resp_mask`; a key that misses
     # a bit the response reads would hand back an answer computed under
     # another relation. On one warm engine per query, every condition of
-    # random (lower, upper) pairs must get the answer computed afresh.
+    # random (lower, upper) pairs must get the trace computed afresh.
     rng = random.Random(61)
     conditions = 0
     for i in range(600):
@@ -134,7 +134,7 @@ def test_the_response_cache_is_transparent():
                 for side in (1, 2):
                     for m in engine.images(tok, bar, side):
                         got = engine.respond(ti, m, side, upper)
-                        want = engine._respond_compute(ti, m, side, upper) is not None
+                        want = engine._respond_compute(ti, m, side, upper)
                         assert got == want, (kind, net.transitions, ti, m, side, upper)
                         conditions += 1
     assert conditions >= 30_000, conditions  # 33,546 when written
@@ -411,9 +411,11 @@ def test_node_cap_error_counts_the_nodes(nets):
     net = nets["latent_sync"]
     m1, m2 = Marking(["s1"]), Marking(["s4"])
     engine = _Engine(net, pair_universe(net, m1, m2, "place"), "place", 1_000)
+    masks = set(engine.associations(
+        m1.sorted_items(), m2.sorted_items(), engine.universe_mask, engine.d))
     stats = {}
     with pytest.raises(SearchBudgetError, match="relation search exceeded 10 nodes") as exc:
-        _decide_exhaustive(engine, m1, m2, time.perf_counter(), 10, stats)
+        _decide_exhaustive(engine, masks, time.perf_counter(), 10, stats)
     assert exc.value.count == 11
     # the attempt keeps its counters and timings up to the error
     assert stats["search_nodes"] == 11 and stats["associations"] == 1

@@ -1,4 +1,5 @@
 import random
+import zlib
 
 import pytest
 
@@ -9,7 +10,6 @@ from pneq import (
     Net,
     PlaceRelation,
     SearchBudgetError,
-    SilentStep,
     Transition,
     additive_member,
     is_tau_sequential,
@@ -19,6 +19,8 @@ from pneq import (
 )
 from pneq.silent import DEFAULT_NODE_BUDGET, run_search
 from relation_algebra import inverse
+from silent_reference import SilentStep
+from silent_reference import run_search as reference_search
 from silent_replay import idle, replay, steps_stay_related
 
 
@@ -43,14 +45,16 @@ def answer_silently(rel, t, direction):
 
 
 def respond(net, rel, anchor, start, direction, goal, node_budget=DEFAULT_NODE_BUDGET):
-    """The first response run_search finds from `start` under the anchor's
-    constraint, or None; a goal tuple is the final marking's tokens. Every
-    hit must replay to its trace."""
+    """The first response from `start` under the anchor's constraint, as
+    the reference search's (blocks, trace), or None; a goal tuple is the
+    final marking's tokens. run_search must give the reference's traces,
+    and every hit must replay to its trace."""
     if isinstance(goal, tuple):
         goal = goal.__eq__
-    found = run_search(
-        silent_graph(net), start.tokens(), psi_ok(rel, anchor, direction), goal, node_budget
-    )
+    args = (silent_graph(net), start.tokens(), psi_ok(rel, anchor, direction), goal, node_budget)
+    traces = run_search(*args)
+    found = reference_search(*args)
+    assert traces == [trace for _, trace in found]
     for blocks, trace in found:
         assert replay(net, start, blocks) == trace
     return found[0] if found else None
@@ -253,10 +257,12 @@ class TestFindSilentResponse:
 
         every = search(DEFAULT_NODE_BUDGET, 10)
         assert len(every) >= 3
-        assert [trace[-1] for _, trace in every] == [("a",), ("b",), ("c",), ("d",)]
+        assert [trace[-1] for trace in every] == [("a",), ("b",), ("c",), ("d",)]
         for k in range(1, len(every) + 1):
             assert search(DEFAULT_NODE_BUDGET, k) == every[:k]
-        for blocks, trace in every:
+        found = reference_search(adj, ("a",), anything, anything, DEFAULT_NODE_BUDGET, 10)
+        assert [trace for _, trace in found] == every
+        for blocks, trace in found:
             assert replay(net, Marking(["a"]), blocks) == trace
         # the start and the idling response are the first two nodes: a
         # budget of two finds that response and no more
@@ -264,6 +270,69 @@ class TestFindSilentResponse:
         for node_budget, limit in ((1, 1), (2, len(every))):
             with pytest.raises(SearchBudgetError, match="silent response"):
                 search(node_budget, limit)
+
+
+def _coin(salt, tokens, percent) -> bool:
+    """A seeded predicate on token tuples that no hash seed moves."""
+    return zlib.crc32(repr((salt, tokens)).encode()) % 100 < percent
+
+
+def _random_silent_net(rng, n):
+    """Tau-sequential transitions over 1-6 places, with self-loops and
+    parallel edges, and some transitions the silent graph leaves out."""
+    places = [f"p{i}" for i in range(rng.randint(1, 6))]
+    transitions = []
+    for _ in range(rng.randint(0, 9)):
+        src = rng.choice(places)
+        dst = src if rng.random() < 0.15 else rng.choice(places)
+        for _ in range(2 if rng.random() < 0.15 else 1):  # a parallel edge
+            transitions.append((Marking([src]), TAU, Marking([dst])))
+    for _ in range(rng.randint(0, 2)):
+        pre = Marking(rng.choices(places, k=rng.randint(1, 2)))
+        transitions.append((pre, rng.choice(("a", TAU)), Marking([rng.choice(places)])))
+    return Net(f"r{n}", places, [Transition(f"t{j}", *t) for j, t in enumerate(transitions)])
+
+
+class TestReferenceSearch:
+    def test_traces_are_the_reference_traces(self):
+        # run_search returns the traces of the block-building search it
+        # replaced, in the same order, and runs out of budget at the same
+        # node; every reference response replays to its trace.
+        rng = random.Random(2718)
+        nonempty = several = budget = 0
+        for n in range(2000):
+            net = _random_silent_net(rng, n)
+            start = tuple(sorted(rng.choices(net.places, k=rng.randint(1, 4))))
+            psi_rate, goal_rate = rng.choice((100, 90, 70, 40)), rng.choice((100, 60, 30))
+            target = tuple(sorted(rng.choices(net.places, k=len(start))))
+            salt = rng.getrandbits(32)
+            psi = lambda mk: _coin(salt, mk, psi_rate)
+            goal = rng.choice((
+                lambda f: _coin(salt + 1, f, goal_rate),
+                target.__eq__,
+            ))
+            args = (silent_graph(net), start, psi, goal,
+                    min(int(10 ** rng.uniform(0, 6)), DEFAULT_NODE_BUDGET), rng.randint(1, 5))
+
+            def outcome(search):
+                try:
+                    return search(*args)
+                except SearchBudgetError as exc:
+                    return ("budget", exc.count)
+
+            got, want = outcome(run_search), outcome(reference_search)
+            if isinstance(want, tuple):
+                assert got == want, (net.transitions, args)
+                budget += 1
+                continue
+            assert got == [trace for _, trace in want], (net.transitions, args)
+            for blocks, trace in want:
+                assert replay(net, Marking(start), blocks) == trace
+            nonempty += bool(want)
+            several += len(want) > 1
+        assert nonempty >= 650, nonempty  # 753 when written
+        assert several >= 130, several  # 159 when written
+        assert budget >= 200, budget  # 241 when written
 
 
 class TestPsiHolds:

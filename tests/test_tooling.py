@@ -56,14 +56,27 @@ def _used_names(path) -> set:
     return used
 
 
+def _top_level_definitions() -> set:
+    """The functions and classes defined at the top of a module of pneq."""
+    names = set()
+    for path in (ROOT / "src" / "pneq").glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+    return names
+
+
 def test_every_public_name_has_a_caller_outside_the_tests():
+    # Public names and every top-level function and class alike: library
+    # code that only the tests read belongs in the tests.
     files = [p for d in ("src/pneq", "demos", "perfbench") for p in (ROOT / d).glob("*.py")]
     used = set().union(*(_used_names(p) for p in files if p.name != "__init__.py"))
     # strong_bisim and branching_bisim are the state-level graph-oracle API:
     # decide_interleaving answers marking queries without them, and
     # test_ltsbisim.py and the traced-name test below drive them directly.
     exempt = {"strong_bisim", "branching_bisim"}
-    assert sorted(set(pneq.__all__) - used - exempt) == []
+    names = set(pneq.__all__) | _top_level_definitions()
+    assert sorted(names - used - exempt) == []
 
 
 def _unread_imports(path) -> set:
