@@ -33,6 +33,7 @@ from .net import Net
 from .relations import (
     THETA,
     PlaceRelation,
+    _image_choices,
     _match,
     additive_member,
     d_additive_member,
@@ -63,7 +64,6 @@ class Violation:
 class CheckReport:
     ok: bool
     violations: tuple = ()
-    silent_witnesses: tuple = ()  # (anchor, direction, trace markings) triples
 
     def __post_init__(self):
         assert self.ok == (not self.violations)
@@ -116,8 +116,10 @@ class _Engine:
     transition and side, so the many relations that the branch-and-bound
     search visits share most of their work. `failures` is the one walk over
     the finite conditions of a set of pairs, and it asks every response
-    through `respond`: `check_relation`, its witness collector, guided
-    repair, the association cut and the branch-and-bound all consume it.
+    through `respond`: `check_relation`, guided repair, the association
+    cut and the branch-and-bound all consume it. `images` gives each
+    place's tokens the multisets of its images, so a pre-set's image set
+    grows with its token count polynomially, not exponentially.
     `depth_one_cut` finds the pairs that fail a condition on their own in
     closed form, from the theta conditions on one place and from `lone`,
     the transitions whose pre-set holds a single place. `member` is the one
@@ -157,14 +159,15 @@ class _Engine:
                 self.rowmask[a] = self.rowmask.get(a, 0) | b
                 self.colmask[c] = self.colmask.get(c, 0) | b
         key = net.place_index
-        self.row = {p: sorted(v, key=lambda e: key[e[0]]) for p, v in row_items.items()}
-        self.col = {p: sorted(v, key=lambda e: key[e[0]]) for p, v in col_items.items()}
+        self.row = {p: sorted(v) for p, v in row_items.items()}  # by partner name
+        self.col = {p: sorted(v) for p, v in col_items.items()}
         self.adj = silent_graph(net)
         self.trans = list(net.transitions)
         # The per-transition tables, in one pass; a pre-set's places are its
         # keys. A transition has images on a side only when every place of
         # its pre-set (`pre_places`, places as bits) has a partner there.
         self.pre_tok = []
+        self.pre_items = []  # the pre-set's sorted (place, count) pairs
         self.post_tok = []
         self.tau_seq = []
         self.pre_places = []
@@ -182,6 +185,7 @@ class _Engine:
             pre = t.pre.tokens()
             dom = t.pre.keys()
             self.pre_tok.append(pre)
+            self.pre_items.append(t.pre.sorted_items())
             self.post_tok.append(t.post.tokens())
             self.tau_seq.append(_tau_sequential(t))
             self.by_label.setdefault(t.label, []).append(ti)
@@ -326,21 +330,26 @@ class _Engine:
 
     # -- image sets ----------------------------------------------------------
 
-    def images(self, tokens, rbits, side) -> tuple:
+    def images(self, items, rbits, side) -> tuple:
+        """The markings related under `rbits` to that of the sorted (place,
+        count) pairs `items`, on its right for side 1 and on its left for
+        side 2, as sorted token tuples in sorted order. Tokens on a place
+        are alike, so a place's n tokens take the multisets of n of its
+        images: `_image_choices`, as in `relations.related_markings`."""
         table = self.row if side == 1 else self.col
         masks = self.rowmask if side == 1 else self.colmask
         mask = 0
-        for p in set(tokens):
+        for p, _ in items:
             mask |= masks.get(p, 0)
-        key = (tokens, side, rbits & mask)
+        key = (items, side, rbits & mask)
         hit = self._images_cache.get(key)
         if hit is not None:
             return hit
-        per_token = [[q for q, b in table.get(p, ()) if rbits & b] for p in tokens]
-        seen = set()
-        for combo in itertools.product(*per_token):
-            seen.add(tuple(sorted(combo)))
-        out = tuple(sorted(seen))
+        per_place = [([q for q, b in table.get(p, ()) if rbits & b], n) for p, n in items]
+        if len(per_place) == 1:  # from images sorted by name: sorted and distinct
+            out = tuple(itertools.combinations_with_replacement(*per_place[0]))
+        else:
+            out = tuple(sorted({tuple(sorted(tokens)) for tokens in _image_choices(per_place)}))
         self._images_cache[key] = out
         return out
 
@@ -416,7 +425,7 @@ class _Engine:
 
     # -- the condition walk ---------------------------------------------------
 
-    def failures(self, lower, upper, collector=None):
+    def failures(self, lower, upper):
         """The failing conditions of the relations between two masks.
 
         A condition is active under `lower`: a theta condition (a pre-set
@@ -427,9 +436,7 @@ class _Engine:
         (ti, m, side) for a response failure, thetas first. Image sets,
         theta conditions and `respond` are monotone in the relation, so a
         condition failing here fails for every relation between the two.
-        Every response comes from `respond`; a `collector` under the
-        branching kinds gets the (anchor, direction, markings) of each one
-        found, its trace made `Marking`s.
+        Every response comes from `respond`.
         """
         for ti, side, covers, theta in self.theta_conds:
             if lower & theta and all(lower & c for c in covers):
@@ -443,16 +450,9 @@ class _Engine:
             for ti, pre in enumerate(self.pre_places):
                 if pre & placed != pre:
                     continue  # an unpartnered pre-set place: no images
-                for m in self.images(self.pre_tok[ti], bar, side):
-                    trace = self.respond(ti, m, side, upper)
-                    if trace is None:
+                for m in self.images(self.pre_items[ti], bar, side):
+                    if self.respond(ti, m, side, upper) is None:
                         yield ti, m, side
-                    elif collector is not None and self.branching:
-                        collector.append((
-                            Marking(self.pre_tok[ti]),
-                            "psi" if side == 1 else "phi",
-                            tuple(map(Marking, trace)),
-                        ))
 
     def depth_one_cut(self) -> int:
         """The bits whose pair alone fails a condition under the full
@@ -546,7 +546,6 @@ def check_relation(
     rel: PlaceRelation,
     kind: str,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    collect_witnesses: bool = False,
 ) -> CheckReport:
     """Verify the finite game conditions for a candidate relation.
 
@@ -563,12 +562,9 @@ def check_relation(
                 raise ModelError(f"relation uses undeclared place {p!r}")
     universe = sorted(rel.pairs, key=lambda pr: _pair_sort_key(net, pr))
     engine = _Engine(net, universe, kind, node_budget)
-    collector = [] if collect_witnesses else None
     full = engine.universe_mask
-    violations = tuple(
-        engine.violation(*failure) for failure in engine.failures(full, full, collector)
-    )
-    return CheckReport(not violations, violations, tuple(collector or ()))
+    violations = tuple(engine.violation(*failure) for failure in engine.failures(full, full))
+    return CheckReport(not violations, violations)
 
 
 def verify(

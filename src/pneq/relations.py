@@ -77,17 +77,6 @@ class MatchWitness:
 
     pairs: tuple
 
-    def project_left(self) -> Marking:
-        return Marking([a for a, _ in self.pairs if a is not THETA])
-
-    def project_right(self) -> Marking:
-        return Marking([b for _, b in self.pairs if b is not THETA])
-
-    def validates(self, rel: PlaceRelation, m1: Marking, m2: Marking) -> bool:
-        if any(pair not in rel.pairs for pair in self.pairs):
-            return False
-        return self.project_left() == m1 and self.project_right() == m2
-
 
 # ---------------------------------------------------------------------------
 # grouped bipartite matching
@@ -232,9 +221,8 @@ def related_markings(rel: PlaceRelation, m: Marking, side: str = "left") -> set:
     """All markings paired with m under the plain closure, on the given side.
 
     side='left' gives every m2 with (m, m2) in the closure; side='right'
-    every m1 with (m1, m). THETA entries contribute nothing here. Tokens on
-    a place are alike, so each place's n tokens take the multisets of n of
-    its images, and the result is the deduplicated product over the places.
+    every m1 with (m1, m). THETA entries contribute nothing here. The
+    result is the deduplicated `_image_choices` of the places' images.
     """
     if side not in ("left", "right"):
         raise ModelError(f"side must be 'left' or 'right', not {side!r}")
@@ -246,7 +234,13 @@ def related_markings(rel: PlaceRelation, m: Marking, side: str = "left") -> set:
         images.setdefault(src, set()).add(dst)
     if any(p not in images for p in m):
         return set()
-    per_place = [
-        itertools.combinations_with_replacement(sorted(images[p]), n) for p, n in m.items()
-    ]
-    return {Marking(itertools.chain(*combo)) for combo in itertools.product(*per_place)}
+    return {Marking(tokens) for tokens in _image_choices((images[p], n) for p, n in m.items())}
+
+
+def _image_choices(per_place):
+    """Each way for every place to give its n tokens n of its images, as one
+    iterable of tokens, for the (images, n) pairs `per_place`. Tokens on a
+    place are alike, so a place's choices are the multisets of n of its
+    images, not their sequences: n + 1 of them for two images, not 2**n."""
+    choices = [itertools.combinations_with_replacement(imgs, n) for imgs, n in per_place]
+    return map(itertools.chain.from_iterable, itertools.product(*choices))

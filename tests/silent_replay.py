@@ -8,15 +8,21 @@ marking without the search machinery and returns the traversed markings,
 one before each step plus the final one, each as its sorted token tuple:
 the trace both searches return for the response.
 A malformed response raises ModelError.
+
+`silent_witnesses` reads the traces a relation check accepts off the
+checking engine's response cache, for the suites that check what those
+traces pass through.
 """
 from pneq import (
     TAU,
+    DecideCaps,
     Marking,
     ModelError,
     Transition,
     additive_member,
     is_tau_sequential,
 )
+from pneq.checkers import _Engine, _pair_sort_key
 
 
 def idle(place: str) -> Transition:
@@ -79,3 +85,24 @@ def steps_stay_related(rel, anchor: Marking, trace, direction: str) -> bool:
         if additive_member(rel, *pair) is None:
             return False
     return True
+
+
+def silent_witnesses(net, rel, kind) -> list:
+    """The (anchor, direction, trace) of each response `check_relation`
+    finds for `rel` under `kind`, in its walk's order: for each side, each
+    transition and each image of its pre-set, the pre-set as a Marking,
+    'psi' (side 1) or 'phi' (side 2), and the response's trace as Markings.
+    Conditions without a response are skipped."""
+    universe = sorted(rel.pairs, key=lambda pair: _pair_sort_key(net, pair))
+    engine = _Engine(net, universe, kind, DecideCaps().node_budget)
+    full = engine.universe_mask
+    bar = full & engine.core_mask if engine.d else full
+    out = []
+    for side, direction in ((1, "psi"), (2, "phi")):
+        for ti, items in enumerate(engine.pre_items):
+            anchor = Marking(engine.pre_tok[ti])
+            for m in engine.images(items, bar, side):
+                trace = engine.respond(ti, m, side, full)
+                if trace is not None:
+                    out.append((anchor, direction, tuple(map(Marking, trace))))
+    return out

@@ -1,4 +1,5 @@
 import sys
+import time
 from collections import Counter
 from types import CodeType
 
@@ -9,9 +10,11 @@ from pneq import (
     KINDS,
     Marking,
     ModelError,
+    Net,
     PlaceRelation,
     SearchBudgetError,
     THETA,
+    Transition,
     check_relation,
     decide,
     pair_universe,
@@ -20,6 +23,7 @@ from pneq import (
 )
 from pneq.checkers import _Engine
 from relation_algebra import compose, identity, inverse
+from silent_replay import silent_witnesses
 
 
 class TestCheckRelationPlace:
@@ -67,6 +71,22 @@ class TestCheckRelationPlace:
         with pytest.raises(ModelError):
             check_relation(nets["handshake"], rel, "place")
 
+    def test_a_crowded_pre_set_answers_at_once(self):
+        # k tokens on a place with two images: the image set is the k + 1
+        # ways to split them between the two, not 2**k token sequences
+        k = 200
+        net = Net("crowded", ["p", "a", "b", "q"], [
+            Transition(f"t{p}", Marking({p: k}), "x", Marking(["q"])) for p in ("p", "a", "b")
+        ])
+        rel = PlaceRelation.of({("p", "a"), ("p", "b"), ("q", "q")})
+        t0 = time.perf_counter()
+        report = check_relation(net, rel, "place")
+        elapsed = time.perf_counter() - t0
+        # of the images of k*p, only k*a and k*b have a transition to answer
+        assert len(report.violations) == k - 1
+        assert {(v.transition, v.side) for v in report.violations} == {("tp", 1)}
+        assert elapsed < 1.0, f"{elapsed:.3f}s"
+
 
 class TestCheckRelationBranching:
     def test_producer_consumer_relation_passes(self, nets, relations):
@@ -97,13 +117,11 @@ class TestCheckRelationBranching:
                 node_budget=1,
             )
 
-    def test_responses_build_witness_traces_only_for_a_collector(
-        self, nets, relations, monkeypatch
-    ):
-        # Responses come back as token traces; their Markings are built only
-        # when a collector will keep them, in the frame of `failures`.
-        # Markings built in _respond_compute's own frame or in a function
-        # nested in it (its psi and goal closures), matched by code object.
+    def test_responses_and_the_walk_build_no_markings(self, nets, relations, monkeypatch):
+        # Responses come back as token traces, and neither they nor the
+        # condition walk make Markings of them: none is built in the frame
+        # of `failures`, of _respond_compute or of a function nested in it
+        # (its psi and goal closures), matched by code object.
         code = _Engine._respond_compute.__code__
         codes = {code} | {c for c in code.co_consts if isinstance(c, CodeType)}
         walk = _Engine.failures.__code__
@@ -123,15 +141,14 @@ class TestCheckRelationBranching:
             v = decide(net, m1, m2, kind, "exhaustive")
             assert v.status == "related"
             assert sum(built.values()) == 0, (kind, built)
-        # with a collector the same spy sees the traces being built, by
-        # `failures` and never by _respond_compute
-        rel = relations["producer_consumer"]
-        witnesses = check_relation(net, rel, "bplace", collect_witnesses=True)
-        assert witnesses.ok and built["failures"] > 0
-        assert sum(built.values()) == built["failures"], built
-        traces = witnesses.silent_witnesses
-        assert all(isinstance(m, Marking) for _, _, trace in traces for m in trace)
-        # the relation's collected traces, pinned: 38, 30 of them staying at m
+        assert check_relation(net, relations["producer_consumer"], "bplace").ok
+        assert sum(built.values()) == 0, built
+
+    def test_the_accepted_silent_traces(self, nets, relations):
+        # the traces the check of the producer_consumer relation accepts,
+        # pinned: 38, 30 of them staying at their start
+        traces = silent_witnesses(nets["producer_consumer"], relations["producer_consumer"],
+                                  "bplace")
         assert len(traces) == 38
         stays = [t for _, _, t in traces if len(set(t)) == 1]
         assert len(stays) == 30

@@ -14,7 +14,7 @@ from pneq import (
     related_markings,
 )
 from bruteforce import d_perm_member, perm_member, random_instance
-from relation_algebra import compose, identity, inverse
+from relation_algebra import compose, identity, inverse, projections, validates
 import relations_reference
 
 
@@ -25,7 +25,7 @@ class TestAdditiveMember:
         w = additive_member(rel, parse_marking("s1+s2", net), parse_marking("s4+s3", net))
         assert w is not None
         assert sorted(w.pairs) == [("s1", "s3"), ("s2", "s4")]
-        assert w.validates(rel, parse_marking("s1+s2", net), parse_marking("s4+s3", net))
+        assert validates(w, rel, parse_marking("s1+s2", net), parse_marking("s4+s3", net))
 
     def test_empty_markings_always_related(self, relations):
         w = additive_member(relations["permute"], Marking(), Marking())
@@ -56,7 +56,7 @@ class TestAdditiveMember:
             got = additive_member(PlaceRelation.of(pairs), m1, m2)
             assert (got is not None) == expected
             if got is not None:
-                assert got.validates(PlaceRelation.of(pairs), m1, m2)
+                assert validates(got, PlaceRelation.of(pairs), m1, m2)
 
 
 class TestDAdditiveMember:
@@ -92,7 +92,7 @@ class TestDAdditiveMember:
             if got is not None:
                 core = [p for p in got.pairs if THETA not in p]
                 assert all(p in pairs for p in core)
-                assert got.project_left() == m1 and got.project_right() == m2
+                assert projections(got) == (m1, m2)
 
 
 class TestRelatedMarkings:

@@ -5,9 +5,10 @@ It is compared against the power-set scan it replaced
 `pruned_pairs` on random nets, and the same budget errors. Its depth-one
 cut is compared bit for bit against the per-bit `failures` walk it
 replaced and the old pruning pass, the engine's tables against the build
-it replaced (`engine_reference.py`), and guided and auto verdicts against
-exhaustive ones. The up-front association cut must refute every
-association of the silent-sync family.
+it replaced (`engine_reference.py`), its image sets against
+`related_markings`, and guided and auto verdicts against exhaustive ones.
+The up-front association cut must refute every association of the
+silent-sync family.
 """
 import itertools
 import random
@@ -22,6 +23,7 @@ from pneq import (
     THETA,
     DecideCaps,
     Marking,
+    PlaceRelation,
     StateSpaceLimitError,
     check_relation,
     corpus,
@@ -29,6 +31,7 @@ from pneq import (
     parse_marking,
     parse_net,
     reach_lts,
+    related_markings,
 )
 from pneq import checkers
 from pneq.checkers import _decide_exhaustive, _Engine, _is_branching, pair_universe
@@ -130,14 +133,44 @@ def test_the_response_cache_is_transparent():
             upper = rng.getrandbits(n)
             lower = upper & rng.getrandbits(n)
             bar = lower & engine.core_mask if engine.d else lower
-            for ti, tok in enumerate(engine.pre_tok):
+            for ti, items in enumerate(engine.pre_items):
                 for side in (1, 2):
-                    for m in engine.images(tok, bar, side):
+                    for m in engine.images(items, bar, side):
                         got = engine.respond(ti, m, side, upper)
                         want = engine._respond_compute(ti, m, side, upper)
                         assert got == want, (kind, net.transitions, ti, m, side, upper)
                         conditions += 1
     assert conditions >= 30_000, conditions  # 33,546 when written
+
+
+def test_images_are_the_related_markings():
+    # `images` against `related_markings` on the same relation, as sorted
+    # token tuples: random relations (theta pairs under the d kinds, which
+    # neither reads), 0-6 tokens on each place of a random marking, both
+    # sides, on one warm engine per net.
+    rng = random.Random(73)
+    crowded = 0  # cases with a place of 2 or more tokens and 2 or more images
+    for i in range(200):
+        kind = KINDS[i % len(KINDS)]
+        net = _random_net(rng, n_places=rng.randint(2, 3))
+        places = list(net.places)
+        universe = [(a, c) for a in places for c in places]
+        if kind in ("dplace", "bdplace"):
+            universe += [(a, THETA) for a in places] + [(THETA, c) for c in places]
+        engine = _Engine(net, universe, kind, DecideCaps().node_budget)
+        for _ in range(5):
+            density = rng.random()
+            rbits = sum(b for b in engine.bit.values() if rng.random() < density)
+            rel = PlaceRelation.of(pair for pair, b in engine.bit.items() if rbits & b)
+            m = Marking({p: rng.randint(0, 6) for p in places})
+            for side, direction, table in ((1, "left", engine.row), (2, "right", engine.col)):
+                got = engine.images(m.sorted_items(), rbits, side)
+                want = tuple(sorted(mk.tokens() for mk in related_markings(rel, m, direction)))
+                assert got == want, (kind, rel, m, side)
+                if any(n >= 2 and sum(1 for _, b in table.get(p, ()) if rbits & b) >= 2
+                       for p, n in m.items()):
+                    crowded += 1
+    assert crowded >= 900, crowded  # 994 when written
 
 
 def _failures_walk(engine) -> int:

@@ -4,12 +4,15 @@
 traced wrappers, and `perfbench/run.py` calls pneq through its public
 names. A deletion that drops one of them breaks the traced benchmark
 passes, which no other test runs. The public names, in turn, are only
-those that pneq, its demos or its benchmark use. This file only reads
-`src/pneq/`, `demos/` and `perfbench/`.
+those that pneq, its demos or its benchmark use, and so are the methods
+of pneq's classes and the defaulted parameters of its public functions:
+library code that only the tests run belongs in the tests. This file only
+reads `src/pneq/`, `demos/` and `perfbench/`.
 """
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pneq
@@ -66,17 +69,78 @@ def _top_level_definitions() -> set:
     return names
 
 
+def _outside_files() -> list:
+    """The files of pneq, its demos and its benchmark, `__init__.py` aside."""
+    dirs = ("src/pneq", "demos", "perfbench")
+    return [p for d in dirs for p in (ROOT / d).glob("*.py") if p.name != "__init__.py"]
+
+
 def test_every_public_name_has_a_caller_outside_the_tests():
     # Public names and every top-level function and class alike: library
     # code that only the tests read belongs in the tests.
-    files = [p for d in ("src/pneq", "demos", "perfbench") for p in (ROOT / d).glob("*.py")]
-    used = set().union(*(_used_names(p) for p in files if p.name != "__init__.py"))
+    used = set().union(*(_used_names(p) for p in _outside_files()))
     # strong_bisim and branching_bisim are the state-level graph-oracle API:
     # decide_interleaving answers marking queries without them, and
     # test_ltsbisim.py and the traced-name test below drive them directly.
     exempt = {"strong_bisim", "branching_bisim"}
     names = set(pneq.__all__) | _top_level_definitions()
     assert sorted(names - used - exempt) == []
+
+
+def test_every_method_is_read_outside_the_tests():
+    # A method is used when some file reads its name, as an attribute or,
+    # like `__add__ = union`, in its class; dunders are Python's to call.
+    used = set().union(*(_used_names(p) for p in _outside_files()))
+    unread = {
+        f"{cls.name}.{node.name}"
+        for path in (ROOT / "src" / "pneq").glob("*.py")
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in used
+    }
+    assert sorted(unread) == []
+
+
+def _passed(call, params) -> set:
+    """The parameters among `params` (a signature's, in order) that a call
+    passes, by position or by keyword; a starred argument passes them all."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(
+        k.arg is None for k in call.keywords
+    ):
+        return set(params)
+    positional = [
+        p.name for p in params.values()
+        if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
+    ]
+    return set(positional[:len(call.args)]) | {k.arg for k in call.keywords}
+
+
+def test_every_defaulted_parameter_is_passed_outside_the_tests():
+    # A default that no call in pneq, its demos or its benchmark overrides
+    # is a configuration only the tests run.
+    functions = {
+        name: inspect.signature(obj).parameters
+        for name in pneq.__all__
+        if inspect.isfunction(obj := getattr(pneq, name))
+    }
+    passed = {name: set() for name in functions}
+    for path in _outside_files():
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in functions:
+                    passed[name] |= _passed(node, functions[name])
+    never = [
+        f"{name}({p.name})"
+        for name, params in functions.items()
+        for p in params.values()
+        if p.default is not p.empty and p.name not in passed[name]
+    ]
+    assert sorted(never) == []
 
 
 def _unread_imports(path) -> set:
