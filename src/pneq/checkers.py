@@ -39,7 +39,7 @@ from .relations import (
     d_additive_member,
     format_side,
 )
-from .silent import DEFAULT_NODE_BUDGET, _tau_sequential, run_search, silent_graph
+from .silent import DEFAULT_NODE_BUDGET, run_search, silent_graph
 # silent_reachable is unused here; perfbench/spans.CROSS_MODULE times it by this name
 from .silent import silent_reachable  # noqa: F401
 
@@ -128,6 +128,11 @@ class _Engine:
     and runs the max-flow `_match` past it.
     `associations` is the one enumeration of the associations of two
     markings, for the exhaustive search and guided mode alike.
+
+    The engine builds only the tables of its universe. It reads the tables
+    of the net alone, `lone` among them, from `Net.compiled`, and the silent
+    moves from `silent_graph`; both are built once per net and shared by
+    every engine over it.
     """
 
     def __init__(self, net: Net, universe, kind: str, node_budget: int):
@@ -161,56 +166,29 @@ class _Engine:
         key = net.place_index
         self.row = {p: sorted(v) for p, v in row_items.items()}  # by partner name
         self.col = {p: sorted(v) for p, v in col_items.items()}
+        self.compiled = compiled = net.compiled
         self.adj = silent_graph(net)
-        self.trans = list(net.transitions)
-        # The per-transition tables, in one pass; a pre-set's places are its
-        # keys. A transition has images on a side only when every place of
-        # its pre-set (`pre_places`, places as bits) has a partner there.
-        self.pre_tok = []
-        self.pre_items = []  # the pre-set's sorted (place, count) pairs
-        self.post_tok = []
-        self.tau_seq = []
-        self.pre_places = []
-        self.by_label: dict = {}
-        self.by_pre: dict = {}
-        self.lone: dict = {}  # place -> the transitions whose pre-set holds only it
-        # (ti, side, per pre-set place its partner-or-theta mask, theta mask)
-        self.theta_conds = []
-        resp1, resp2 = [], []
-        self.resp_mask = {1: resp1, 2: resp2}  # per side and transition
+        # the bits a response can read, per side and transition: the moving
+        # side's pairs on its pre- and post-set places, and every theta pair
         thetas = self.universe_mask & ~self.core_mask if self.d else 0
         rowmask, colmask = self.rowmask, self.colmask
         theta_row, theta_col = self.theta_row, self.theta_col
-        for ti, t in enumerate(self.trans):
-            pre = t.pre.tokens()
-            dom = t.pre.keys()
-            self.pre_tok.append(pre)
-            self.pre_items.append(t.pre.sorted_items())
-            self.post_tok.append(t.post.tokens())
-            self.tau_seq.append(_tau_sequential(t))
-            self.by_label.setdefault(t.label, []).append(ti)
-            self.by_pre.setdefault((t.label, pre), []).append(ti)
-            places = 0
-            for p in dom:
-                places |= 1 << key[p]
-            self.pre_places.append(places)
-            if len(dom) == 1:
-                self.lone.setdefault(pre[0], []).append(ti)
-            # the bits a response can read: the moving side's pairs on the
-            # pre- and post-set places, and every theta pair
+        resp1, resp2 = [], []
+        self.resp_mask = {1: resp1, 2: resp2}
+        for places in compiled.touched:
             reads1 = reads2 = thetas
-            for p in dom | t.post.keys():
+            for p in places:
                 reads1 |= rowmask.get(p, 0)
                 reads2 |= colmask.get(p, 0)
             resp1.append(reads1)
             resp2.append(reads2)
-            if self.d:
-                for side, masks, theta_masks in ((1, rowmask, theta_row), (2, colmask, theta_col)):
-                    theta = 0
-                    for p in dom:
-                        theta |= theta_masks.get(p, 0)
-                    if theta:
-                        covers = tuple(masks.get(p, 0) | theta_masks.get(p, 0) for p in dom)
+        # (ti, side, per pre-set place its partner-or-theta mask, theta mask)
+        self.theta_conds = []
+        if self.d:
+            for ti, items in enumerate(compiled.pre_items):
+                for side, masks, tmasks in ((1, rowmask, theta_row), (2, colmask, theta_col)):
+                    if theta := sum(tmasks.get(p, 0) for p, _ in items):  # distinct bits
+                        covers = tuple(masks.get(p, 0) | tmasks.get(p, 0) for p, _ in items)
                         self.theta_conds.append((ti, side, covers, theta))
         self.partnered = {
             side: [(1 << key[p], mask) for p, mask in masks.items()]
@@ -367,25 +345,26 @@ class _Engine:
         """The trace of a response to transition `ti` moving from `m` on
         `side` under `rbits`: the sorted token tuples of the markings it
         passes, `(m,)` for a strong answer. None when there is none."""
-        t = self.trans[ti]
-        post = self.post_tok[ti]
+        c = self.compiled
+        t = self.net.transitions[ti]
+        post = c.post_tok[ti]
 
         if not self.branching:
-            for cj in self.by_pre.get((t.label, m), ()):
-                cpost = self.post_tok[cj]
+            for cj in c.by_pre.get((t.label, m), ()):
+                cpost = c.post_tok[cj]
                 left, right = (post, cpost) if side == 1 else (cpost, post)
                 if self.member(left, right, rbits, self.d):
                     return (m,)
             return None
 
         bar = rbits & self.core_mask if self.d else rbits
-        anchor = self.pre_tok[ti]
+        anchor = c.pre_tok[ti]
         if side == 1:
             psi_ok = lambda mk: self.member(anchor, mk, bar, False)
         else:
             psi_ok = lambda mk: self.member(mk, anchor, bar, False)
 
-        if self.tau_seq[ti]:
+        if c.tau_seq[ti]:
             if side == 1:
                 final_ok = lambda f: (
                     self.member(anchor, f, bar, False) and self.member(post, f, bar, False)
@@ -400,11 +379,11 @@ class _Engine:
             if found:
                 return found[0]
 
-        for cj in self.by_label.get(t.label, ()):
-            cpre = self.pre_tok[cj]
+        for cj in c.by_label.get(t.label, ()):
+            cpre = c.pre_tok[cj]
             if len(cpre) != len(m):
                 continue
-            cpost = self.post_tok[cj]
+            cpost = c.post_tok[cj]
             if side == 1:
                 if not self.member(anchor, cpre, bar, False):
                     continue
@@ -442,15 +421,16 @@ class _Engine:
             if lower & theta and all(lower & c for c in covers):
                 yield ti, None, side
         bar = lower & self.core_mask if self.d else lower
+        compiled = self.compiled
         for side in (1, 2):
             placed = 0
             for place, mask in self.partnered[side]:
                 if bar & mask:
                     placed |= place
-            for ti, pre in enumerate(self.pre_places):
+            for ti, pre in enumerate(compiled.pre_places):
                 if pre & placed != pre:
                     continue  # an unpartnered pre-set place: no images
-                for m in self.images(self.pre_items[ti], bar, side):
+                for m in self.images(compiled.pre_items[ti], bar, side):
                     if self.respond(ti, m, side, upper) is None:
                         yield ti, m, side
 
@@ -465,7 +445,7 @@ class _Engine:
         (side 2), k the size of its pre-set; the responses are asked in the
         walk's order, up to its first failure."""
         full = self.universe_mask
-        lone = self.lone
+        lone, pre_tok = self.compiled.lone, self.compiled.pre_tok
         bad = 0
         for _ti, _side, covers, theta in self.theta_conds:
             if len(covers) == 1:
@@ -474,18 +454,18 @@ class _Engine:
             if a is THETA or c is THETA:
                 continue
             for ti in lone.get(a, ()):
-                if not self.respond(ti, (c,) * len(self.pre_tok[ti]), 1, full):
+                if not self.respond(ti, (c,) * len(pre_tok[ti]), 1, full):
                     bad |= b
                     break
             else:
                 for ti in lone.get(c, ()):
-                    if not self.respond(ti, (a,) * len(self.pre_tok[ti]), 2, full):
+                    if not self.respond(ti, (a,) * len(pre_tok[ti]), 2, full):
                         bad |= b
                         break
         return bad
 
     def violation(self, ti, m, side) -> Violation:
-        t = self.trans[ti]
+        t = self.net.transitions[ti]
         if m is None:
             return Violation(
                 t.tid,
@@ -840,9 +820,10 @@ def _decide_guided(engine, masks) -> Verdict:
 def _repair_options(engine, ti, m, side, rbits) -> set:
     """The masks of pair additions that could discharge the failed
     condition (ti, m, side), each once, in no particular order."""
-    t = engine.trans[ti]
-    anchor = engine.pre_tok[ti]
-    post = engine.post_tok[ti]
+    c = engine.compiled
+    t = engine.net.transitions[ti]
+    anchor = c.pre_tok[ti]
+    post = c.post_tok[ti]
     d = engine.d
 
     def oriented(x, y):
@@ -854,7 +835,7 @@ def _repair_options(engine, ti, m, side, rbits) -> set:
     always_true = lambda mk: True
     if engine.branching:
         sigma_limit = 4
-        if engine.tau_seq[ti]:
+        if c.tau_seq[ti]:
             for trace in run_search(
                 engine.adj, m, always_true, always_true, engine.node_budget, sigma_limit
             ):
@@ -863,11 +844,11 @@ def _repair_options(engine, ti, m, side, rbits) -> set:
                 reqs.append((oriented(anchor, final), False))
                 reqs.append((oriented(post, final), False))
                 requirements_sets.append(reqs)
-        for cj in engine.by_label.get(t.label, ()):
-            cpre = engine.pre_tok[cj]
+        for cj in c.by_label.get(t.label, ()):
+            cpre = c.pre_tok[cj]
             if len(cpre) != len(m):
                 continue
-            cpost = engine.post_tok[cj]
+            cpost = c.post_tok[cj]
             for trace in run_search(
                 engine.adj, m, always_true, cpre.__eq__, engine.node_budget, sigma_limit
             ):
@@ -876,8 +857,8 @@ def _repair_options(engine, ti, m, side, rbits) -> set:
                 reqs.append((oriented(post, cpost), d))
                 requirements_sets.append(reqs)
     else:
-        for cj in engine.by_pre.get((t.label, m), ()):
-            cpost = engine.post_tok[cj]
+        for cj in c.by_pre.get((t.label, m), ()):
+            cpost = c.post_tok[cj]
             requirements_sets.append([(oriented(post, cpost), d)])
 
     options = set()

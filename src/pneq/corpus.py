@@ -85,8 +85,8 @@ def _oracle_check(case: CorpusCase, net: Net, m1: Marking, m2: Marking) -> str:
     return "ok" if equivalent else "failed"
 
 
-def run_case(case: CorpusCase) -> CaseResult:
-    net = load_net(case.net)
+def run_case(case: CorpusCase, net: Net) -> CaseResult:
+    """Run one case on its net, `load_net(case.net)`."""
     q = case.query
     m1 = parse_marking(q["m1"], net)
     m2 = parse_marking(q["m2"], net)
@@ -116,9 +116,14 @@ def run_case(case: CorpusCase) -> CaseResult:
 
 
 def run_corpus(include_slow: bool = False) -> list:
+    """Run the cases, parsing each net file once: the cases of a net share
+    its compiled tables (`Net.compiled`)."""
     results = []
+    nets: dict = {}
     for case in load_cases():
         if case.slow and not include_slow:
             continue
-        results.append(run_case(case))
+        if case.net not in nets:
+            nets[case.net] = load_net(case.net)
+        results.append(run_case(case, nets[case.net]))
     return results

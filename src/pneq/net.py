@@ -1,10 +1,12 @@
 """Place/Transition nets, the token game, and bounded reachability graphs."""
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .errors import ModelError, NotEnabledError, StateSpaceLimitError
 from .multiset import MAX_MULTIPLICITY, Marking
@@ -27,6 +29,26 @@ class Transition:
     def __post_init__(self):
         if self.pre.size == 0:
             raise ModelError(f"transition {self.tid!r} has an empty pre-set")
+
+
+def _tau_sequential(t: Transition) -> bool:
+    return t.label == TAU and t.pre.size == 1 and t.post.size == 1
+
+
+class CompiledNet(NamedTuple):
+    """The checking engine's tables of the net alone, built once per net
+    (`Net.compiled`) and shared, read-only, by every engine over it. A
+    transition is its position `ti` in the net's order."""
+
+    pre_tok: tuple  # the pre-set as a sorted token tuple
+    post_tok: tuple  # the post-set as a sorted token tuple
+    pre_items: tuple  # the pre-set's sorted (place, count) pairs
+    touched: tuple  # the places of the pre- and post-set
+    pre_places: tuple  # the pre-set's places as bits of their place index
+    tau_seq: tuple  # whether it is tau-sequential
+    by_label: Mapping  # label -> its transitions
+    by_pre: Mapping  # (label, pre-set tokens) -> its transitions
+    lone: Mapping  # place -> the transitions whose pre-set holds only it
 
 
 class Net:
@@ -121,6 +143,67 @@ class Net:
         comps.sort(key=lambda c: min(self.place_index[p] for p in c))
         return tuple(comps)
 
+    @cached_property
+    def compiled(self) -> CompiledNet:
+        """The engine's tables of the net, built on first use. Its token tuples
+        grow with the arc weights: graphs read `silent_moves` and `by_first`."""
+        index = self.place_index
+        cols = pre_tok, post_tok, pre_items, touched, pre_places, tau_seq = (
+            [], [], [], [], [], [])
+        by_label, by_pre, lone = tables = {}, {}, {}
+        for ti, t in enumerate(self.transitions):  # one pass, in net order
+            pre = t.pre.tokens()
+            dom = t.pre.keys()
+            pre_tok.append(pre)
+            post_tok.append(t.post.tokens())
+            pre_items.append(t.pre.sorted_items())
+            touched.append(tuple(dom | t.post.keys()))
+            pre_places.append(sum(1 << index[p] for p in dom))  # distinct places
+            tau_seq.append(_tau_sequential(t))
+            by_label.setdefault(t.label, []).append(ti)
+            by_pre.setdefault((t.label, pre), []).append(ti)
+            if len(dom) == 1:
+                lone.setdefault(pre[0], []).append(ti)
+        return CompiledNet(
+            *map(tuple, cols),
+            *(MappingProxyType({k: tuple(v) for k, v in table.items()}) for table in tables),
+        )
+
+    @cached_property
+    def silent_moves(self) -> Mapping:
+        """The tau-sequential moves, place -> ((next place, tid), ...) in
+        that order, read-only, built on first use (`silent.silent_graph`)."""
+        adj: dict = {}
+        for t in self.transitions:
+            if _tau_sequential(t):
+                adj.setdefault(next(iter(t.pre)), []).append((next(iter(t.post)), t.tid))
+        return MappingProxyType({p: tuple(sorted(v)) for p, v in adj.items()})
+
+    @cached_property
+    def by_first(self) -> tuple:
+        """Each transition as (pre, effect, rise, label) over place indices,
+        for `reach_lts`, built on first use.
+
+        `pre` is its pre-set as (index, count) pairs, `effect` its nonzero
+        change per place as (index, delta) pairs, and `rise` its largest
+        increase of one place. The tuple holds, per place index, the
+        transitions whose pre-set starts at that place.
+        """
+        index = self.place_index
+        by_first: list = [[] for _ in self.places]
+        for t in self.transitions:
+            delta = {index[p]: n for p, n in t.post.items()}
+            pre = []
+            for p, n in t.pre.items():
+                i = index[p]
+                pre.append((i, n))
+                delta[i] = delta.get(i, 0) - n
+            pre.sort()
+            effect = tuple((i, d) for i, d in sorted(delta.items()) if d)
+            rise = max([d for _, d in effect], default=0)
+            by_first[pre[0][0]].append((tuple(pre), effect, rise, t.label))
+        return tuple(map(tuple, by_first))
+
     def component_of(self, places: Iterable[str]) -> frozenset:
         """Union of the components touched by the given places."""
         wanted = set(places)
@@ -204,30 +287,6 @@ class _States(Sequence):
         return repr(list(self))
 
 
-def _compile(net: Net) -> list:
-    """Each transition as (pre, effect, rise, label) over place indices.
-
-    `pre` is its pre-set as (index, count) pairs, `effect` its nonzero
-    change per place as (index, delta) pairs, and `rise` its largest
-    increase of one place. The list holds, per place index, the transitions
-    whose pre-set starts at that place.
-    """
-    index = net.place_index
-    by_first: list = [[] for _ in net.places]
-    for t in net.transitions:
-        delta = {index[p]: n for p, n in t.post.items()}
-        pre = []
-        for p, n in t.pre.items():
-            i = index[p]
-            pre.append((i, n))
-            delta[i] = delta.get(i, 0) - n
-        pre.sort()
-        effect = tuple((i, d) for i, d in sorted(delta.items()) if d)
-        rise = max([d for _, d in effect], default=0)
-        by_first[pre[0][0]].append((tuple(pre), effect, rise, t.label))
-    return by_first
-
-
 def _overflow(net: Net, m: Marking) -> None:
     """Fire every enabled transition at m by Marking arithmetic, in net order,
     so that the first one that overflows raises its ModelError."""
@@ -249,9 +308,10 @@ def reach_lts(
     canonical marking ordering (`Net.marking_key`), then by label.
     Exceeding a cap raises StateSpaceLimitError carrying the count reached.
 
-    The transitions are compiled once per call to place-index form, and
-    states are explored as tuples of token counts in place order: a state
-    tries only the transitions whose first pre-set place holds a token.
+    The transitions are compiled once per net to place-index form
+    (`Net.by_first`), and states are explored as tuples of token
+    counts in place order: a state tries only the transitions whose first
+    pre-set place holds a token.
     The graph keeps each state as its counts; `lts.states` builds a state's
     Marking only when a caller reads it, so a caller that needs only the
     edges and the state count builds none.
@@ -270,7 +330,7 @@ def reach_lts(
     """
     if state_cap <= 0 or edge_cap <= 0:
         raise ModelError("state and edge caps must be positive")
-    by_first = _compile(net)
+    by_first = net.by_first
     places = net.places
     vectors: list[tuple] = []
     keys: list[tuple] = []  # per state, its marking_key

@@ -11,10 +11,11 @@ so the search returns those, its trace.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Mapping
 from typing import Callable
 
 from .errors import SearchBudgetError
-from .net import TAU, Net, Transition
+from .net import Net, Transition, _tau_sequential
 
 DEFAULT_NODE_BUDGET = 1_000_000
 
@@ -25,26 +26,17 @@ def is_tau_sequential(net: Net, t: Transition) -> bool:
     return _tau_sequential(t)
 
 
-def _tau_sequential(t: Transition) -> bool:
-    return t.label == TAU and t.pre.size == 1 and t.post.size == 1
-
-
-def silent_graph(net: Net) -> dict:
-    """Adjacency of tau-sequential moves: place -> ((next place, tid), ...).
+def silent_graph(net: Net) -> Mapping:
+    """Adjacency of tau-sequential moves: place -> ((next place, tid), ...),
+    read-only, built once per net (`Net.silent_moves`).
 
     A real silent self-loop transition does appear as an edge; idling steps
     are synthesized by the search instead and are never part of the graph.
     """
-    adj: dict[str, list] = {}
-    for t in net.transitions:  # the net's own, so valid: no check_transition
-        if _tau_sequential(t):
-            src = next(iter(t.pre))
-            dst = next(iter(t.post))
-            adj.setdefault(src, []).append((dst, t.tid))
-    return {p: tuple(sorted(targets)) for p, targets in adj.items()}
+    return net.silent_moves
 
 
-def silent_reachable(adj: dict, places) -> frozenset:
+def silent_reachable(adj: Mapping, places) -> frozenset:
     """Places reachable from the given ones through the silent graph."""
     seen = set(places)
     stack = list(places)
@@ -63,7 +55,7 @@ def silent_reachable(adj: dict, places) -> frozenset:
 
 
 def run_search(
-    adj: dict,
+    adj: Mapping,
     start_tokens: tuple,
     psi_ok: Callable[[tuple], bool],
     goal: Callable[[tuple], bool],

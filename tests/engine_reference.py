@@ -1,29 +1,53 @@
-"""The per-transition tables of `_Engine`, built as `_Engine.__init__` built
-them before its one-pass build.
+"""The tables of `_Engine`, built as `_Engine.__init__` built them before
+its one-pass build, one table per pass over the transitions.
 
-`engine_tables` takes an engine for its universe-derived masks (`rowmask`,
-`colmask`, `theta_row`, `theta_col`, `core_mask`) and rebuilds each table
-in its own pass over the transitions, taking a pre-set's places from
-`set(tokens)` per table and per side. The tests compare every table with
-the engine's own. `theta_conds` holds each `covers` in the iteration
-order of a `set`, so compare covers as multisets.
+`net_tables` rebuilds the tables of the net alone, which the engine now
+reads from `Net.compiled`; `engine_tables` takes an engine for its
+universe-derived masks (`rowmask`, `colmask`, `theta_row`, `theta_col`,
+`core_mask`) and rebuilds the tables of its universe. Both take a pre-set's
+places from `set(tokens)` per table and per side, and build lists and
+dicts, so the tests turn them into the compiled view's tuples
+(`frozen`) before comparing. `theta_conds` holds each `covers` in the
+iteration order of a `set`, so compare covers as multisets; `touched`
+holds each transition's places in set order, so compare them as sets.
 """
-from pneq.silent import _tau_sequential
+from pneq.net import _tau_sequential
 
 
-def engine_tables(engine) -> dict:
-    net = engine.net
+def net_tables(net) -> dict:
     key = net.place_index
     trans = list(net.transitions)
     pre_tok = [t.pre.tokens() for t in trans]
     post_tok = [t.post.tokens() for t in trans]
-    tau_seq = [_tau_sequential(t) for t in trans]
     by_label: dict = {}
     by_pre: dict = {}
     for i, t in enumerate(trans):
         by_label.setdefault(t.label, []).append(i)
         by_pre.setdefault((t.label, pre_tok[i]), []).append(i)
-    pre_places = [sum(1 << key[p] for p in set(tok)) for tok in pre_tok]
+    return {
+        "pre_tok": pre_tok,
+        "post_tok": post_tok,
+        "pre_items": [tuple(sorted(t.pre.items())) for t in trans],
+        "touched": [set(pre) | set(post) for pre, post in zip(pre_tok, post_tok)],
+        "tau_seq": [_tau_sequential(t) for t in trans],
+        "by_label": by_label,
+        "by_pre": by_pre,
+        "pre_places": [sum(1 << key[p] for p in set(tok)) for tok in pre_tok],
+    }
+
+
+def frozen(table):
+    """A reference table in the compiled view's containers: a list as a
+    tuple, a dict's lists as tuples."""
+    if isinstance(table, dict):
+        return {k: tuple(v) for k, v in table.items()}
+    return tuple(table)
+
+
+def engine_tables(engine) -> dict:
+    key = engine.net.place_index
+    pre_tok = [t.pre.tokens() for t in engine.net.transitions]
+    post_tok = [t.post.tokens() for t in engine.net.transitions]
     partnered = {
         side: [(1 << key[p], mask) for p, mask in masks.items()]
         for side, masks in ((1, engine.rowmask), (2, engine.colmask))
@@ -48,12 +72,6 @@ def engine_tables(engine) -> dict:
         for side, masks in ((1, engine.rowmask), (2, engine.colmask))
     }
     return {
-        "pre_tok": pre_tok,
-        "post_tok": post_tok,
-        "tau_seq": tau_seq,
-        "by_label": by_label,
-        "by_pre": by_pre,
-        "pre_places": pre_places,
         "partnered": partnered,
         "theta_conds": theta_conds,
         "resp_mask": resp_mask,

@@ -72,9 +72,9 @@ def _decide_guided(engine, m1, m2) -> Verdict:
 
 def _repair_options(engine, ti, m, side, rbits, rel_pairs, universe_set, core_universe):
     """Pair additions that could discharge the failed condition (ti, m, side)."""
-    t = engine.trans[ti]
-    anchor = engine.pre_tok[ti]
-    post = engine.post_tok[ti]
+    t = engine.net.transitions[ti]
+    anchor = engine.compiled.pre_tok[ti]
+    post = engine.compiled.post_tok[ti]
     d = engine.d
     bar = rbits & engine.core_mask if d else rbits
 
@@ -85,7 +85,7 @@ def _repair_options(engine, ti, m, side, rbits, rel_pairs, universe_set, core_un
     always_true = lambda mk: True
     if engine.branching:
         sigma_limit = 4
-        if engine.tau_seq[ti]:
+        if engine.compiled.tau_seq[ti]:
             for _blocks, trace in run_search(
                 engine.adj, m, always_true, always_true, engine.node_budget, sigma_limit
             ):
@@ -94,11 +94,11 @@ def _repair_options(engine, ti, m, side, rbits, rel_pairs, universe_set, core_un
                 reqs.append((oriented(anchor, final), "core"))
                 reqs.append((oriented(post, final), "core"))
                 requirements_sets.append(reqs)
-        for cj in engine.by_label.get(t.label, ()):
-            cpre = engine.pre_tok[cj]
+        for cj in engine.compiled.by_label.get(t.label, ()):
+            cpre = engine.compiled.pre_tok[cj]
             if len(cpre) != len(m):
                 continue
-            cpost = engine.post_tok[cj]
+            cpost = engine.compiled.post_tok[cj]
             for _blocks, trace in run_search(
                 engine.adj, m, always_true, cpre.__eq__, engine.node_budget, sigma_limit
             ):
@@ -107,8 +107,8 @@ def _repair_options(engine, ti, m, side, rbits, rel_pairs, universe_set, core_un
                 reqs.append((oriented(post, cpost), "post"))
                 requirements_sets.append(reqs)
     else:
-        for cj in engine.by_pre.get((t.label, m), ()):
-            cpost = engine.post_tok[cj]
+        for cj in engine.compiled.by_pre.get((t.label, m), ()):
+            cpost = engine.compiled.post_tok[cj]
             requirements_sets.append([(oriented(post, cpost), "post")])
 
     options = []

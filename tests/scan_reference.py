@@ -99,13 +99,13 @@ def static_bad_mask(engine) -> int:
                 bad |= b
         else:
             for ti in singleton_dom.get(a, ()):
-                m = (c,) * len(engine.pre_tok[ti])
+                m = (c,) * len(engine.compiled.pre_tok[ti])
                 if not engine.respond(ti, m, 1, full):
                     bad |= b
                     break
             if not bad & b:
                 for ti in singleton_dom.get(c, ()):
-                    m = (a,) * len(engine.pre_tok[ti])
+                    m = (a,) * len(engine.compiled.pre_tok[ti])
                     if not engine.respond(ti, m, 2, full):
                         bad |= b
                         break
@@ -114,10 +114,10 @@ def static_bad_mask(engine) -> int:
 
 def single_place_presets(engine) -> dict:
     """Place -> the transitions whose pre-set holds only that place, in net
-    order."""
+    order, as a tuple (the type of `CompiledNet.lone`'s values)."""
     singleton_dom = {}
-    for ti in range(len(engine.trans)):
-        dom = set(engine.pre_tok[ti])
+    for ti in range(len(engine.compiled.pre_tok)):
+        dom = set(engine.compiled.pre_tok[ti])
         if len(dom) == 1:
             singleton_dom.setdefault(next(iter(dom)), []).append(ti)
-    return singleton_dom
+    return {p: tuple(tis) for p, tis in singleton_dom.items()}

@@ -99,8 +99,8 @@ def silent_witnesses(net, rel, kind) -> list:
     bar = full & engine.core_mask if engine.d else full
     out = []
     for side, direction in ((1, "psi"), (2, "phi")):
-        for ti, items in enumerate(engine.pre_items):
-            anchor = Marking(engine.pre_tok[ti])
+        for ti, items in enumerate(engine.compiled.pre_items):
+            anchor = Marking(engine.compiled.pre_tok[ti])
             for m in engine.images(items, bar, side):
                 trace = engine.respond(ti, m, side, full)
                 if trace is not None:

@@ -47,3 +47,18 @@ def test_graph_cases_report_where_the_oracle_spent_its_time():
         }, r.name
         assert r.stats["reach_s"] >= 0 and r.stats["refine_s"] >= 0
         assert r.stats["refine_rounds"] >= 1
+
+
+def test_the_runner_parses_each_net_once(monkeypatch):
+    # The cases of one net share its compiled tables, so each net file is
+    # parsed once per run; a case still runs on its own given its net.
+    loaded = []
+    load_net = corpus.load_net
+    monkeypatch.setattr(corpus, "load_net", lambda name: loaded.append(name) or load_net(name))
+    cases = [c for c in corpus.load_cases() if not c.slow]
+    results = corpus.run_corpus(include_slow=False)
+    assert sorted(loaded) == sorted({c.net for c in cases})
+    assert len(loaded) < len(results) == len(cases)  # 10 nets, 19 cases when written
+    case = cases[0]
+    alone = corpus.run_case(case, load_net(case.net))
+    assert (alone.name, alone.verdict, alone.passed) == (case.name, results[0].verdict, True)

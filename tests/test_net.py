@@ -14,7 +14,9 @@ from pneq import (
     enabled,
     fire,
     parse_marking,
+    parse_net,
     reach_lts,
+    silent_graph,
 )
 from pneq.multiset import MAX_MULTIPLICITY
 from silent_replay import idle
@@ -147,6 +149,21 @@ class TestReachability:
             with pytest.raises(ModelError) as err:
                 reach_lts(net, [m0], **caps)
             assert str(err.value) == "multiplicity overflow at 'b'"
+
+    def test_heavy_arcs_cost_what_light_ones_do(self):
+        # The graph and the silent moves walk counts, never token tuples,
+        # so an arc weight near MAX_MULTIPLICITY is as quick as a weight
+        # of 1: no table of the net expands it into tokens.
+        text = "net heavy\nplace a b\ntrans t : a -> x -> a + {}*b"
+        net = parse_net(text.format(10**12))
+        with pytest.raises(StateSpaceLimitError) as err:
+            reach_lts(net, [Marking(["a"])], state_cap=100)
+        assert err.value.count == 100
+        assert silent_graph(net) == {} and "compiled" not in vars(net)
+        net = parse_net(text.format(MAX_MULTIPLICITY // 2 + 1))
+        with pytest.raises(ModelError) as err:
+            reach_lts(net, [Marking(["a"])])
+        assert str(err.value) == "multiplicity overflow at 'b'"
 
 
 def _random_reach_case(rng):

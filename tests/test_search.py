@@ -15,6 +15,7 @@ import random
 import sys
 import time
 from collections import Counter
+from types import MappingProxyType
 
 import pytest
 
@@ -33,11 +34,12 @@ from pneq import (
     reach_lts,
     related_markings,
 )
-from pneq import checkers
+import pneq.net
+from pneq import checkers, silent_graph
 from pneq.checkers import _decide_exhaustive, _Engine, _is_branching, pair_universe
 from pneq.errors import SearchBudgetError
 from pneq.ltsbisim import branching_relation, strong_partition
-from engine_reference import engine_tables
+from engine_reference import engine_tables, frozen, net_tables
 from guided_reference import guided_decide
 from scan_reference import scan_decide, single_place_presets, static_bad_mask
 from test_crosscheck import _random_net
@@ -48,6 +50,10 @@ CUTS = ("cuts_association", "cuts_theta", "cuts_response")
 
 def _random_query(rng, kind):
     net = _random_net(rng, n_places=rng.randint(2, 3))
+    return (net, *_random_markings(rng, net, kind))
+
+
+def _random_markings(rng, net, kind):
     m1 = Marking([rng.choice(net.places) for _ in range(rng.randint(0, 3))])
     roll = rng.random()
     if roll < 0.3:
@@ -57,7 +63,7 @@ def _random_query(rng, kind):
         m2 = Marking([rng.choice(net.places) for _ in range(m1.size)])
     else:
         m2 = Marking([rng.choice(net.places) for _ in range(rng.randint(0, 3))])
-    return net, m1, m2
+    return m1, m2
 
 
 def _outcome(fn, *args):
@@ -133,7 +139,7 @@ def test_the_response_cache_is_transparent():
             upper = rng.getrandbits(n)
             lower = upper & rng.getrandbits(n)
             bar = lower & engine.core_mask if engine.d else lower
-            for ti, items in enumerate(engine.pre_items):
+            for ti, items in enumerate(engine.compiled.pre_items):
                 for side in (1, 2):
                     for m in engine.images(items, bar, side):
                         got = engine.respond(ti, m, side, upper)
@@ -225,8 +231,8 @@ def test_depth_one_walk_prunes_the_reference_bits():
                 continue
             if THETA in (a, c):
                 theta += 1
-            elif any(len(engine.pre_tok[ti]) > 1
-                     for ti in engine.lone.get(a, []) + engine.lone.get(c, [])):
+            elif any(len(engine.compiled.pre_tok[ti]) > 1
+                     for ti in engine.compiled.lone.get(a, ()) + engine.compiled.lone.get(c, ())):
                 multiple += 1  # a lone pre-set of two or more tokens
     assert pruned >= 600, pruned  # 770 when written
     assert theta >= 1000, theta  # 1,232 when written
@@ -272,8 +278,10 @@ def test_the_depth_one_cut_walks_no_condition(monkeypatch):
 
 
 def test_engine_tables_match_the_reference_build():
-    # The one-pass build against the per-table build it replaced, on random
-    # universes with theta pairs under the d kinds.
+    # The compiled view and the engine's own tables against the per-table
+    # build they replaced, on random universes with theta pairs under the d
+    # kinds. The view's tables are shared by every engine over the net, so
+    # they must be tuples and read-only mappings, down to their values.
     rng = random.Random(97)
     theta_conds = lone = 0
     for i in range(600):
@@ -286,18 +294,120 @@ def test_engine_tables_match_the_reference_build():
             universe += [(THETA, c) for c in places if rng.random() < 0.4]
         rng.shuffle(universe)
         engine = _Engine(net, universe, kind, DecideCaps().node_budget)
+        compiled = engine.compiled
+        for name, want in net_tables(net).items():
+            got = getattr(compiled, name)
+            assert isinstance(got, (tuple, MappingProxyType)), name
+            if name == "touched":  # the view keeps a transition's places in set order
+                got = [set(places) for places in got]
+                assert all(isinstance(places, tuple) for places in compiled.touched)
+            else:
+                want = frozen(want)
+            assert got == want, (name, kind, net.transitions)
         for name, want in engine_tables(engine).items():
             got = getattr(engine, name)
             if name == "theta_conds":  # the reference's covers follow set order
                 got, want = ([(ti, side, Counter(covers), theta)
                               for ti, side, covers, theta in conds] for conds in (got, want))
             assert got == want, (name, kind, net.transitions, universe)
-        assert engine.lone == single_place_presets(engine)
+        assert isinstance(compiled.lone, MappingProxyType)
+        assert compiled.lone == single_place_presets(engine)
         # engines with a theta condition on a two-place pre-set, and with
         # a single-place pre-set
         theta_conds += any(len(covers) > 1 for _, _, covers, _ in engine.theta_conds)
-        lone += bool(engine.lone)
+        lone += bool(compiled.lone)
     assert theta_conds >= 150 and lone >= 500, (theta_conds, lone)  # 210, 571 when written
+
+
+def _net_text(net) -> str:
+    """The net in the text format, for a freshly parsed copy of it."""
+    lines = [f"net {net.name}", "place " + " ".join(net.places)]
+    lines += [f"trans {t.tid} : {net.format_marking(t.pre)} -> {t.label} -> "
+              f"{net.format_marking(t.post)}" for t in net.transitions]
+    return "\n".join(lines)
+
+
+def _answer(net, m1, m2, kind, mode):
+    try:
+        v = decide(net, m1, m2, kind, mode)
+    except SearchBudgetError:
+        return "budget"
+    return v.status, v.witness, {k: x for k, x in v.stats.items() if not k.endswith("_s")}
+
+
+def _graph(net, m1, m2):
+    try:
+        lts = reach_lts(net, [m1, m2], state_cap=300)
+    except StateSpaceLimitError as exc:
+        return "cap", exc.count
+    return list(lts.states), lts.edges, lts.initials
+
+
+def test_warm_and_cold_answers_are_identical():
+    # A net's compiled tables are built by its first query and shared by
+    # every later one. Each query runs on a freshly parsed copy of its net
+    # (cold) and on one copy that every query on that net reuses (warm):
+    # status, witness, every stat but the timings, and the graphs agree.
+    rng = random.Random(5150)
+    decides = multiplied = theta = graphs = 0
+    for _ in range(30):
+        text = _net_text(_random_query(rng, "place")[0])
+        warm = parse_net(text)
+        for kind in KINDS:
+            for mode in ("exhaustive", "guided"):
+                m1, m2 = _random_markings(rng, warm, kind)
+                cold = parse_net(text)
+                assert "compiled" not in vars(cold)
+                answer = _answer(cold, m1, m2, kind, mode)
+                assert _answer(warm, m1, m2, kind, mode) == answer, (text, m1, m2, kind, mode)
+                decides += 1
+                multiplied += any(n > 1 for m in (m1, m2) for _, n in m.sorted_items())
+                witness = answer[1] if answer != "budget" else None
+                theta += bool(witness) and any(THETA in pair for pair in witness.pairs)
+                graph = _graph(parse_net(text), m1, m2)
+                assert _graph(warm, m1, m2) == graph, (text, m1, m2)
+                graphs += graph[0] != "cap"
+    # with token multiplicities, theta pairs in witnesses and full graphs
+    assert decides == 240 and multiplied >= 60 and theta >= 10 and graphs >= 150, (
+        multiplied, theta, graphs)  # 96, 13, 198 when written
+
+
+def test_the_compiled_net_is_built_once_on_first_use(monkeypatch):
+    built = []
+    compile_net = pneq.net.CompiledNet
+    monkeypatch.setattr(pneq.net, "CompiledNet", lambda *tables: built.append(tables)
+                        or compile_net(*tables))
+    reverified = []
+    check = checkers.check_relation
+    monkeypatch.setattr(checkers, "check_relation", lambda *args, **kwargs: reverified.append(
+        args[0]) or check(*args, **kwargs))
+    text = "\n".join([
+        "net pair",
+        "place a b c",
+        "trans ta : a -> x -> c",
+        "trans tb : b -> x -> c",
+        "trans tc : c -> tau -> a",
+    ])
+    # parsing builds no tables, so the set-up of a query does not move
+    net = parse_net(text)
+    assert not {"compiled", "silent_moves", "by_first"} & vars(net).keys() and built == []
+    # a graph and the silent moves read the count-only tables, and build
+    # no token tuple, so heavy arcs cost them nothing
+    lts = reach_lts(net, [Marking(["a"]), Marking(["b"])])
+    assert len(lts.states) == 3 and "by_first" in vars(net)
+    assert silent_graph(net) is net.silent_moves
+    assert "compiled" not in vars(net) and built == []
+    # two engines over one net read one view, built once
+    engines = [_Engine(net, [("a", "b"), ("c", "c")], kind, DecideCaps().node_budget)
+               for kind in ("place", "bdplace")]
+    assert len(built) == 1
+    assert engines[0].compiled is engines[1].compiled is net.compiled
+    assert engines[0].adj is engines[1].adj is net.silent_moves
+    # the engine that re-verifies a witness builds no table either
+    net = parse_net(text)
+    v = decide(net, Marking(["a"]), Marking(["b"]), "bplace", "exhaustive")
+    assert v.status == "related" and reverified == [net]
+    assert len(built) == 2
 
 
 def test_bdplace_silent_sync_is_decided(nets):

@@ -201,3 +201,22 @@ def test_graph_oracles_reach_the_traced_partition_names(monkeypatch, nets):
     assert pneq.decide_interleaving(net, m1, m2, True)[0]
     assert calls == [("strong_partition", (i, j)), ("branching_relation", (i, j))]
     assert stats["refine_rounds"] >= 1
+
+
+def test_engines_and_silent_moves_read_the_compiled_net():
+    # `Net.compiled` and `Net.silent_moves` build every table that depends
+    # on the net alone, once per net; the checking engine and the
+    # silent-move search read those tables instead of walking the net's
+    # transitions themselves. Looking one transition up by its position
+    # (`net.transitions[ti]`) is not a walk.
+    for name in ("checkers.py", "silent.py"):
+        tree = ast.parse((ROOT / "src" / "pneq" / name).read_text(encoding="utf-8"))
+        lookups = {
+            id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Subscript)
+        }
+        reads = [
+            node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "transitions"
+            and id(node) not in lookups
+        ]
+        assert reads == [], (name, reads)
