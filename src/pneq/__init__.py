@@ -31,7 +31,7 @@ from .relations import (
     d_additive_member,
     related_markings,
 )
-from .silent import is_tau_sequential, silent_graph
+from .silent import is_tau_sequential
 
 __version__ = "0.1.0"
 
@@ -71,7 +71,6 @@ __all__ = [
     "parse_relation",
     "reach_lts",
     "related_markings",
-    "silent_graph",
     "strong_bisim",
     "verify",
 ]

@@ -39,7 +39,7 @@ from .relations import (
     d_additive_member,
     format_side,
 )
-from .silent import DEFAULT_NODE_BUDGET, run_search, silent_graph
+from .silent import DEFAULT_NODE_BUDGET, run_search
 # silent_reachable is unused here; perfbench/spans.CROSS_MODULE times it by this name
 from .silent import silent_reachable  # noqa: F401
 
@@ -130,9 +130,9 @@ class _Engine:
     markings, for the exhaustive search and guided mode alike.
 
     The engine builds only the tables of its universe. It reads the tables
-    of the net alone, `lone` among them, from `Net.compiled`, and the silent
-    moves from `silent_graph`; both are built once per net and shared by
-    every engine over it.
+    of the net alone, `lone` and `answerers` among them, from `Net.compiled`,
+    and the silent moves from `Net.silent_moves`; both are built once per
+    net and shared by every engine over it.
     """
 
     def __init__(self, net: Net, universe, kind: str, node_budget: int):
@@ -167,7 +167,6 @@ class _Engine:
         self.row = {p: sorted(v) for p, v in row_items.items()}  # by partner name
         self.col = {p: sorted(v) for p, v in col_items.items()}
         self.compiled = compiled = net.compiled
-        self.adj = silent_graph(net)
         # the bits a response can read, per side and transition: the moving
         # side's pairs on its pre- and post-set places, and every theta pair
         thetas = self.universe_mask & ~self.core_mask if self.d else 0
@@ -344,27 +343,24 @@ class _Engine:
     def _respond_compute(self, ti: int, m: tuple, side: int, rbits) -> Optional[tuple]:
         """The trace of a response to transition `ti` moving from `m` on
         `side` under `rbits`: the sorted token tuples of the markings it
-        passes, `(m,)` for a strong answer. None when there is none."""
+        passes. None when there is none.
+
+        Every kind answers with one of `answerers[ti]` whose post-set is
+        related to the mover's. A strong kind takes one whose pre-set is `m`
+        and idles on every token to reach it. A branching kind takes one
+        whose pre-set is related to the mover's (psi) and reaches it from
+        `m` by silent moves, idling when it is `m`; a tau-sequential mover
+        may also be answered by silent moves alone."""
         c = self.compiled
-        t = self.net.transitions[ti]
         post = c.post_tok[ti]
-
-        if not self.branching:
-            for cj in c.by_pre.get((t.label, m), ()):
-                cpost = c.post_tok[cj]
-                left, right = (post, cpost) if side == 1 else (cpost, post)
-                if self.member(left, right, rbits, self.d):
-                    return (m,)
-            return None
-
-        bar = rbits & self.core_mask if self.d else rbits
+        bar = rbits & self.core_mask
         anchor = c.pre_tok[ti]
         if side == 1:
             psi_ok = lambda mk: self.member(anchor, mk, bar, False)
         else:
             psi_ok = lambda mk: self.member(mk, anchor, bar, False)
 
-        if c.tau_seq[ti]:
+        if self.branching and c.tau_seq[ti]:
             if side == 1:
                 final_ok = lambda f: (
                     self.member(anchor, f, bar, False) and self.member(post, f, bar, False)
@@ -375,29 +371,22 @@ class _Engine:
                 )
             if final_ok(m):
                 return (m, m)
-            found = run_search(self.adj, m, psi_ok, final_ok, self.node_budget)
+            found = run_search(self.net.silent_moves, m, psi_ok, final_ok, self.node_budget)
             if found:
                 return found[0]
 
-        for cj in c.by_label.get(t.label, ()):
+        for cj in c.answerers[ti]:
             cpre = c.pre_tok[cj]
-            if len(cpre) != len(m):
+            if not (psi_ok(cpre) if self.branching else cpre == m):
                 continue
             cpost = c.post_tok[cj]
-            if side == 1:
-                if not self.member(anchor, cpre, bar, False):
-                    continue
-                if not self.member(post, cpost, rbits, self.d):
-                    continue
-            else:
-                if not self.member(cpre, anchor, bar, False):
-                    continue
-                if not self.member(cpost, post, rbits, self.d):
-                    continue
+            left, right = (post, cpost) if side == 1 else (cpost, post)
+            if not self.member(left, right, rbits, self.d):
+                continue
             if cpre == m:
                 # answering with idling on every token
                 return (m,) * (len(m) + 1)
-            found = run_search(self.adj, m, psi_ok, cpre.__eq__, self.node_budget)
+            found = run_search(self.net.silent_moves, m, psi_ok, cpre.__eq__, self.node_budget)
             if found:
                 return found[0]
         return None
@@ -420,7 +409,7 @@ class _Engine:
         for ti, side, covers, theta in self.theta_conds:
             if lower & theta and all(lower & c for c in covers):
                 yield ti, None, side
-        bar = lower & self.core_mask if self.d else lower
+        bar = lower & self.core_mask
         compiled = self.compiled
         for side in (1, 2):
             placed = 0
@@ -489,15 +478,6 @@ class _Engine:
 # ---------------------------------------------------------------------------
 
 
-def _pair_sort_key(net: Net, pair):
-    n = len(net.places)
-    a, b = pair
-    return (
-        n if a is THETA else net.place_index[a],
-        n if b is THETA else net.place_index[b],
-    )
-
-
 def pair_universe(net: Net, m1: Marking, m2: Marking, kind: str) -> list:
     """Candidate pairs for deciding (m1, m2).
 
@@ -540,8 +520,7 @@ def check_relation(
         for p in (a, b):
             if p is not THETA and p not in net.place_index:
                 raise ModelError(f"relation uses undeclared place {p!r}")
-    universe = sorted(rel.pairs, key=lambda pr: _pair_sort_key(net, pr))
-    engine = _Engine(net, universe, kind, node_budget)
+    engine = _Engine(net, rel.sorted_pairs(), kind, node_budget)
     full = engine.universe_mask
     violations = tuple(engine.violation(*failure) for failure in engine.failures(full, full))
     return CheckReport(not violations, violations)
@@ -819,50 +798,41 @@ def _decide_guided(engine, masks) -> Verdict:
 
 def _repair_options(engine, ti, m, side, rbits) -> set:
     """The masks of pair additions that could discharge the failed
-    condition (ti, m, side), each once, in no particular order."""
+    condition (ti, m, side), each once, in no particular order. An answer
+    of `_Engine._respond_compute`, taken along one of its first
+    `sigma_limit` traces (a strong kind's is empty), needs each marking of
+    the trace psi-related to the moving pre-set and its post-set pair."""
     c = engine.compiled
-    t = engine.net.transitions[ti]
     anchor = c.pre_tok[ti]
     post = c.post_tok[ti]
-    d = engine.d
+    moves = engine.net.silent_moves
+    sigma_limit = 4
+    always_true = lambda mk: True
 
     def oriented(x, y):
         return (x, y) if side == 1 else (y, x)
 
-    # a requirement: a marking pair, and whether it is a post-set pair, which
-    # d matches under the theta-extended closure
-    requirements_sets = []
-    always_true = lambda mk: True
-    if engine.branching:
-        sigma_limit = 4
-        if c.tau_seq[ti]:
-            for trace in run_search(
-                engine.adj, m, always_true, always_true, engine.node_budget, sigma_limit
-            ):
-                final = trace[-1]
-                reqs = [(oriented(anchor, mk), False) for mk in trace[:-1]]
-                reqs.append((oriented(anchor, final), False))
-                reqs.append((oriented(post, final), False))
-                requirements_sets.append(reqs)
-        for cj in c.by_label.get(t.label, ()):
-            cpre = c.pre_tok[cj]
-            if len(cpre) != len(m):
-                continue
-            cpost = c.post_tok[cj]
-            for trace in run_search(
-                engine.adj, m, always_true, cpre.__eq__, engine.node_budget, sigma_limit
-            ):
-                reqs = [(oriented(anchor, mk), False) for mk in trace[:-1]]
-                reqs.append((oriented(anchor, cpre), False))
-                reqs.append((oriented(post, cpost), d))
-                requirements_sets.append(reqs)
-    else:
-        for cj in c.by_pre.get((t.label, m), ()):
-            cpost = c.post_tok[cj]
-            requirements_sets.append([(oriented(post, cpost), d)])
+    # (trace, post-set pair, whether the pair is matched under the
+    # theta-extended closure)
+    answers = []
+    if engine.branching and c.tau_seq[ti]:
+        for trace in run_search(moves, m, always_true, always_true, engine.node_budget,
+                                sigma_limit):
+            answers.append((trace, oriented(post, trace[-1]), False))
+    for cj in c.answerers[ti]:
+        cpre = c.pre_tok[cj]
+        if engine.branching:
+            traces = run_search(moves, m, always_true, cpre.__eq__, engine.node_budget,
+                                sigma_limit)
+        else:
+            traces = [()] if cpre == m else []
+        for trace in traces:
+            answers.append((trace, oriented(post, c.post_tok[cj]), engine.d))
 
     options = set()
-    for reqs in requirements_sets:
+    for trace, post_pair, post_d in answers:
+        reqs = [(oriented(anchor, mk), False) for mk in trace]
+        reqs.append((post_pair, post_d))
         choice_lists = []
         for (left, right), use_d in reqs:
             allowed = engine.universe_mask if use_d else engine.core_mask

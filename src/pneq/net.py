@@ -38,7 +38,10 @@ def _tau_sequential(t: Transition) -> bool:
 class CompiledNet(NamedTuple):
     """The checking engine's tables of the net alone, built once per net
     (`Net.compiled`) and shared, read-only, by every engine over it. A
-    transition is its position `ti` in the net's order."""
+    transition is its position `ti` in the net's order. `answerers` serves
+    every kind: a strong answer's pre-set is an image of the mover's, a
+    branching one's is reached from an image by silent moves, and either
+    has as many tokens as the mover's."""
 
     pre_tok: tuple  # the pre-set as a sorted token tuple
     post_tok: tuple  # the post-set as a sorted token tuple
@@ -46,8 +49,7 @@ class CompiledNet(NamedTuple):
     touched: tuple  # the places of the pre- and post-set
     pre_places: tuple  # the pre-set's places as bits of their place index
     tau_seq: tuple  # whether it is tau-sequential
-    by_label: Mapping  # label -> its transitions
-    by_pre: Mapping  # (label, pre-set tokens) -> its transitions
+    answerers: tuple  # the transitions with its label and pre-set size
     lone: Mapping  # place -> the transitions whose pre-set holds only it
 
 
@@ -148,9 +150,9 @@ class Net:
         """The engine's tables of the net, built on first use. Its token tuples
         grow with the arc weights: graphs read `silent_moves` and `by_first`."""
         index = self.place_index
-        cols = pre_tok, post_tok, pre_items, touched, pre_places, tau_seq = (
-            [], [], [], [], [], [])
-        by_label, by_pre, lone = tables = {}, {}, {}
+        cols = pre_tok, post_tok, pre_items, touched, pre_places, tau_seq, answerers = (
+            [], [], [], [], [], [], [])
+        groups, lone = {}, {}
         for ti, t in enumerate(self.transitions):  # one pass, in net order
             pre = t.pre.tokens()
             dom = t.pre.keys()
@@ -160,19 +162,26 @@ class Net:
             touched.append(tuple(dom | t.post.keys()))
             pre_places.append(sum(1 << index[p] for p in dom))  # distinct places
             tau_seq.append(_tau_sequential(t))
-            by_label.setdefault(t.label, []).append(ti)
-            by_pre.setdefault((t.label, pre), []).append(ti)
+            answerers.append((t.label, t.pre.size))  # its group's key, for now
+            groups.setdefault(answerers[-1], []).append(ti)
             if len(dom) == 1:
                 lone.setdefault(pre[0], []).append(ti)
+        groups = {key: tuple(group) for key, group in groups.items()}
+        answerers[:] = map(groups.__getitem__, answerers)  # one tuple per group
         return CompiledNet(
             *map(tuple, cols),
-            *(MappingProxyType({k: tuple(v) for k, v in table.items()}) for table in tables),
+            MappingProxyType({k: tuple(v) for k, v in lone.items()}),
         )
 
     @cached_property
     def silent_moves(self) -> Mapping:
         """The tau-sequential moves, place -> ((next place, tid), ...) in
-        that order, read-only, built on first use (`silent.silent_graph`)."""
+        that order, read-only, built on first use. The checking engine and
+        guided repair hand it to `silent.run_search`.
+
+        A real silent self-loop transition does appear as an edge; idling
+        steps are synthesized by the search instead and are never part of it.
+        """
         adj: dict = {}
         for t in self.transitions:
             if _tau_sequential(t):

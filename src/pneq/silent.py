@@ -26,16 +26,6 @@ def is_tau_sequential(net: Net, t: Transition) -> bool:
     return _tau_sequential(t)
 
 
-def silent_graph(net: Net) -> Mapping:
-    """Adjacency of tau-sequential moves: place -> ((next place, tid), ...),
-    read-only, built once per net (`Net.silent_moves`).
-
-    A real silent self-loop transition does appear as an edge; idling steps
-    are synthesized by the search instead and are never part of the graph.
-    """
-    return net.silent_moves
-
-
 def silent_reachable(adj: Mapping, places) -> frozenset:
     """Places reachable from the given ones through the silent graph."""
     seen = set(places)

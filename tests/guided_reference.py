@@ -5,8 +5,10 @@ pair masks.
 old representation: candidates are frozensets of pairs ordered by their
 printed names, and repair options come from the token-level
 `iter_matchings`. `_Engine` still checks each candidate, and
-`_witness_verdict` now takes the candidate's mask. The tests compare the
-status, witness and `relations_examined` of the two.
+`_witness_verdict` now takes the candidate's mask. Repair reads the
+transitions by label and by pre-set from `engine_reference.label_indices`,
+not from the engine's table of answerers. The tests compare the status,
+witness and `relations_examined` of the two.
 """
 import itertools
 from collections import deque
@@ -21,6 +23,7 @@ from pneq.checkers import (
     pair_universe,
 )
 from pneq.relations import format_side
+from engine_reference import label_indices
 from relations_reference import iter_matchings
 from silent_reference import run_search
 
@@ -73,6 +76,8 @@ def _decide_guided(engine, m1, m2) -> Verdict:
 def _repair_options(engine, ti, m, side, rbits, rel_pairs, universe_set, core_universe):
     """Pair additions that could discharge the failed condition (ti, m, side)."""
     t = engine.net.transitions[ti]
+    by_label, by_pre = label_indices(engine.net)
+    adj = engine.net.silent_moves
     anchor = engine.compiled.pre_tok[ti]
     post = engine.compiled.post_tok[ti]
     d = engine.d
@@ -87,27 +92,27 @@ def _repair_options(engine, ti, m, side, rbits, rel_pairs, universe_set, core_un
         sigma_limit = 4
         if engine.compiled.tau_seq[ti]:
             for _blocks, trace in run_search(
-                engine.adj, m, always_true, always_true, engine.node_budget, sigma_limit
+                adj, m, always_true, always_true, engine.node_budget, sigma_limit
             ):
                 final = trace[-1]
                 reqs = [(oriented(anchor, mk), "core") for mk in trace[:-1]]
                 reqs.append((oriented(anchor, final), "core"))
                 reqs.append((oriented(post, final), "core"))
                 requirements_sets.append(reqs)
-        for cj in engine.compiled.by_label.get(t.label, ()):
+        for cj in by_label.get(t.label, ()):
             cpre = engine.compiled.pre_tok[cj]
             if len(cpre) != len(m):
                 continue
             cpost = engine.compiled.post_tok[cj]
             for _blocks, trace in run_search(
-                engine.adj, m, always_true, cpre.__eq__, engine.node_budget, sigma_limit
+                adj, m, always_true, cpre.__eq__, engine.node_budget, sigma_limit
             ):
                 reqs = [(oriented(anchor, mk), "core") for mk in trace[:-1]]
                 reqs.append((oriented(anchor, cpre), "core"))
                 reqs.append((oriented(post, cpost), "post"))
                 requirements_sets.append(reqs)
     else:
-        for cj in engine.compiled.by_pre.get((t.label, m), ()):
+        for cj in by_pre.get((t.label, m), ()):
             cpost = engine.compiled.post_tok[cj]
             requirements_sets.append([(oriented(post, cpost), "post")])
 

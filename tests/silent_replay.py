@@ -22,7 +22,7 @@ from pneq import (
     additive_member,
     is_tau_sequential,
 )
-from pneq.checkers import _Engine, _pair_sort_key
+from pneq.checkers import _Engine
 
 
 def idle(place: str) -> Transition:
@@ -93,10 +93,9 @@ def silent_witnesses(net, rel, kind) -> list:
     transition and each image of its pre-set, the pre-set as a Marking,
     'psi' (side 1) or 'phi' (side 2), and the response's trace as Markings.
     Conditions without a response are skipped."""
-    universe = sorted(rel.pairs, key=lambda pair: _pair_sort_key(net, pair))
-    engine = _Engine(net, universe, kind, DecideCaps().node_budget)
+    engine = _Engine(net, rel.sorted_pairs(), kind, DecideCaps().node_budget)
     full = engine.universe_mask
-    bar = full & engine.core_mask if engine.d else full
+    bar = full & engine.core_mask
     out = []
     for side, direction in ((1, "psi"), (2, "phi")):
         for ti, items in enumerate(engine.compiled.pre_items):

@@ -16,7 +16,6 @@ from pneq import (
     parse_marking,
     parse_net,
     reach_lts,
-    silent_graph,
 )
 from pneq.multiset import MAX_MULTIPLICITY
 from silent_replay import idle
@@ -159,7 +158,7 @@ class TestReachability:
         with pytest.raises(StateSpaceLimitError) as err:
             reach_lts(net, [Marking(["a"])], state_cap=100)
         assert err.value.count == 100
-        assert silent_graph(net) == {} and "compiled" not in vars(net)
+        assert net.silent_moves == {} and "compiled" not in vars(net)
         net = parse_net(text.format(MAX_MULTIPLICITY // 2 + 1))
         with pytest.raises(ModelError) as err:
             reach_lts(net, [Marking(["a"])])

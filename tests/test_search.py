@@ -4,12 +4,14 @@ It is compared against the power-set scan it replaced
 (`scan_reference.py`): the same status, witness, `relations_examined` and
 `pruned_pairs` on random nets, and the same budget errors. Its depth-one
 cut is compared bit for bit against the per-bit `failures` walk it
-replaced and the old pruning pass, the engine's tables against the build
-it replaced (`engine_reference.py`), its image sets against
+replaced and the old pruning pass, the engine's tables and answer rule
+against the build and the rule they replaced (`engine_reference.py`), its
+image sets against
 `related_markings`, and guided and auto verdicts against exhaustive ones.
 The up-front association cut must refute every association of the
 silent-sync family.
 """
+import functools
 import itertools
 import random
 import sys
@@ -35,11 +37,11 @@ from pneq import (
     related_markings,
 )
 import pneq.net
-from pneq import checkers, silent_graph
+from pneq import checkers
 from pneq.checkers import _decide_exhaustive, _Engine, _is_branching, pair_universe
 from pneq.errors import SearchBudgetError
 from pneq.ltsbisim import branching_relation, strong_partition
-from engine_reference import engine_tables, frozen, net_tables
+from engine_reference import engine_tables, frozen, net_tables, repair_options, respond_compute
 from guided_reference import guided_decide
 from scan_reference import scan_decide, single_place_presets, static_bad_mask
 from test_crosscheck import _random_net
@@ -319,6 +321,82 @@ def test_engine_tables_match_the_reference_build():
     assert theta_conds >= 150 and lone >= 500, (theta_conds, lone)  # 210, 571 when written
 
 
+def _random_universe(rng, net, kind, density):
+    """Random pairs over the net's places, with theta pairs under the d kinds."""
+    places = net.places
+    universe = [(a, c) for a in places for c in places if rng.random() < density]
+    if kind in ("dplace", "bdplace"):
+        universe += [(a, THETA) for a in places if rng.random() < 0.4]
+        universe += [(THETA, c) for c in places if rng.random() < 0.4]
+    return universe
+
+
+def test_one_answer_loop_matches_the_old_answer_rule():
+    # `_respond_compute` and `_repair_options` walk `answerers` in one loop
+    # shape for all four kinds; the reference runs the old rule, a strong
+    # block over `by_pre` and a branching block over `by_label`, with label
+    # indices of its own. Every image of every pre-set, on both sides, gets
+    # a response exactly where the old rule gave one and the same repair
+    # options. A strong answer now idles on every token where it was `(m,)`,
+    # so only the branching kinds compare traces.
+    rng = random.Random(2718)
+    strong = silent = repairs = crowded = 0
+    for i in range(1000):
+        kind = KINDS[i % len(KINDS)]
+        net = _random_net(rng, n_places=rng.randint(2, 3))
+        universe = _random_universe(rng, net, kind, 0.8)
+        engine = _Engine(net, universe, kind, DecideCaps().node_budget)
+        for _ in range(4):
+            rbits = rng.getrandbits(len(universe))
+            for ti, items in enumerate(engine.compiled.pre_items):
+                for side in (1, 2):
+                    for m in engine.images(items, rbits & engine.core_mask, side):
+                        case = (kind, net.transitions, universe, rbits, ti, m, side)
+                        got = engine._respond_compute(ti, m, side, rbits)
+                        want = respond_compute(engine, ti, m, side, rbits)
+                        assert (got is None) == (want is None), case
+                        if engine.branching:
+                            assert got == want, case
+                            silent += got is not None and len(set(got)) > 1
+                        else:
+                            strong += got is not None
+                        options = checkers._repair_options(engine, ti, m, side, rbits)
+                        assert options == repair_options(engine, ti, m, side, rbits), case
+                        repairs += bool(options)
+                        crowded += len(set(m)) < len(m)
+    # strong answers, silent answers that move a token, repairs, and images
+    # with a count above 1
+    assert strong >= 3500 and silent >= 100 and repairs >= 2000 and crowded >= 7000, (
+        strong, silent, repairs, crowded)  # 4397, 136, 2728, 9187 when written
+
+
+def test_the_universe_order_does_not_reach_the_violations():
+    # `check_relation` orders its universe by printed pairs. Violations
+    # follow the theta conditions, then the sides, the transitions and the
+    # sorted images, so an engine over a shuffled universe fails the same
+    # conditions in the same order.
+    rng = random.Random(1618)
+    failing = theta = crowded = 0
+    for i in range(400):
+        kind = KINDS[i % len(KINDS)]
+        net = _random_net(rng)
+        rel = PlaceRelation.of(_random_universe(rng, net, kind, 0.3))
+        shuffled = rel.sorted_pairs()
+        rng.shuffle(shuffled)
+        walks = []
+        for universe in (rel.sorted_pairs(), shuffled):
+            engine = _Engine(net, universe, kind, DecideCaps().node_budget)
+            full = engine.universe_mask
+            walks.append([engine.violation(*f) for f in engine.failures(full, full)])
+        assert walks[0] == walks[1], (kind, net.transitions, rel)
+        assert check_relation(net, rel, kind).violations == tuple(walks[1])
+        failing += bool(walks[0])
+        theta += any(v.reason == "closure-failure" for v in walks[0])
+        crowded += any(n > 1 for v in walks[0] for n in v.marking.values())
+    assert failing >= 300 and theta >= 120 and crowded >= 180, (
+        failing, theta, crowded)  # 389, 187, 258 when written
+
+
 def _net_text(net) -> str:
     """The net in the text format, for a freshly parsed copy of it."""
     lines = [f"net {net.name}", "place " + " ".join(net.places)]
@@ -377,6 +455,12 @@ def test_the_compiled_net_is_built_once_on_first_use(monkeypatch):
     compile_net = pneq.net.CompiledNet
     monkeypatch.setattr(pneq.net, "CompiledNet", lambda *tables: built.append(tables)
                         or compile_net(*tables))
+    moves_built = []  # the nets whose silent moves were built, once each
+    build_moves = pneq.net.Net.silent_moves.func
+    silent_moves = functools.cached_property(
+        lambda net: moves_built.append(net) or build_moves(net))
+    silent_moves.__set_name__(pneq.net.Net, "silent_moves")
+    monkeypatch.setattr(pneq.net.Net, "silent_moves", silent_moves)
     reverified = []
     check = checkers.check_relation
     monkeypatch.setattr(checkers, "check_relation", lambda *args, **kwargs: reverified.append(
@@ -395,19 +479,25 @@ def test_the_compiled_net_is_built_once_on_first_use(monkeypatch):
     # no token tuple, so heavy arcs cost them nothing
     lts = reach_lts(net, [Marking(["a"]), Marking(["b"])])
     assert len(lts.states) == 3 and "by_first" in vars(net)
-    assert silent_graph(net) is net.silent_moves
+    assert net.silent_moves == {"c": (("a", "tc"),)} and moves_built == [net]
     assert "compiled" not in vars(net) and built == []
-    # two engines over one net read one view, built once
-    engines = [_Engine(net, [("a", "b"), ("c", "c")], kind, DecideCaps().node_budget)
-               for kind in ("place", "bdplace")]
+    # engines over one net read one view, built once, and the branching
+    # ones search the silent moves already built; tc answers itself by
+    # idling, strong kinds included
+    engines = [_Engine(net, [("a", "a"), ("a", "b"), ("c", "c")], kind,
+                       DecideCaps().node_budget)
+               for kind in ("place", "bplace", "bdplace")]
     assert len(built) == 1
-    assert engines[0].compiled is engines[1].compiled is net.compiled
-    assert engines[0].adj is engines[1].adj is net.silent_moves
+    assert all(engine.compiled is net.compiled for engine in engines)
+    for engine in engines:
+        full = engine.universe_mask
+        assert engine.respond(2, ("c",), 1, full) == (("c",), ("c",))
+    assert moves_built == [net]
     # the engine that re-verifies a witness builds no table either
     net = parse_net(text)
     v = decide(net, Marking(["a"]), Marking(["b"]), "bplace", "exhaustive")
     assert v.status == "related" and reverified == [net]
-    assert len(built) == 2
+    assert len(built) == 2 and moves_built[1:] == [net]
 
 
 def test_bdplace_silent_sync_is_decided(nets):

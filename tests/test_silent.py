@@ -15,7 +15,6 @@ from pneq import (
     is_tau_sequential,
     parse_marking,
     parse_net,
-    silent_graph,
 )
 from pneq.silent import DEFAULT_NODE_BUDGET, run_search
 from relation_algebra import inverse
@@ -51,7 +50,7 @@ def respond(net, rel, anchor, start, direction, goal, node_budget=DEFAULT_NODE_B
     and every hit must replay to its trace."""
     if isinstance(goal, tuple):
         goal = goal.__eq__
-    args = (silent_graph(net), start.tokens(), psi_ok(rel, anchor, direction), goal, node_budget)
+    args = (net.silent_moves, start.tokens(), psi_ok(rel, anchor, direction), goal, node_budget)
     traces = run_search(*args)
     found = reference_search(*args)
     assert traces == [trace for _, trace in found]
@@ -84,16 +83,16 @@ class TestTauSequential:
 
 class TestSilentGraph:
     def test_real_self_loop_kept(self, nets):
-        adj = silent_graph(nets["silent_cells"])
+        adj = nets["silent_cells"].silent_moves
         assert adj["s4"] == (("s4", "tc"),)
         assert adj["s2"] == (("s3", "tb"),)
         assert "s5" not in adj and "s6" not in adj
 
     def test_silent_free_net_has_no_edges(self, nets):
-        assert silent_graph(nets["handshake"]) == {}
+        assert nets["handshake"].silent_moves == {}
 
     def test_producer_consumer_edges(self, nets):
-        adj = silent_graph(nets["producer_consumer"])
+        adj = nets["producer_consumer"].silent_moves
         left = {(src, dst) for src, targets in adj.items() for dst, _ in targets}
         assert left == {
             ("P1", "P2"),
@@ -104,7 +103,7 @@ class TestSilentGraph:
         }
 
     def test_adjacency_is_that_of_the_public_predicate(self, nets, monkeypatch):
-        # silent_graph tests its own net's transitions without re-validating
+        # Net.silent_moves tests its own net's transitions without re-validating
         # them; the adjacency must be the one `is_tau_sequential` gives.
         def reference(net):
             adj = {}
@@ -126,7 +125,7 @@ class TestSilentGraph:
         want = [reference(net) for net in cases]
         checked = []
         monkeypatch.setattr(Net, "check_transition", lambda net, t: checked.append(t))
-        assert [silent_graph(net) for net in cases] == want
+        assert [net.silent_moves for net in cases] == want
         assert checked == []
         assert sum(map(len, want)) >= 250, sum(map(len, want))  # 296 when written
 
@@ -249,7 +248,7 @@ class TestFindSilentResponse:
             "trans t1 : a -> tau -> b\ntrans t2 : a -> tau -> c\n"
             "trans t3 : b -> tau -> d\ntrans t4 : c -> tau -> d\n"
         )
-        adj = silent_graph(net)
+        adj = net.silent_moves
         anything = lambda tokens: True
 
         def search(node_budget, limit):
@@ -311,7 +310,7 @@ class TestReferenceSearch:
                 lambda f: _coin(salt + 1, f, goal_rate),
                 target.__eq__,
             ))
-            args = (silent_graph(net), start, psi, goal,
+            args = (net.silent_moves, start, psi, goal,
                     min(int(10 ** rng.uniform(0, 6)), DEFAULT_NODE_BUDGET), rng.randint(1, 5))
 
             def outcome(search):

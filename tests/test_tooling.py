@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pneq
 from pneq import ltsbisim
+from pneq.net import CompiledNet
 
 ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "perfbench" / "spans.py"
@@ -220,3 +221,16 @@ def test_engines_and_silent_moves_read_the_compiled_net():
             and id(node) not in lookups
         ]
         assert reads == [], (name, reads)
+
+
+def test_every_compiled_table_is_read_outside_the_net_module():
+    # `Net.compiled` builds each table once per net for the checking
+    # engine; a table that no other module of pneq reads as an attribute
+    # is kept only for the tests.
+    read = {
+        node.attr
+        for path in (ROOT / "src" / "pneq").glob("*.py") if path.name != "net.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    assert sorted(set(CompiledNet._fields) - read) == []
