@@ -20,7 +20,7 @@ from .errors import (
     StateSpaceLimitError,
 )
 from .formats import lts_to_dot, parse_marking, parse_net, parse_relation
-from .ltsbisim import branching_bisim, decide_interleaving, strong_bisim
+from .ltsbisim import decide_interleaving
 from .multiset import Marking
 from .net import TAU, Lts, Net, Transition, enabled, fire, reach_lts
 from .relations import (
@@ -56,7 +56,6 @@ __all__ = [
     "Verdict",
     "Violation",
     "additive_member",
-    "branching_bisim",
     "check_relation",
     "d_additive_member",
     "decide",
@@ -71,6 +70,5 @@ __all__ = [
     "parse_relation",
     "reach_lts",
     "related_markings",
-    "strong_bisim",
     "verify",
 ]

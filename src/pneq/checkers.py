@@ -49,6 +49,7 @@ GUIDED_NODES = 20_000  # candidate relations guided mode checks before giving up
 GUIDED_WIDTH = 12  # repair options guided mode tries per failed condition
 SMALL_MATCH = 6  # closure membership: past this many tokens in all, max-flow
 _MISS = object()  # `_Engine.respond`: no cached trace yet
+NO_ASSOCIATION = "no association over the pair universe"  # either mode's reason
 
 
 @dataclass(frozen=True)
@@ -211,12 +212,6 @@ class _Engine:
             if not n1:
                 return True
         self.matchings_solved += 1
-        if n1 == 1 == n2:  # one token per side: a direct bit lookup
-            b = self.bit.get((m1[0], m2[0]))
-            if b and rbits & b:
-                return True
-            if not d:
-                return False
         if n1 + n2 > SMALL_MATCH:
             allowed = [pair for pair, b in self.bit.items() if rbits & b]
             return _match(allowed, Marking(m1), Marking(m2), d) is not None
@@ -650,7 +645,7 @@ def _decide_exhaustive(engine, masks, compile_t0, node_cap, stats) -> Verdict:
     stats |= dict.fromkeys(counters, 0) | {"search_s": 0.0, "reverify_s": 0.0}
     prune_t0 = time.perf_counter()
     bad = 0
-    reason = "no association over the pair universe"
+    reason = NO_ASSOCIATION
     if masks:
         # the search's own cut at depth one: a pair whose relation fails a
         # condition even under the full universe is in no witness; one pair
@@ -792,7 +787,9 @@ def _decide_guided(engine, masks) -> Verdict:
                          key=lambda add: (add.bit_count(), printed(add)))
         for additions in options[:GUIDED_WIDTH]:
             queue.append(rbits | additions)
-    stats["reason"] = "guided search exhausted without finding a witness"
+    stats["reason"] = (
+        "guided search exhausted without finding a witness" if masks else NO_ASSOCIATION
+    )
     return Verdict("unknown", None, "guided", stats)
 
 

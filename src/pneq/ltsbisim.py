@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import time
 
-from .errors import ModelError
 from .multiset import Marking
 from .net import TAU, Lts, Net, reach_lts
 
@@ -75,19 +74,6 @@ def strong_partition(lts: Lts, *, pair=None, stats: dict | None = None) -> list:
     )
 
 
-def _same_block(partition, lts: Lts, i: int, j: int, stats: dict | None = None) -> bool:
-    for s in (i, j):
-        if not (0 <= s < len(lts.states)):
-            raise ModelError(f"state index {s} out of range")
-    part = partition(lts, pair=(i, j), stats=stats)
-    return part[i] == part[j]
-
-
-def strong_bisim(lts: Lts, i: int, j: int) -> bool:
-    """True iff states i and j are strongly bisimilar."""
-    return _same_block(strong_partition, lts, i, j)
-
-
 def branching_relation(lts: Lts, *, pair=None, stats: dict | None = None) -> list:
     """Greatest branching bisimulation as a block id per state.
 
@@ -128,11 +114,6 @@ def branching_relation(lts: Lts, *, pair=None, stats: dict | None = None) -> lis
     return _refine(n, signatures, pair, stats)
 
 
-def branching_bisim(lts: Lts, i: int, j: int) -> bool:
-    """True iff states i and j are branching bisimilar."""
-    return _same_block(branching_relation, lts, i, j)
-
-
 # The graph-level kinds, each mapped to whether it compares branching bisimilarity.
 GRAPH_KINDS = {"int": False, "bint": True}
 
@@ -162,7 +143,9 @@ def decide_interleaving(
     lts = reach_lts(net, [m1, m2], state_cap=state_cap, edge_cap=edge_cap)
     t1 = time.perf_counter()
     partition = branching_relation if branching else strong_partition
-    equivalent = _same_block(partition, lts, lts.initials[0], lts.initials[1], stats)
+    i, j = lts.initials
+    part = partition(lts, pair=(i, j), stats=stats)
+    equivalent = part[i] == part[j]
     if stats is not None:
         stats.update(
             states=len(lts.states),

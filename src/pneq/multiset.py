@@ -74,17 +74,14 @@ class Marking(Mapping):
     def __contains__(self, place) -> bool:
         return place in self._counts
 
-    # The views of the count dict, not the Mapping mixins, which read every
-    # entry back through __getitem__.
+    # keys and items are the views of the count dict, not the Mapping
+    # mixins, which read every entry back through __getitem__.
 
     def keys(self):
         return self._counts.keys()
 
     def items(self):
         return self._counts.items()
-
-    def values(self):
-        return self._counts.values()
 
     @property
     def size(self) -> int:
@@ -115,25 +112,12 @@ class Marking(Mapping):
                 counts[place] = left
         return Marking(counts)
 
-    def scaled(self, k: int) -> "Marking":
-        if k < 0:
-            raise ModelError("scalar must be non-negative")
-        return Marking({p: n * k for p, n in self._counts.items()})
-
     def covers(self, other: "Marking") -> bool:
         """Pointwise other(s) <= self(s) for all s."""
         return all(self._counts.get(p, 0) >= n for p, n in other._counts.items())
 
     __add__ = union
     __sub__ = difference
-
-    def __mul__(self, k: int) -> "Marking":
-        return self.scaled(k)
-
-    __rmul__ = __mul__
-
-    def __le__(self, other: "Marking") -> bool:
-        return other.covers(self)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Marking):

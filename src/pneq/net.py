@@ -260,7 +260,7 @@ class _States(Sequence):
     """The states of a graph from `reach_lts`, each kept as its
     `Net.marking_key`. A state's Marking is built on first read and kept,
     so repeated reads return the same object; an initial state reads as
-    the caller's own Marking. Compares equal to the list of its Markings."""
+    the caller's own Marking."""
 
     __slots__ = ("_places", "_keys", "_built")
 
@@ -273,8 +273,6 @@ class _States(Sequence):
         return len(self._keys)
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self._keys)))]
         key = self._keys[i]  # raises IndexError past either end
         if i < 0:
             i += len(self._keys)
@@ -286,11 +284,6 @@ class _States(Sequence):
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self._keys)))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (_States, list)):
-            return list(self) == list(other)
-        return NotImplemented
 
     def __repr__(self) -> str:
         return repr(list(self))

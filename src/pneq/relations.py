@@ -51,12 +51,6 @@ class PlaceRelation:
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def __iter__(self):
-        return iter(self.pairs)
-
-    def __contains__(self, pair) -> bool:
-        return pair in self.pairs
-
     def sorted_pairs(self) -> list:
         return sorted(self.pairs, key=lambda p: (format_side(p[0]), format_side(p[1])))
 

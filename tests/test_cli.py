@@ -101,6 +101,19 @@ class TestCheck:
         assert code1 == code2 == 0 and j1 == j2
         assert j1["stats"]["relations_examined"] == 3
 
+    @pytest.mark.parametrize("mode", ["exhaustive", "guided"])
+    def test_no_association_is_the_reason_in_both_modes(self, run, mode):
+        # 0 and s1 have no association under a plain kind: exhaustive mode
+        # refutes at once, guided mode stays unknown with the same reason
+        code, out, _ = run("check", "--eq", "place", "--mode", mode, "--json",
+                           "data:handshake.pn", "0", "s1")
+        report = json.loads(out)
+        assert report["stats"]["reason"] == "no association over the pair universe"
+        assert (code, report["verdict"], report["mode_used"]) == (
+            (1, "not-related", "exhaustive") if mode == "exhaustive"
+            else (3, "unknown", "guided"))
+        assert report["stats"]["relations_examined"] == 0
+
     def test_bad_marking_expression_is_a_usage_error(self, run):
         code, _, err = run("check", "--eq", "place", "data:handshake.pn", "zz", "s2")
         assert code == 2 and "zz" in err

@@ -15,11 +15,9 @@ from pneq import (
     Marking,
     Net,
     Transition,
-    branching_bisim,
     decide_interleaving,
     parse_marking,
     reach_lts,
-    strong_bisim,
 )
 from pneq.ltsbisim import branching_relation, strong_partition
 from pneq.net import Lts
@@ -29,43 +27,41 @@ def joint(net, e1, e2):
     return reach_lts(net, [parse_marking(e1, net), parse_marking(e2, net)])
 
 
+def equivalent(net, e1, e2, branching: bool) -> bool:
+    return decide_interleaving(
+        net, parse_marking(e1, net), parse_marking(e2, net), branching)[0]
+
+
 class TestStrong:
     def test_single_tokens_equivalent(self, nets):
         net = nets["latent_sync"]
-        lts = joint(net, "s1", "s4")
-        assert strong_bisim(lts, lts.initials[0], lts.initials[1])
+        assert equivalent(net, "s1", "s4", False)
 
     def test_doubled_tokens_differ(self, nets):
         net = nets["latent_sync"]
-        lts = joint(net, "2*s1", "2*s4")
-        assert not strong_bisim(lts, lts.initials[0], lts.initials[1])
+        assert not equivalent(net, "2*s1", "2*s4", False)
 
     def test_reflexive(self, nets):
         net = nets["latent_sync"]
-        lts = joint(net, "s1", "s1")
-        assert strong_bisim(lts, lts.initials[0], lts.initials[1])
+        assert equivalent(net, "s1", "s1", False)
 
 
 class TestBranching:
     def test_silent_step_to_stuck_matches_silent_drop(self, nets):
         net = nets["silent_cells"]
-        lts = joint(net, "s2", "s5")
-        assert branching_bisim(lts, lts.initials[0], lts.initials[1])
+        assert equivalent(net, "s2", "s5", True)
 
     def test_silent_step_matched_by_idling(self, nets):
         net = nets["silent_cells"]
-        lts = joint(net, "s1", "s2")
-        assert branching_bisim(lts, lts.initials[0], lts.initials[1])
+        assert equivalent(net, "s1", "s2", True)
 
     def test_reflexive(self, nets):
         net = nets["silent_cells"]
-        lts = joint(net, "s2", "s2")
-        assert branching_bisim(lts, lts.initials[0], lts.initials[1])
+        assert equivalent(net, "s2", "s2", True)
 
     def test_visible_choice_not_collapsed(self, nets):
         net = nets["latent_sync"]
-        lts = joint(net, "2*s1", "2*s4")
-        assert not branching_bisim(lts, lts.initials[0], lts.initials[1])
+        assert not equivalent(net, "2*s1", "2*s4", True)
 
 
 def _induced(block) -> frozenset:

@@ -50,13 +50,10 @@ def test_union_laws_random():
         assert (m1 + m2).size == m1.size + m2.size
 
 
-def test_scalar_and_covers():
+def test_covers():
     m = Marking({"s1": 1, "s2": 2})
-    assert 3 * m == Marking({"s1": 3, "s2": 6})
-    assert 0 * m == Marking()
     assert m.covers(Marking(["s2"]))
     assert not Marking(["s2"]).covers(m)
-    assert Marking(["s2"]) <= m
 
 
 def test_support_and_tokens():

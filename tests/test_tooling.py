@@ -6,21 +6,30 @@ names. A deletion that drops one of them breaks the traced benchmark
 passes, which no other test runs. The public names, in turn, are only
 those that pneq, its demos or its benchmark use, and so are the methods
 of pneq's classes and the defaulted parameters of its public functions:
-library code that only the tests run belongs in the tests. This file only
-reads `src/pneq/`, `demos/` and `perfbench/`.
+library code that only the tests run belongs in the tests. The names are
+read from `src/pneq/`, `demos/` and `perfbench/`. What names cannot show,
+such as an operator, a dunder or a property, the traffic guard sees by
+running the demos, the command line and the benchmark workloads under a
+profiler. The README documents every stat key, and every source file
+parses as Python 3.10.
 """
 import ast
 import importlib
 import importlib.util
 import inspect
+import re
+import runpy
+import sys
 from pathlib import Path
 
 import pneq
-from pneq import ltsbisim
+import pneq.corpus
+from pneq import checkers, cli, ltsbisim
 from pneq.net import CompiledNet
 
 ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "perfbench" / "spans.py"
+CORPUS = ROOT / "src" / "pneq" / "corpus"
 
 
 def _cross_module():
@@ -80,12 +89,8 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     # Public names and every top-level function and class alike: library
     # code that only the tests read belongs in the tests.
     used = set().union(*(_used_names(p) for p in _outside_files()))
-    # strong_bisim and branching_bisim are the state-level graph-oracle API:
-    # decide_interleaving answers marking queries without them, and
-    # test_ltsbisim.py and the traced-name test below drive them directly.
-    exempt = {"strong_bisim", "branching_bisim"}
     names = set(pneq.__all__) | _top_level_definitions()
-    assert sorted(names - used - exempt) == []
+    assert sorted(names - used) == []
 
 
 def test_every_method_is_read_outside_the_tests():
@@ -192,15 +197,10 @@ def test_graph_oracles_reach_the_traced_partition_names(monkeypatch, nets):
         monkeypatch.setattr(ltsbisim, name, recorder(name, getattr(ltsbisim, name)))
     net = nets["latent_sync"]
     m1, m2 = pneq.parse_marking("s1", net), pneq.parse_marking("s4", net)
-    lts = pneq.reach_lts(net, [m1, m2])
-    i, j = lts.initials
-    assert pneq.strong_bisim(lts, i, j) and pneq.branching_bisim(lts, i, j)
-    assert calls == [("strong_partition", (i, j)), ("branching_relation", (i, j))]
-    calls.clear()
     stats = {}
     assert pneq.decide_interleaving(net, m1, m2, False, stats=stats)[0]
     assert pneq.decide_interleaving(net, m1, m2, True)[0]
-    assert calls == [("strong_partition", (i, j)), ("branching_relation", (i, j))]
+    assert calls == [("strong_partition", (0, 1)), ("branching_relation", (0, 1))]
     assert stats["refine_rounds"] >= 1
 
 
@@ -234,3 +234,141 @@ def test_every_compiled_table_is_read_outside_the_net_module():
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     }
     assert sorted(set(CompiledNet._fields) - read) == []
+
+
+# Functions and methods of pneq that its traffic never enters, each with the
+# reason it stays.
+NOT_ENTERED = {
+    "net._overflow": "raises the ModelError of a firing that overflows a count",
+    "multiset.Marking.__setattr__": "keeps a Marking immutable",
+    "multiset.Marking.__getitem__": "the abstract method of Mapping",
+    "multiset.Marking.get": (
+        "__getitem__ gives 0 for an absent place, so Mapping's get would ignore"
+        " the default"
+    ),
+    "multiset.Marking.__contains__": (
+        "__getitem__ gives 0 for an absent place, so Mapping's `in` would"
+        " answer True"
+    ),
+    "multiset.Marking.__eq__": "equal Markings hash alike, so they must compare equal",
+    "net.Net.__repr__": "for people",
+    "net._States.__repr__": "for people",
+    "relations.PlaceRelation.__repr__": "for people",
+    "silent.silent_reachable": (
+        "perfbench/spans.CROSS_MODULE swaps it by name in the checking module"
+    ),
+}
+
+
+def _definitions() -> dict:
+    """Each top-level function and method of a top-level class of pneq,
+    keyed by (file, first line) as its code object gives them: a decorated
+    function's `co_firstlineno` is its first decorator's line."""
+    out = {}
+    for path in sorted((ROOT / "src" / "pneq").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            members = (
+                [(f"{node.name}.", f) for f in node.body]
+                if isinstance(node, ast.ClassDef) else [("", node)]
+            )
+            for prefix, f in members:
+                if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    line = min([f.lineno] + [d.lineno for d in f.decorator_list])
+                    out[(str(path.resolve()), line)] = f"{path.stem}.{prefix}{f.name}"
+    return out
+
+
+def _cli_calls(case, tmp_path) -> list:
+    """The command lines that ask a corpus case's query, plus its closure
+    membership (for a verify case) and the graph of its first marking, in
+    text and in JSON."""
+    q = case.query
+    net, m1, m2 = str(CORPUS / case.net), q["m1"], q["m2"]
+    if q["op"] == "verify":
+        rel = str(CORPUS / q["relation"])
+        d = ["--d"] if checkers._is_d(q["eq"]) else []
+        calls = [["verify", "--eq", q["eq"], "--relation", rel, net, m1, m2],
+                 ["closure", *d, "--relation", rel, net, m1, m2]]
+    else:
+        calls = [["check", "--eq", q["eq"], "--mode", q.get("mode", "auto"), net, m1, m2]]
+    calls.append(["lts", "--cap", "200", "--dot", str(tmp_path / "g.dot"), net, m1])
+    return calls + [[c[0], "--json", *c[1:]] for c in calls]
+
+
+def _run_traffic(tmp_path) -> None:
+    """What pneq's callers run: the demos, the command line over the
+    corpus (with a typo and a small budget), and one pass of each benchmark
+    workload at seed 307 through the benchmark's own entry points."""
+    for demo in sorted((ROOT / "demos").glob("*.py")):
+        runpy.run_path(str(demo), run_name="__main__")
+    for case in pneq.corpus.load_cases():
+        if not case.slow:
+            for argv in _cli_calls(case, tmp_path):
+                cli.main(argv)
+    cli.main(["check", "--eq", "place", str(CORPUS / "handshake.pn"), "s1", "nope"])
+    cli.main(["check", "--eq", "bplace", "--node-budget", "1",
+              str(CORPUS / "silent_cells.pn"), "s1", "s2"])
+    cli.main(["corpus", "run"])
+    cli.main(["corpus", "run", "--json"])
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    api = run.entry_points(pneq)
+    for workload in ("search", "oracle", "oneshot"):
+        queries = run.gen.WORKLOADS[workload](307)
+        parsed = run.probe.parse_queries(api, queries)
+        rows = run.run_pass(api, pneq, pneq.DecideCaps(), queries, parsed, range(len(queries)))
+        assert all(row.error is None for row in rows), workload
+
+
+def test_the_traffic_enters_every_function(monkeypatch, tmp_path):
+    # The AST guards above see names; this one sees operators, dunders and
+    # properties too. Every function and method of pneq is entered by the
+    # traffic of its callers, or is in NOT_ENTERED with a reason, and an
+    # entry there that the traffic does enter is stale.
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # run.py adds perfbench/
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        _run_traffic(tmp_path)
+    finally:
+        sys.setprofile(previous)
+    keys = {(str(Path(c.co_filename).resolve()), c.co_firstlineno) for c in entered}
+    never = {name for key, name in _definitions().items() if key not in keys}
+    assert sorted(never - set(NOT_ENTERED)) == []
+    assert sorted(set(NOT_ENTERED) - never) == []
+
+
+def test_every_stat_key_is_documented(monkeypatch):
+    # Each key that decide, verify and decide_interleaving put in their
+    # stats appears in README in backticks; an `exhaustive_` key after an
+    # auto fallback counts as documented when its key without the prefix is.
+    keys = set()
+    for case in pneq.corpus.load_cases():
+        keys |= set(pneq.corpus.run_case(case, pneq.corpus.load_net(case.net)).stats)
+    monkeypatch.setattr(checkers, "AUTO_NODES", 0)
+    net = pneq.corpus.load_net("silent_cells.pn")
+    verdict = pneq.decide(
+        net, pneq.parse_marking("s1", net), pneq.parse_marking("s2", net), "bplace")
+    assert verdict.mode_used == "guided" and "fallback" in verdict.stats
+    keys |= set(verdict.stats)
+    documented = set(re.findall(r"`([a-z_]+)`", (ROOT / "README.md").read_text(encoding="utf-8")))
+    assert {"exhaustive_search_nodes", "refine_rounds", "relation_ok"} <= keys
+    assert sorted(
+        k for k in keys if k not in documented and k.removeprefix("exhaustive_") not in documented
+    ) == []
+
+
+def test_every_python_file_parses_as_python_3_10():
+    # pyproject.toml promises Python 3.10 or later.
+    files = [p for d in ("src", "tests", "demos", "perfbench") for p in (ROOT / d).rglob("*.py")]
+    assert len(files) > 40
+    for path in files:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
