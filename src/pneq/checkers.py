@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import itertools
 import time
-from collections import Counter, deque
-from dataclasses import dataclass, field
+from collections import Counter, deque, namedtuple
 from math import comb
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import ModelError, PneqError, SearchBudgetError
 from .multiset import Marking
@@ -52,8 +51,7 @@ _MISS = object()  # `_Engine.respond`: no cached trace yet
 NO_ASSOCIATION = "no association over the pair universe"  # either mode's reason
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     transition: str
     marking: Marking
     side: int  # 1: the transition moved on the left, 2: on the right
@@ -61,32 +59,33 @@ class Violation:
     details: str = ""
 
 
-@dataclass
-class CheckReport:
-    ok: bool
-    violations: tuple = ()
+class CheckReport(namedtuple("CheckReport", "ok violations")):
+    """`ok` exactly when there are no `violations`."""
 
-    def __post_init__(self):
-        assert self.ok == (not self.violations)
+    __slots__ = ()
+
+    def __new__(cls, ok: bool, violations: tuple):
+        assert ok == (not violations)
+        return tuple.__new__(cls, (ok, violations))
 
 
-@dataclass
-class DecideCaps:
+class DecideCaps(namedtuple("DecideCaps", "node_budget")):
     """The budget of one `decide` call: the nodes of each silent-response
     search."""
-    node_budget: int = DEFAULT_NODE_BUDGET
 
-    def __post_init__(self):
-        if self.node_budget <= 0:
+    __slots__ = ()
+
+    def __new__(cls, node_budget: int = DEFAULT_NODE_BUDGET):
+        if node_budget <= 0:
             raise ModelError("caps must be positive")
+        return tuple.__new__(cls, (node_budget,))
 
 
-@dataclass
-class Verdict:
+class Verdict(NamedTuple):
     status: str  # related | not-related | unknown
     witness: Optional[PlaceRelation]
     mode_used: str  # exhaustive | guided | verify
-    stats: dict = field(default_factory=dict)
+    stats: dict
     violations: tuple = ()  # verify: the failed conditions of the relation
 
 
@@ -609,7 +608,7 @@ def decide(
                 raise
             verdict = _decide_guided(engine, masks)
             verdict.stats["fallback"] = str(exc)
-            verdict.stats |= {f"exhaustive_{k}": x for k, x in attempt.items()}
+            verdict.stats.update({f"exhaustive_{k}": x for k, x in attempt.items()})
     verdict.stats["universe"] = len(universe)
     verdict.stats["matchings_solved"] = engine.matchings_solved
     verdict.stats["wall_time_s"] = time.perf_counter() - t0

@@ -8,12 +8,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from . import corpus as corpus_mod
 from .checkers import KINDS, DecideCaps, decide, verify
-from .errors import ParseError, PneqError, SearchBudgetError, StateSpaceLimitError
+from .errors import (
+    ModelError,
+    ParseError,
+    PneqError,
+    SearchBudgetError,
+    StateSpaceLimitError,
+)
 from .formats import lts_to_dot, parse_marking, parse_net, parse_relation
 from .ltsbisim import GRAPH_KINDS, decide_interleaving
 from .net import reach_lts
@@ -80,7 +85,7 @@ def _report(
             else [[format_side(a), format_side(b)] for a, b in witness]
         ),
         "violations": [
-            {**vars(v), "marking": net.format_marking(v.marking)} for v in violations
+            {**v._asdict(), "marking": net.format_marking(v.marking)} for v in violations
         ],
         "stats": stats or {},
         **extra,
@@ -130,6 +135,8 @@ def cmd_closure(args) -> int:
     rel = parse_relation(_read(args.relation), net)
     m1 = parse_marking(args.m1, net)
     m2 = parse_marking(args.m2, net)
+    if rel.is_d_extended and not args.d:
+        raise ModelError("the relation pairs a place with 0: use --d for its closure")
     witness = d_additive_member(rel, m1, m2) if args.d else additive_member(rel, m1, m2)
     return _report(
         args, net, ("net", "relation", "d", "m1", "m2"),
@@ -159,7 +166,7 @@ def cmd_corpus(args) -> int:
     results = corpus_mod.run_corpus(include_slow=args.include_slow)
     failures = [r for r in results if not r.passed]
     if args.json:
-        cases = [asdict(r) | {"seconds": round(r.seconds, 3)} for r in results]
+        cases = [r._asdict() | {"seconds": round(r.seconds, 3)} for r in results]
         report = {"cases": cases, "failures": len(failures)}
         print(json.dumps(report, indent=2, sort_keys=True))
     else:

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
-from importlib import resources
+from pathlib import Path
+from typing import NamedTuple
 
 from .checkers import KINDS, _is_branching, decide, verify
 from .errors import PneqError
@@ -22,10 +22,12 @@ from .relations import PlaceRelation
 
 ORACLE_STATE_CAP = 5_000
 ORACLE_EDGE_CAP = 50_000
+# Read from the package directory: importlib.resources loads inspect and ast
+# on Python 3.12 and later, which importing pneq avoids.
+_CORPUS = Path(__file__).parent / "corpus"
 
 
-@dataclass(frozen=True)
-class CorpusCase:
+class CorpusCase(NamedTuple):
     name: str
     net: str
     query: dict
@@ -41,19 +43,18 @@ class CorpusCase:
         return "oracle-skip" in self.tags
 
 
-@dataclass
-class CaseResult:
+class CaseResult(NamedTuple):
     name: str
     expected: str
     verdict: str
     passed: bool
     oracle: str  # "ok" | "failed" | "skipped" | "" (not applicable)
     seconds: float
-    stats: dict = field(default_factory=dict)
+    stats: dict
 
 
 def _data(name: str) -> str:
-    return resources.files("pneq").joinpath("corpus", name).read_text()
+    return (_CORPUS / name).read_text(encoding="utf-8")
 
 
 def load_cases() -> list:

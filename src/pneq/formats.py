@@ -63,7 +63,7 @@ def _parse_mexpr(expr: str, places, lineno: int, allow_empty: bool) -> Marking:
             raise ParseError(lineno, f"bad marking term {_echo(term)}")
         digits = (m.group(1) or "1").lstrip("0")
         # int() refuses a few thousand digits or more, so the length is
-        # checked first; a larger value of the same length is left to Marking.
+        # checked first; a larger value of the same length overflows below.
         if len(digits) > _MAX_DIGITS:
             raise ParseError(
                 lineno, f"multiplicity exceeds {MAX_MULTIPLICITY} in {_echo(term)}"
@@ -75,7 +75,10 @@ def _parse_mexpr(expr: str, places, lineno: int, allow_empty: bool) -> Marking:
         if place not in places:
             raise ParseError(lineno, f"undeclared place {_echo(place)}")
         counts[place] = counts.get(place, 0) + mult
-    return Marking(counts)
+    for place, n in counts.items():
+        if n > MAX_MULTIPLICITY:
+            raise ModelError(f"multiplicity overflow at {place!r}")
+    return Marking._trusted(counts)
 
 
 def parse_net(text: str) -> Net:

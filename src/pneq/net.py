@@ -1,8 +1,8 @@
 """Place/Transition nets, the token game, and bounded reachability graphs."""
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
 from types import MappingProxyType
@@ -14,21 +14,18 @@ from .multiset import MAX_MULTIPLICITY, Marking
 TAU = "tau"
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(namedtuple("Transition", "tid pre label post")):
     """A net transition: consumes `pre`, produces `post`, observably `label`.
 
     The pre-set is never empty; the post-set may be.
     """
 
-    tid: str
-    pre: Marking
-    label: str
-    post: Marking
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.pre.size == 0:
-            raise ModelError(f"transition {self.tid!r} has an empty pre-set")
+    def __new__(cls, tid: str, pre: Marking, label: str, post: Marking):
+        if pre.size == 0:
+            raise ModelError(f"transition {tid!r} has an empty pre-set")
+        return tuple.__new__(cls, (tid, pre, label, post))
 
 
 def _tau_sequential(t: Transition) -> bool:
@@ -243,17 +240,26 @@ def fire(net: Net, m: Marking, t: Transition) -> Marking:
     return (m - t.pre) + t.post
 
 
-@dataclass
 class Lts:
     """A reachability graph: deduplicated markings and labelled edges.
 
     `reach_lts` keeps its states as token counts: `states` is a read-only
-    sequence that builds a state's Marking when it is first read.
+    sequence that builds a state's Marking when it is first read. A graph
+    equals only itself; two graphs are the same graph when their
+    `list(states)`, `edges` and `initials` are equal.
     """
 
-    states: Sequence[Marking] = field(default_factory=list)
-    edges: list[tuple[int, str, int]] = field(default_factory=list)
-    initials: list[int] = field(default_factory=list)
+    __slots__ = ("states", "edges", "initials")
+
+    def __init__(
+        self,
+        states: Sequence[Marking] | None = None,
+        edges: list[tuple[int, str, int]] | None = None,
+        initials: list[int] | None = None,
+    ):
+        self.states = [] if states is None else states
+        self.edges = [] if edges is None else edges
+        self.initials = [] if initials is None else initials
 
 
 class _States(Sequence):

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import ModelError
 from .multiset import Marking
@@ -28,17 +27,34 @@ def format_side(side) -> str:
     return "0" if side is THETA else side
 
 
-@dataclass(frozen=True)
 class PlaceRelation:
-    """A finite set of ordered place pairs, optionally with THETA entries."""
+    """A finite set of ordered place pairs, optionally with THETA entries.
 
-    pairs: frozenset
-    name: str = ""
+    Immutable; two relations are equal when their pairs and names are.
+    """
 
-    def __post_init__(self):
-        for a, b in self.pairs:
+    __slots__ = ("pairs", "name")
+
+    def __init__(self, pairs: frozenset, name: str = ""):
+        for a, b in pairs:
             if a is THETA and b is THETA:
                 raise ModelError("the pair (0, 0) is not allowed in a relation")
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "name", name)
+
+    def __setattr__(self, attr, value):
+        raise AttributeError("PlaceRelation is immutable")
+
+    def __reduce__(self):
+        return PlaceRelation, (self.pairs, self.name)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PlaceRelation):
+            return NotImplemented
+        return self.pairs == other.pairs and self.name == other.name
+
+    def __hash__(self) -> int:
+        return hash((self.pairs, self.name))
 
     @classmethod
     def of(cls, pairs, name: str = "") -> "PlaceRelation":
@@ -61,8 +77,7 @@ class PlaceRelation:
         return f"PlaceRelation{{{body}}}"
 
 
-@dataclass(frozen=True)
-class MatchWitness:
+class MatchWitness(NamedTuple):
     """An association multiset proving closure membership.
 
     Dropping THETA from the left (right) column of `pairs` yields exactly

@@ -247,6 +247,16 @@ class TestVerifyAndClosure:
         )
         assert code == 0
 
+    def test_theta_pairs_without_the_flag_name_the_flag(self, run):
+        # The error names the option the user left out, not the library
+        # function the command would have called.
+        code, out, err = run(
+            "closure", "--relation", "data:tau_chain.rel",
+            "data:tau_chain.pn", "s1", "s4+s5",
+        )
+        assert code == 2 and out == ""
+        assert "--d" in err and "additive_member" not in err
+
 
 class TestLts:
     def test_summary_and_dot(self, run, tmp_path):

@@ -93,6 +93,33 @@ def test_parse_marking_expressions(nets):
         parse_marking(f"{ARABIC_INDIC_THREE}*s1", net)
 
 
+def test_parsed_markings_are_the_checked_markings(nets):
+    # The parser checks every term and builds each marking once, unchecked;
+    # an overflowing count raises the error that Marking's own check gives,
+    # naming the first such place in the expression's order.
+    net = nets["handshake"]
+    top = 2**63 - 1
+    m = parse_marking(f"s2 + {top}*s1 + 2*s2", net)
+    want = Marking({"s1": top, "s2": 3})
+    assert m == want and hash(m) == hash(want) and m.size == want.size
+    assert m.sorted_items() == want.sorted_items() and list(m.items()) == [("s2", 3), ("s1", top)]
+    for terms, place in [([(top, "s1"), (1, "s1")], "s1"), ([(top + 1, "s2")], "s2"),
+                         ([(top, "s2"), (top, "s1"), (1, "s1"), (1, "s2")], "s2")]:
+        expr = " + ".join(f"{k}*{p}" for k, p in terms)
+        counts: dict = {}
+        for k, p in terms:
+            counts[p] = counts.get(p, 0) + k
+        with pytest.raises(ModelError) as checked:
+            Marking(counts)
+        assert str(checked.value) == f"multiplicity overflow at {place!r}"
+        with pytest.raises(ModelError) as err:
+            parse_marking(expr, net)
+        assert str(err.value) == str(checked.value)
+        with pytest.raises(ModelError) as err:
+            parse_net(f"net n\nplace s1 s2\ntrans t : {expr} -> a -> s1\n")
+        assert str(err.value) == str(checked.value)
+
+
 @pytest.mark.parametrize("expr", UNBOUNDED_ECHOES, ids=["nines", "zeros", "name"])
 def test_error_messages_clip_their_input(nets, expr):
     with pytest.raises(ModelError) as err:

@@ -133,6 +133,16 @@ class TestReachability:
         assert list(a.states) == list(b.states)
         assert a.edges == b.edges and a.initials == b.initials
 
+    def test_a_graph_equals_only_itself(self, nets):
+        # Lts compares by identity, by design: two builds of one graph are
+        # the same graph when their states, edges and initials are equal.
+        net = nets["handshake"]
+        m = parse_marking("s1+s2", net)
+        a, b = reach_lts(net, [m]), reach_lts(net, [m])
+        assert a == a and a != b and len({a, b}) == 2
+        assert (list(a.states), a.edges, a.initials) == (list(b.states), b.edges, b.initials)
+        assert len(a.edges) > 0
+
     def test_edges_reference_valid_states(self, nets):
         net = nets["latent_sync"]
         lts = reach_lts(net, [parse_marking("2*s1+s4", net)])

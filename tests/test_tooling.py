@@ -10,15 +10,18 @@ library code that only the tests run belongs in the tests. The names are
 read from `src/pneq/`, `demos/` and `perfbench/`. What names cannot show,
 such as an operator, a dunder or a property, the traffic guard sees by
 running the demos, the command line and the benchmark workloads under a
-profiler. The README documents every stat key, and every source file
-parses as Python 3.10.
+profiler. The README documents every stat key, every source file
+parses as Python 3.10, and importing pneq loads no module that generates
+or inspects code.
 """
 import ast
 import importlib
 import importlib.util
 import inspect
+import os
 import re
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -254,6 +257,14 @@ NOT_ENTERED = {
     "net.Net.__repr__": "for people",
     "net._States.__repr__": "for people",
     "relations.PlaceRelation.__repr__": "for people",
+    "relations.PlaceRelation.__setattr__": "keeps a PlaceRelation immutable",
+    "relations.PlaceRelation.__eq__": (
+        "a relation is a value: the same pairs and name make the same relation"
+    ),
+    "relations.PlaceRelation.__hash__": "equal relations must hash alike",
+    "relations.PlaceRelation.__reduce__": (
+        "copy and pickle, which would otherwise assign the slots"
+    ),
     "silent.silent_reachable": (
         "perfbench/spans.CROSS_MODULE swaps it by name in the checking module"
     ),
@@ -372,3 +383,26 @@ def test_every_python_file_parses_as_python_3_10():
     assert len(files) > 40
     for path in files:
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
+def test_importing_pneq_loads_no_code_generation_modules():
+    # Every pneq process pays for its imports before its first query.
+    # dataclasses, and the inspect, ast, dis and tokenize it loads, cost
+    # about a quarter of importing pneq; its records are named tuples and
+    # slotted classes instead. `site` may load some of these modules before
+    # pneq, so only what importing pneq adds counts.
+    code = (
+        "import sys; before = set(sys.modules)\n"
+        "import pneq, pneq.corpus, pneq.cli\n"
+        "print(pneq.__file__)\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    where, added = proc.stdout.splitlines()
+    assert Path(where).resolve().is_relative_to(ROOT / "src")
+    assert {"pneq.checkers", "pneq.cli", "pneq.corpus"} <= set(added.split())
+    heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+    assert sorted(heavy & set(added.split())) == []
