@@ -24,7 +24,6 @@ import itertools
 import time
 from collections import Counter, deque, namedtuple
 from math import comb
-from typing import NamedTuple, Optional
 
 from .errors import ModelError, PneqError, SearchBudgetError
 from .multiset import Marking
@@ -34,8 +33,6 @@ from .relations import (
     PlaceRelation,
     _image_choices,
     _match,
-    additive_member,
-    d_additive_member,
     format_side,
 )
 from .silent import DEFAULT_NODE_BUDGET, run_search
@@ -51,12 +48,13 @@ _MISS = object()  # `_Engine.respond`: no cached trace yet
 NO_ASSOCIATION = "no association over the pair universe"  # either mode's reason
 
 
-class Violation(NamedTuple):
-    transition: str
-    marking: Marking
-    side: int  # 1: the transition moved on the left, 2: on the right
-    reason: str  # "no-response" | "closure-failure"
-    details: str = ""
+class Violation(namedtuple("Violation", "transition marking side reason details",
+                           defaults=("",))):
+    """A failed condition: `transition` moved from `marking` on `side` (1:
+    the left, 2: the right), for `reason` "no-response" or
+    "closure-failure"."""
+
+    __slots__ = ()
 
 
 class CheckReport(namedtuple("CheckReport", "ok violations")):
@@ -81,12 +79,13 @@ class DecideCaps(namedtuple("DecideCaps", "node_budget")):
         return tuple.__new__(cls, (node_budget,))
 
 
-class Verdict(NamedTuple):
-    status: str  # related | not-related | unknown
-    witness: Optional[PlaceRelation]
-    mode_used: str  # exhaustive | guided | verify
-    stats: dict
-    violations: tuple = ()  # verify: the failed conditions of the relation
+class Verdict(namedtuple("Verdict", "status witness mode_used stats violations",
+                         defaults=((),))):
+    """An answer: `status` related, not-related or unknown; `witness` a
+    PlaceRelation or None; `mode_used` exhaustive, guided or verify; and
+    for `verify`, the failed conditions of the relation in `violations`."""
+
+    __slots__ = ()
 
 
 def _is_d(kind: str) -> bool:
@@ -326,7 +325,7 @@ class _Engine:
 
     # -- response feasibility ---------------------------------------------------
 
-    def respond(self, ti: int, m: tuple, side: int, rbits) -> Optional[tuple]:
+    def respond(self, ti: int, m: tuple, side: int, rbits) -> tuple | None:
         """The trace `_respond_compute` gives, cached by `resp_mask`."""
         key = (ti, m, side, rbits & self.resp_mask[side][ti])
         hit = self._resp_cache.get(key, _MISS)
@@ -334,7 +333,7 @@ class _Engine:
             hit = self._resp_cache[key] = self._respond_compute(ti, m, side, rbits)
         return hit
 
-    def _respond_compute(self, ti: int, m: tuple, side: int, rbits) -> Optional[tuple]:
+    def _respond_compute(self, ti: int, m: tuple, side: int, rbits) -> tuple | None:
         """The trace of a response to transition `ti` moving from `m` on
         `side` under `rbits`: the sorted token tuples of the markings it
         passes. None when there is none.
@@ -536,11 +535,11 @@ def verify(
     net.check_marking(m2)
     t0 = time.perf_counter()
     report = check_relation(net, rel, kind)
-    member = (d_additive_member if _is_d(kind) else additive_member)(rel, m1, m2)
-    ok = report.ok and member is not None
+    member = _match(rel.pairs, m1, m2, _is_d(kind)) is not None
+    ok = report.ok and member
     stats = {
         "relation_ok": report.ok,
-        "membership_ok": member is not None,
+        "membership_ok": member,
         "wall_time_s": time.perf_counter() - t0,
     }
     return Verdict(
@@ -558,7 +557,7 @@ def decide(
     m2: Marking,
     kind: str,
     mode: str = "auto",
-    caps: Optional[DecideCaps] = None,
+    caps: DecideCaps | None = None,
 ) -> Verdict:
     """Decide whether two markings are equivalent under the given kind.
 

@@ -1,7 +1,7 @@
 """Command line interface.
 
 Exit codes: 0 related/member/ok, 1 not-related/not-member, 2 usage or
-model errors, 3 unknown verdicts and exceeded caps or budgets.
+model errors, 3 unknown verdicts and exceeded caps, budgets or memory.
 """
 from __future__ import annotations
 
@@ -245,6 +245,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (StateSpaceLimitError, SearchBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_UNKNOWN
+    except MemoryError:  # say, under `ulimit -v`: no verdict, and no traceback
+        print("error: out of memory", file=sys.stderr)
         return EXIT_UNKNOWN
     except (PneqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

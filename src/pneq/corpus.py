@@ -8,9 +8,9 @@ design rather than silently passed.
 from __future__ import annotations
 
 import json
+import os
 import time
-from pathlib import Path
-from typing import NamedTuple
+from collections import namedtuple
 
 from .checkers import KINDS, _is_branching, decide, verify
 from .errors import PneqError
@@ -22,17 +22,17 @@ from .relations import PlaceRelation
 
 ORACLE_STATE_CAP = 5_000
 ORACLE_EDGE_CAP = 50_000
-# Read from the package directory: importlib.resources loads inspect and ast
-# on Python 3.12 and later, which importing pneq avoids.
-_CORPUS = Path(__file__).parent / "corpus"
+# Read from the package directory through os.path: importlib.resources
+# loads inspect and ast on Python 3.12 and later, and pathlib loads
+# urllib.parse and ipaddress, which importing pneq avoids.
+_CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
 
 
-class CorpusCase(NamedTuple):
-    name: str
-    net: str
-    query: dict
-    expected: str  # related | not-related
-    tags: tuple = ()
+class CorpusCase(namedtuple("CorpusCase", "name net query expected tags", defaults=((),))):
+    """A query on a corpus net and its `expected` status, related or
+    not-related."""
+
+    __slots__ = ()
 
     @property
     def slow(self) -> bool:
@@ -43,18 +43,16 @@ class CorpusCase(NamedTuple):
         return "oracle-skip" in self.tags
 
 
-class CaseResult(NamedTuple):
-    name: str
-    expected: str
-    verdict: str
-    passed: bool
-    oracle: str  # "ok" | "failed" | "skipped" | "" (not applicable)
-    seconds: float
-    stats: dict
+class CaseResult(namedtuple("CaseResult", "name expected verdict passed oracle seconds stats")):
+    """A case's run: `oracle` is "ok", "failed", "skipped" or "" (not
+    applicable)."""
+
+    __slots__ = ()
 
 
 def _data(name: str) -> str:
-    return (_CORPUS / name).read_text(encoding="utf-8")
+    with open(os.path.join(_CORPUS, name), encoding="utf-8") as f:
+        return f.read()
 
 
 def load_cases() -> list:

@@ -57,6 +57,9 @@ class Marking(Mapping):
     def __setattr__(self, name, value):
         raise AttributeError("Marking is immutable")
 
+    def __reduce__(self):
+        return Marking._trusted, (dict(self._counts),)
+
     # Mapping protocol: m[s] is the multiplicity of s (0 when absent).
 
     def __getitem__(self, place) -> int:

@@ -6,7 +6,6 @@ from collections.abc import Iterable, Mapping, Sequence
 from functools import cached_property
 from itertools import compress
 from types import MappingProxyType
-from typing import NamedTuple
 
 from .errors import ModelError, NotEnabledError, StateSpaceLimitError
 from .multiset import MAX_MULTIPLICITY, Marking
@@ -32,22 +31,24 @@ def _tau_sequential(t: Transition) -> bool:
     return t.label == TAU and t.pre.size == 1 and t.post.size == 1
 
 
-class CompiledNet(NamedTuple):
+class CompiledNet(namedtuple("CompiledNet", "pre_tok post_tok pre_items touched"
+                             " pre_places tau_seq answerers lone")):
     """The checking engine's tables of the net alone, built once per net
     (`Net.compiled`) and shared, read-only, by every engine over it. A
     transition is its position `ti` in the net's order. `answerers` serves
     every kind: a strong answer's pre-set is an image of the mover's, a
     branching one's is reached from an image by silent moves, and either
-    has as many tokens as the mover's."""
+    has as many tokens as the mover's.
 
-    pre_tok: tuple  # the pre-set as a sorted token tuple
-    post_tok: tuple  # the post-set as a sorted token tuple
-    pre_items: tuple  # the pre-set's sorted (place, count) pairs
-    touched: tuple  # the places of the pre- and post-set
-    pre_places: tuple  # the pre-set's places as bits of their place index
-    tau_seq: tuple  # whether it is tau-sequential
-    answerers: tuple  # the transitions with its label and pre-set size
-    lone: Mapping  # place -> the transitions whose pre-set holds only it
+    Per transition: `pre_tok` and `post_tok`, the pre- and post-set as
+    sorted token tuples; `pre_items`, the pre-set's sorted (place, count)
+    pairs; `touched`, the places of the pre- and post-set; `pre_places`,
+    the pre-set's places as bits of their place index; `tau_seq`, whether
+    it is tau-sequential; `answerers`, the transitions with its label and
+    pre-set size. `lone` maps a place to the transitions whose pre-set
+    holds only it."""
+
+    __slots__ = ()
 
 
 class Net:

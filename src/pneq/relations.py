@@ -1,20 +1,20 @@
 """Place relations and their additive closures.
 
 A place relation is a finite set of ordered pairs of places; the d-extended
-variant may also pair a place with the empty marking (THETA). Membership of
-a marking pair in the additive closure is a perfect-matching question on the
-token-level bipartite graph. Tokens on the same place are interchangeable,
-so the matcher below works on the place-grouped quotient of that graph,
-pushing whole bottlenecks along BFS augmenting paths; each augmentation
-saturates a place node, so the cost depends on the number of distinct
-places rather than on the token count, well inside the O(k^2 sqrt(k))
-bound of the token-level search.
+variant may also pair a place with the empty marking (THETA). A marking
+pair is in the additive closure when its tokens pair off along the
+relation, and in the d closure when a token may also pair with THETA.
+Tokens on one place are alike, so `_match` answers on places: one
+breadth-first augmenting max flow from the left marking's places to the
+right one's, each path carrying its whole bottleneck. Shortest augmenting
+paths number O(V E) over V places and E pairs whatever the counts, so the
+work and the memory follow the places, not the tokens; only the witnesses
+of `additive_member` and `d_additive_member` list one pair per token.
 """
 from __future__ import annotations
 
 import itertools
-from collections import deque
-from typing import NamedTuple, Optional
+from collections import namedtuple
 
 from .errors import ModelError
 from .multiset import Marking
@@ -77,138 +77,103 @@ class PlaceRelation:
         return f"PlaceRelation{{{body}}}"
 
 
-class MatchWitness(NamedTuple):
+class MatchWitness(namedtuple("MatchWitness", "pairs")):
     """An association multiset proving closure membership.
 
     Dropping THETA from the left (right) column of `pairs` yields exactly
     m1 (m2), and every non-(0,0) pair belongs to the relation.
     """
 
-    pairs: tuple
+    __slots__ = ()
 
 
-# ---------------------------------------------------------------------------
-# grouped bipartite matching
-# ---------------------------------------------------------------------------
+def _match(rel_pairs, m1: Marking, m2: Marking, d: bool) -> tuple | None:
+    """The association of (m1, m2) over the pairs `rel_pairs`, as sorted
+    ((a, b), count) pairs, or None when there is none.
 
-_SOURCE = ("src",)
-_SINK = ("snk",)
-
-
-def _max_flow_assignment(supply: dict, demand: dict, edges: dict) -> Optional[dict]:
-    """Saturating flow on a bipartite supply/demand graph.
-
-    supply: left node -> count, demand: right node -> count,
-    edges: left node -> iterable of right nodes (uncapacitated).
-    Returns {(l, r): units} if every supply and demand unit can be routed,
-    else None. BFS augmenting paths push whole bottlenecks at once, so the
-    work is governed by the number of distinct places, not by token count.
+    One breadth-first augmenting max flow from m1's places to m2's, each
+    path carrying its bottleneck. With `d`, THETA is a node on each side:
+    the left one holds |m2| tokens, the right one takes |m1|, and the
+    THETA-THETA arc, left out of the result, takes the slack. Arcs are
+    searched by partner name, THETA last, and undo arcs in the order of
+    their first flow.
     """
-    total = sum(supply.values())
-    if total != sum(demand.values()):
-        return None
-    flow: dict = {}
-    residual_supply = dict(supply)
-    residual_demand = dict(demand)
-    back: dict = {r: [] for r in demand}  # right -> lefts with positive flow
-    pushed = 0
-    while pushed < total:
-        # BFS over residual graph from any unsaturated left node.
-        parent: dict = {}
-        queue = deque()
-        for lnode, left in residual_supply.items():
-            if left > 0:
-                parent[("L", lnode)] = None
-                queue.append(("L", lnode))
-        reached = None
-        while queue and reached is None:
-            kind, node = queue.popleft()
-            if kind == "L":
-                for rnode in edges.get(node, ()):
-                    if ("R", rnode) not in parent:
-                        parent[("R", rnode)] = ("L", node)
-                        if residual_demand[rnode] > 0:
-                            reached = ("R", rnode)
-                            break
-                        queue.append(("R", rnode))
-            else:
-                for lnode in back[node]:
-                    if flow.get((lnode, node), 0) > 0 and ("L", lnode) not in parent:
-                        parent[("L", lnode)] = ("R", node)
-                        queue.append(("L", lnode))
-        if reached is None:
-            return None
-        # Trace the path back, computing the bottleneck.
-        path = []
-        cur = reached
-        while parent[cur] is not None:
-            path.append((parent[cur], cur))
-            cur = parent[cur]
-        path.reverse()
-        bottleneck = min(residual_supply[cur[1]], residual_demand[reached[1]])
-        for (k1, n1), (k2, n2) in path:
-            if k1 == "R" and k2 == "L":  # residual (undo) arc
-                bottleneck = min(bottleneck, flow[(n2, n1)])
-        for (k1, n1), (k2, n2) in path:
-            if k1 == "L" and k2 == "R":
-                if flow.get((n1, n2), 0) == 0:
-                    back[n2].append(n1)
-                flow[(n1, n2)] = flow.get((n1, n2), 0) + bottleneck
-            else:
-                flow[(n2, n1)] -= bottleneck
-        residual_supply[path[0][0][1]] -= bottleneck
-        residual_demand[reached[1]] -= bottleneck
-        pushed += bottleneck
-    return {k: v for k, v in flow.items() if v > 0}
-
-
-def _match(rel_pairs, m1: Marking, m2: Marking, d: bool) -> Optional[tuple]:
-    """Shared matcher; returns the association pairs or None."""
-    supply: dict = dict(m1.sorted_items())
-    demand: dict = dict(m2.sorted_items())
-    core: dict = {}
-    left_theta = set()
-    right_theta = set()
-    for a, b in rel_pairs:
-        if a is THETA:
-            right_theta.add(b)
-        elif b is THETA:
-            left_theta.add(a)
-        else:
-            core.setdefault(a, set()).add(b)
-    edges = {
-        p: sorted(qs & set(demand)) for p, qs in core.items() if p in supply
-    }
+    supply = dict(m1.sorted_items())
+    demand = dict(m2.sorted_items())
     if d:
-        # Pad both sides with THETA slots; a THETA-THETA arc absorbs slack.
-        supply = dict(supply)
-        demand = dict(demand)
-        supply[_SOURCE] = m2.size
-        demand[_SINK] = m1.size
-        for p in m1:
-            if p in left_theta:
-                edges.setdefault(p, []).append(_SINK)
-        edges[_SOURCE] = sorted(right_theta & set(m2)) + [_SINK]
-    else:
-        if m1.size != m2.size:
-            return None
-    flow = _max_flow_assignment(supply, demand, edges)
-    if flow is None:
+        supply[THETA] = m2.size
+        demand[THETA] = m1.size
+    elif m1.size != m2.size:
         return None
-    out = []
-    for (a, b), units in sorted(
-        flow.items(), key=lambda kv: (format_side(None if kv[0][0] is _SOURCE else kv[0][0]),
-                                      format_side(None if kv[0][1] is _SINK else kv[0][1]))
-    ):
-        if a is _SOURCE and b is _SINK:
-            continue
-        pa = THETA if a is _SOURCE else a
-        pb = THETA if b is _SINK else b
-        out.extend([(pa, pb)] * units)
-    return tuple(out)
+    arcs: dict = {a: [] for a in supply}
+    for a, b in rel_pairs:
+        if a in arcs and b in demand:
+            arcs[a].append(b)
+    if d:
+        arcs[THETA].append(THETA)
+    for bs in arcs.values():
+        bs.sort(key=lambda b: (b is THETA, b or ""))
+    flow: dict = {}  # (a, b) -> units
+    back: dict = {b: [] for b in demand}  # b -> each a that sent it flow, by first flow
+    unrouted = sum(supply.values())
+    while unrouted:
+        # Breadth first from the roots, the left nodes with tokens left. A
+        # right node's undo arcs are followed as soon as it is met: the left
+        # nodes they reach still queue behind the ones met before.
+        lparent = {a: None for a, n in supply.items() if n}
+        rparent: dict = {}
+        order = list(lparent)
+        for a in order:  # grows as the search meets left nodes
+            for b in arcs[a]:
+                if b in rparent:
+                    continue
+                rparent[b] = a
+                if demand[b]:
+                    break
+                for c in back[b]:
+                    if flow[c, b] and c not in lparent:
+                        lparent[c] = b
+                        order.append(c)
+            else:
+                continue
+            break
+        else:
+            return None
+        # (a, b) reaches b, which takes tokens; back to a root, the one left
+        # node on the path with tokens
+        reached, forward, undo = b, [(a, b)], []
+        while not supply[a]:
+            b = lparent[a]
+            undo.append((a, b))
+            a = rparent[b]
+            forward.append((a, b))
+        units = min(supply[a], demand[reached], *(flow[arc] for arc in undo))
+        for arc in forward:
+            if arc not in flow:
+                back[arc[1]].append(arc[0])
+                flow[arc] = 0
+            flow[arc] += units
+        for arc in undo:
+            flow[arc] -= units
+        supply[a] -= units
+        demand[reached] -= units
+        unrouted -= units
+    return tuple(sorted(
+        ((pair, n) for pair, n in flow.items() if n and pair != (THETA, THETA)),
+        key=lambda item: (format_side(item[0][0]), format_side(item[0][1])),
+    ))
 
 
-def additive_member(rel: PlaceRelation, m1: Marking, m2: Marking) -> Optional[MatchWitness]:
+def _witness(grouped) -> MatchWitness | None:
+    """The witness of a grouped association, one pair per token, in its
+    order. Each pair's list is sized up front, so a count too large to
+    list fails at once with MemoryError."""
+    if grouped is None:
+        return None
+    return MatchWitness(tuple(itertools.chain.from_iterable([p] * n for p, n in grouped)))
+
+
+def additive_member(rel: PlaceRelation, m1: Marking, m2: Marking) -> MatchWitness | None:
     """Witness that (m1, m2) is in the additive closure of a plain relation.
 
     Related markings always have equal size, so a size mismatch is an
@@ -216,14 +181,12 @@ def additive_member(rel: PlaceRelation, m1: Marking, m2: Marking) -> Optional[Ma
     """
     if rel.is_d_extended:
         raise ModelError("additive_member requires a plain relation")
-    pairs = _match(rel.pairs, m1, m2, d=False)
-    return None if pairs is None else MatchWitness(pairs)
+    return _witness(_match(rel.pairs, m1, m2, d=False))
 
 
-def d_additive_member(rel: PlaceRelation, m1: Marking, m2: Marking) -> Optional[MatchWitness]:
+def d_additive_member(rel: PlaceRelation, m1: Marking, m2: Marking) -> MatchWitness | None:
     """Witness for the d-extended closure, where sizes may differ."""
-    pairs = _match(rel.pairs, m1, m2, d=True)
-    return None if pairs is None else MatchWitness(pairs)
+    return _witness(_match(rel.pairs, m1, m2, d=True))
 
 
 def related_markings(rel: PlaceRelation, m: Marking, side: str = "left") -> set:

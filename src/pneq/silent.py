@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Mapping
-from typing import Callable
 
 from .errors import SearchBudgetError
 from .net import Net, Transition, _tau_sequential
@@ -47,8 +46,8 @@ def silent_reachable(adj: Mapping, places) -> frozenset:
 def run_search(
     adj: Mapping,
     start_tokens: tuple,
-    psi_ok: Callable[[tuple], bool],
-    goal: Callable[[tuple], bool],
+    psi_ok,
+    goal,
     node_budget: int,
     limit: int = 1,
 ) -> list:

@@ -387,6 +387,22 @@ class TestErrors:
         )
         assert code == 2 and "not UTF-8" in err
 
+    @pytest.mark.parametrize("command, module", [
+        (("closure",), "pneq.relations"), (("closure", "--d"), "pneq.relations"),
+        (("verify", "--eq", "place"), "pneq.checkers"),
+    ], ids=["closure", "closure-d", "verify"])
+    def test_running_out_of_memory_exits_three(self, run, monkeypatch, command, module):
+        # Exit 1 says not-member; a process out of memory has no verdict.
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(f"{module}._match", exhausted)
+        code, out, err = run(
+            *command, "--json", "--relation", "data:permute.rel",
+            "data:bare_places.pn", "10000000*s1", "10000000*s3",
+        )
+        assert (code, out, err) == (3, "", "error: out of memory\n")
+
     def test_unknown_equivalence_is_a_usage_error(self, run):
         with pytest.raises(SystemExit) as err:
             run("check", "--eq", "weird", "data:handshake.pn", "s1", "s2")

@@ -96,14 +96,27 @@ def test_records_refuse_assignment(name, field):
         setattr(record, field, None)
 
 
-# Markings do not copy or pickle, so the records that hold one are left out.
-@pytest.mark.parametrize("name", sorted(
-    set(EQUAL_AND_OTHER) - {"Transition", "Violation", "CheckReport"}))
-def test_records_copy_and_pickle(name):
-    record = EQUAL_AND_OTHER[name](FIELD_VALUES[name][0])
+def _assert_copies(record):
     for copied in (copy.copy(record), copy.deepcopy(record),
                    pickle.loads(pickle.dumps(record))):
         assert copied == record and type(copied) is type(record)
+
+
+@pytest.mark.parametrize("name", sorted(EQUAL_AND_OTHER))
+def test_records_copy_and_pickle(name):
+    _assert_copies(EQUAL_AND_OTHER[name](FIELD_VALUES[name][0]))
+
+
+def test_markings_and_the_records_holding_them_copy_and_pickle():
+    for m in (Marking(), Marking({"a": 2, "b": 1})):
+        _assert_copies(m)
+        copied = pickle.loads(pickle.dumps(m))
+        assert hash(copied) == hash(m) and copied.size == m.size
+        assert copied.sorted_items() == m.sorted_items()
+        with pytest.raises(AttributeError):
+            copied.x = 1
+    _assert_copies(Verdict("unknown", None, "verify", {"relation_ok": False},
+                           (_violation(), _violation(side=2))))
 
 
 def test_constructors_check_their_fields():

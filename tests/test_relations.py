@@ -1,5 +1,7 @@
 import itertools
 import random
+import time
+from collections import Counter
 
 import pytest
 
@@ -12,7 +14,9 @@ from pneq import (
     d_additive_member,
     parse_marking,
     related_markings,
+    verify,
 )
+from pneq.relations import _match, _witness
 from bruteforce import d_perm_member, perm_member, random_instance
 from relation_algebra import compose, identity, inverse, projections, validates
 import relations_reference
@@ -93,6 +97,74 @@ class TestDAdditiveMember:
                 core = [p for p in got.pairs if THETA not in p]
                 assert all(p in pairs for p in core)
                 assert projections(got) == (m1, m2)
+
+
+def _matched_pair(rng, places, pairs, theta):
+    """A marking pair, and whether it was built along `pairs`: m2 takes
+    each of m1's places' tokens, in one or two parts, through its partners
+    (or theta), plus theta-covered tokens; otherwise m2 is drawn at random.
+    Counts reach 10**6 in one instance in a hundred."""
+    top = 10**6 if rng.random() < 0.01 else 4
+    m1 = {p: rng.randint(1, top) for p in rng.sample(places, rng.randint(0, len(places)))}
+    if rng.random() < 0.3:
+        m2 = {p: rng.randint(1, top) for p in rng.sample(places, rng.randint(0, len(places)))}
+        return Marking(m1), Marking(m2), False
+    m2 = Counter()
+    for a, n in m1.items():
+        partners = [b for b in places + [THETA] if (a, b) in pairs] or [rng.choice(places)]
+        part = rng.randint(0, n)
+        m2[rng.choice(partners)] += part
+        m2[rng.choice(partners)] += n - part
+    if theta:
+        for b in places:
+            if (THETA, b) in pairs and rng.random() < 0.5:
+                m2[b] += rng.randint(1, top)
+    del m2[THETA]
+    if rng.random() < 0.3:  # one token more or fewer
+        b = rng.choice(places)
+        m2[b] = max(0, m2[b] + rng.choice((-1, 1)))
+    return Marking(m1), Marking(+m2), True
+
+
+class TestMatcher:
+    def test_match_gives_the_reference_association(self):
+        """`_match`, expanded to one pair per token, against the reference
+        matcher on 10,000 seeded instances: plain and theta relations, given
+        as a frozenset and as a sorted list, under both closures, with
+        counts up to 10**6. The reference lists the same association."""
+        rng = random.Random(2025)
+        seen = Counter()
+        for i in range(10_000):
+            places = [f"p{j}" for j in range(rng.randint(1, 5))]
+            density = rng.choice((0.2, 0.5, 0.8))
+            pairs = {(a, b) for a in places for b in places if rng.random() < density}
+            theta = i % 2 == 1
+            if theta:
+                pairs |= {(a, THETA) for a in places if rng.random() < 0.5}
+                pairs |= {(THETA, b) for b in places if rng.random() < 0.5}
+            m1, m2, built = _matched_pair(rng, places, pairs, theta)
+            given = frozenset(pairs) if i % 4 < 2 else PlaceRelation.of(pairs).sorted_pairs()
+            big = max(m1.size, m2.size) > 10**5
+            for d in (False, True):
+                want = relations_reference._match(given, m1, m2, d)
+                got = _match(given, m1, m2, d)
+                witness = _witness(got)
+                assert (None if witness is None else witness.pairs) == want, (
+                    sorted(pairs, key=str), m1, m2, d)
+                if got is not None:
+                    assert all(n > 0 for _, n in got)
+                seen[theta, d, got is not None, big] += 1
+        assert min(n for (_, _, _, big), n in seen.items() if not big) >= 400, seen
+        assert min(n for (_, _, _, big), n in seen.items() if big) >= 2, seen
+
+    def test_cost_follows_the_places_not_the_tokens(self, nets, relations):
+        net = nets["bare_places"]
+        m1, m2 = Marking({"s1": 10**18}), Marking({"s3": 10**18})
+        t0 = time.perf_counter()
+        v = verify(net, relations["permute"], "place", m1, m2)
+        assert v.status == "related"
+        assert time.perf_counter() - t0 < 0.5
+        assert _match(relations["permute"].pairs, m1, m2, False) == ((("s1", "s3"), 10**18),)
 
 
 class TestRelatedMarkings:

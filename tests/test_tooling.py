@@ -244,6 +244,7 @@ def test_every_compiled_table_is_read_outside_the_net_module():
 NOT_ENTERED = {
     "net._overflow": "raises the ModelError of a firing that overflows a count",
     "multiset.Marking.__setattr__": "keeps a Marking immutable",
+    "multiset.Marking.__reduce__": "copy and pickle, which would otherwise assign the slots",
     "multiset.Marking.__getitem__": "the abstract method of Mapping",
     "multiset.Marking.get": (
         "__getitem__ gives 0 for an absent place, so Mapping's get would ignore"
@@ -406,3 +407,24 @@ def test_importing_pneq_loads_no_code_generation_modules():
     assert {"pneq.checkers", "pneq.cli", "pneq.corpus"} <= set(added.split())
     heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
     assert sorted(heavy & set(added.split())) == []
+
+
+def test_importing_pneq_without_site_loads_neither_typing_nor_pathlib():
+    # This machine's `site` may import typing and pathlib before pneq, which
+    # would hide them from the check above; under -S nothing is loaded
+    # first. pathlib brings urllib.parse and ipaddress; the CLI alone
+    # imports it, to read and write the files it is given.
+    code = (
+        "import sys; before = set(sys.modules)\n"
+        "import pneq, pneq.corpus\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    added = set(proc.stdout.split())
+    assert "pneq.corpus" in added
+    heavy = {"typing", "pathlib", "urllib.parse", "ipaddress", "dataclasses", "inspect"}
+    assert sorted(heavy & added) == []
