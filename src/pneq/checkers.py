@@ -35,9 +35,7 @@ from .relations import (
     _match,
     format_side,
 )
-from .silent import DEFAULT_NODE_BUDGET, run_search
-# silent_reachable is unused here; perfbench/spans.CROSS_MODULE times it by this name
-from .silent import silent_reachable  # noqa: F401
+from .silent import DEFAULT_NODE_BUDGET, run_search, silent_reachable
 
 KINDS = ("place", "dplace", "bplace", "bdplace")
 AUTO_NODES = 100_000  # auto mode: exhaustive search nodes before the guided fallback
@@ -119,12 +117,12 @@ class _Engine:
     cut and the branch-and-bound all consume it. `images` gives each
     place's tokens the multisets of its images, so a pre-set's image set
     grows with its token count polynomially, not exponentially.
-    `depth_one_cut` finds the pairs that fail a condition on their own in
-    closed form, from the theta conditions on one place and from `lone`,
-    the transitions whose pre-set holds a single place. `member` is the one
-    closure-membership routine, for the additive closure and the d one
-    alike: it backtracks over the tokens up to `SMALL_MATCH` tokens in all,
-    and runs the max-flow `_match` past it.
+    `depth_one_cut` finds the pairs that fail a condition on their own
+    without asking a response, from the theta conditions on one place and
+    from `lone`, the transitions whose pre-set holds a single place.
+    `member` is the one closure-membership routine, for the additive
+    closure and the d one alike: it backtracks over the tokens up to
+    `SMALL_MATCH` tokens in all, and runs the max-flow `_match` past it.
     `associations` is the one enumeration of the associations of two
     markings, for the exhaustive search and guided mode alike.
 
@@ -419,31 +417,42 @@ class _Engine:
     def depth_one_cut(self) -> int:
         """The bits whose pair alone fails a condition under the full
         universe: what `failures(b, universe_mask)` finds for each bit b,
-        in closed form. One pair activates only the transitions whose
-        pre-set holds just its place (`lone`). A theta pair fails a theta
-        condition that covers one place, its own: the rule `failures`
-        applies. A core pair (a, c) fails when one on a has no response
-        from k tokens on c (side 1), or one on c none from k tokens on a
-        (side 2), k the size of its pre-set; the responses are asked in the
-        walk's order, up to its first failure."""
-        full = self.universe_mask
-        lone, pre_tok = self.compiled.lone, self.compiled.pre_tok
+        in closed form, asking no response. One pair activates only the
+        transitions whose pre-set holds just its place (`lone`). A theta
+        pair fails a theta condition that covers one place, its own. A core
+        pair (a, q) fails when one on a is not answered from k tokens on
+        q, or one on q not from k tokens on a, k the size of its pre-set.
+
+        Precondition: the universe is `pair_universe`'s, the full product
+        of whole components. A response stays in its partner's component,
+        so each closure question is one of sizes, which theta absorbs under
+        the d kinds: ti is answered from k tokens on p by an answerer whose
+        pre-set lies in p's silent reach (p alone for a strong kind), with
+        as many post-set tokens as ti's under a plain kind; a
+        tau-sequential mover idles under a branching kind."""
+        c = self.compiled
+        moves = self.net.silent_moves if self.branching else {}
+        reach: dict = {}  # place -> the places its tokens reach by those moves
+        answered: dict = {}  # (ti, p) -> whether ti is answered from tokens on p
+
+        def answers(ti, p):
+            if (ti, p) not in answered:
+                reach[p] = within = reach.get(p) or silent_reachable(moves, (p,))
+                n = len(c.post_tok[ti])
+                answered[ti, p] = (self.branching and c.tau_seq[ti]) or any(
+                    within.issuperset(c.pre_tok[cj]) and (self.d or len(c.post_tok[cj]) == n)
+                    for cj in c.answerers[ti])
+            return answered[ti, p]
+
         bad = 0
         for _ti, _side, covers, theta in self.theta_conds:
             if len(covers) == 1:
                 bad |= theta
-        for (a, c), b in self.bit.items():
-            if a is THETA or c is THETA:
-                continue
-            for ti in lone.get(a, ()):
-                if not self.respond(ti, (c,) * len(pre_tok[ti]), 1, full):
-                    bad |= b
-                    break
-            else:
-                for ti in lone.get(c, ()):
-                    if not self.respond(ti, (a,) * len(pre_tok[ti]), 2, full):
-                        bad |= b
-                        break
+        for (a, q), b in self.bit.items():
+            if a is not THETA and q is not THETA and not (
+                    all(answers(ti, q) for ti in c.lone.get(a, ()))
+                    and all(answers(ti, a) for ti in c.lone.get(q, ()))):
+                bad |= b
         return bad
 
     def violation(self, ti, m, side) -> Violation:
@@ -572,11 +581,11 @@ def decide(
     association; when all are refuted, the search rules out the candidates
     of each pair count in one cut. A pair fails on its own only through a
     transition whose pre-set holds just its place, so `_Engine.depth_one_cut`
-    asks those responses directly; every other condition comes from one
-    walk, `_Engine.failures`. Both modes take the query pair's associations,
-    which `_Engine.associations` enumerates once per call. Guided mode grows
-    a candidate from them and answers related or unknown, never
-    not-related.
+    settles those in closed form, asking no response; every other condition
+    comes from one walk, `_Engine.failures`. Both modes take the query
+    pair's associations, which `_Engine.associations` enumerates once per
+    call. Guided mode grows a candidate from them and answers related or
+    unknown, never not-related.
 
     Auto mode runs the exhaustive search within `AUTO_NODES` nodes; when a
     budget runs out, it falls back to guided mode, noting why in
@@ -630,8 +639,9 @@ def _decide_exhaustive(engine, masks, compile_t0, node_cap, stats) -> Verdict:
 
     Compiling prunes the pairs and associations that are in no witness: a
     pair bit is bad when its relation fails a condition even under the
-    full universe (`_Engine.depth_one_cut`), and an association mask is
-    refuted when it fails a condition under every pair that is not bad
+    full universe (`_Engine.depth_one_cut`, in closed form: it asks no
+    response, so no budget ends it), and an association mask is refuted
+    when it fails a condition under every pair that is not bad
     (`_Engine.failures`); `prune_s` times the two. The branch-and-bound
     then runs over the good bits with the surviving masks; with none left,
     its root cut counts every candidate at once. `stats` keeps its counters
@@ -646,8 +656,7 @@ def _decide_exhaustive(engine, masks, compile_t0, node_cap, stats) -> Verdict:
     reason = NO_ASSOCIATION
     if masks:
         # the search's own cut at depth one: a pair whose relation fails a
-        # condition even under the full universe is in no witness; one pair
-        # activates only the transitions whose pre-set holds just its place
+        # condition even under the full universe is in no witness
         bad = engine.depth_one_cut()
         stats["pruned_pairs"] = bad.bit_count()
         masks = [mm for mm in masks if not mm & bad]

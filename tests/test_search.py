@@ -41,6 +41,7 @@ from pneq import checkers
 from pneq.checkers import _decide_exhaustive, _Engine, _is_branching, pair_universe
 from pneq.errors import SearchBudgetError
 from pneq.ltsbisim import branching_relation, strong_partition
+from pneq.silent import silent_reachable
 from engine_reference import engine_tables, frozen, net_tables, repair_options, respond_compute
 from guided_reference import guided_decide
 from scan_reference import scan_decide, single_place_presets, static_bad_mask
@@ -108,7 +109,7 @@ def test_node_budget_errors_only_where_the_scan_raises():
     # raise where the scan answers, nor answer otherwise than without a cap.
     rng = random.Random(47)
     outcomes = {"both": 0, "search only": 0, "neither": 0}
-    for i in range(1000):
+    for i in range(2000):
         kind = KINDS[i % len(KINDS)]
         net, m1, m2 = _random_query(rng, kind)
         caps = DecideCaps(node_budget=rng.choice([2, 3, 4, 6, 10]))
@@ -122,6 +123,8 @@ def test_node_budget_errors_only_where_the_scan_raises():
         else:
             assert got == _outcome(decide, net, m1, m2, kind, "exhaustive")
             outcomes["search only"] += 1
+    # 27 both, 63 search only and 1,910 neither when written: the depth-one
+    # cut runs no silent search, so the search meets fewer budgets per query
     assert outcomes["both"] >= 20 and outcomes["neither"] >= 500, outcomes
 
 
@@ -213,9 +216,18 @@ def _corpus_queries():
                 yield net, m1, m2, kind
 
 
-def test_depth_one_walk_prunes_the_reference_bits():
+def _lone_sides(engine, a, q):
+    """The depth-one conditions of the core pair (a, q): (ti, p) for a
+    transition whose pre-set holds just one of the two places and the
+    other place p, whose tokens must answer it."""
+    lone = engine.compiled.lone
+    return [(ti, q) for ti in lone.get(a, ())] + [(ti, a) for ti in lone.get(q, ())]
+
+
+def test_depth_one_walk_prunes_the_reference_bits(monkeypatch):
     # The closed-form cut, the per-bit walk and the reference pass agree on
-    # the bits and on the matchings solved, so they ask the same responses.
+    # the bits, and the cut asks no response: no matching, no `respond`,
+    # no silent search.
     rng = random.Random(5)
     queries = []
     for i in range(1000):
@@ -223,22 +235,84 @@ def test_depth_one_walk_prunes_the_reference_bits():
         queries.append((*_random_query(rng, kind), kind))
     corpus_queries = list(_corpus_queries())
     assert len(corpus_queries) >= 68
-    pruned = theta = multiple = 0
+    asked = Counter()  # responses and silent searches asked within the cut
+    cutting = False
+
+    def spy(name, fn):
+        def counted(*args):
+            if cutting:
+                asked[name] += 1
+            return fn(*args)
+        return counted
+
+    def cut_spy(self):
+        nonlocal cutting
+        cutting = True
+        try:
+            return cut(self)
+        finally:
+            cutting = False
+
+    cut = _Engine.depth_one_cut
+    monkeypatch.setattr(_Engine, "depth_one_cut", cut_spy)
+    monkeypatch.setattr(_Engine, "respond", spy("respond", _Engine.respond))
+    monkeypatch.setattr(checkers, "run_search", spy("run_search", checkers.run_search))
+    pruned = theta = multiple = unreached = stepped = 0
     for net, m1, m2, kind in queries + corpus_queries:
-        (cut, walk, reference), engine = _pruned(net, m1, m2, kind)
-        assert cut == walk == reference, (kind, net.transitions, m1, m2)
-        pruned += cut[0] != 0
-        for (a, c), b in engine.bit.items():
-            if not cut[0] & b:
+        ((cut_mask, solved), walk, reference), engine = _pruned(net, m1, m2, kind)
+        assert walk == reference and cut_mask == walk[0], (kind, net.transitions, m1, m2)
+        assert solved == 0 and not asked, (kind, net.transitions, m1, m2, asked)
+        pruned += cut_mask != 0
+        c = engine.compiled
+        for (a, q), b in engine.bit.items():
+            if THETA in (a, q):
+                theta += bool(cut_mask & b)
                 continue
-            if THETA in (a, c):
-                theta += 1
-            elif any(len(engine.compiled.pre_tok[ti]) > 1
-                     for ti in engine.compiled.lone.get(a, ()) + engine.compiled.lone.get(c, ())):
+            sides = _lone_sides(engine, a, q)
+            if cut_mask & b and any(len(c.pre_tok[ti]) > 1 for ti, _ in sides):
                 multiple += 1  # a lone pre-set of two or more tokens
+            if not engine.branching:
+                continue
+            unreached_here = stepped_here = False
+            for ti, p in sides:
+                if c.tau_seq[ti]:
+                    continue
+                reach = silent_reachable(net.silent_moves, (p,))
+                sized = [cj for cj in c.answerers[ti]
+                         if engine.d or len(c.post_tok[cj]) == len(c.post_tok[ti])]
+                # answerers of the right size, none of them within silent reach
+                unreached_here |= bool(sized) and not any(
+                    reach.issuperset(c.pre_tok[cj]) for cj in sized)
+                # no answerer of the right size on p's own tokens
+                stepped_here |= not any(c.pre_tok[cj] == (p,) * len(c.pre_tok[ti])
+                                        for cj in sized)
+            unreached += bool(cut_mask & b) and unreached_here
+            stepped += not cut_mask & b and stepped_here  # kept by a silent step
     assert pruned >= 600, pruned  # 770 when written
     assert theta >= 1000, theta  # 1,232 when written
     assert multiple >= 800, multiple  # 1,033 when written
+    assert unreached >= 1000, unreached  # 1,354 when written
+    assert stepped >= 20, stepped  # 31 when written
+
+
+def test_a_budget_the_cut_met_no_longer_ends_the_decide():
+    # The depth-one cut runs no silent search, so a node budget that its
+    # responses met before (the per-bit walk still meets it) leaves the
+    # search to answer: as without a cap.
+    related = 0
+    for name, m1, m2, kind in (("spawn_deadlock.pn", "s1", "s4", "bdplace"),
+                               ("token_pump.pn", "s1", "s3", "bplace"),
+                               ("latent_sync.pn", "s1", "s4", "bdplace")):
+        net = corpus.load_net(name)
+        m1, m2 = parse_marking(m1, net), parse_marking(m2, net)
+        engine = _Engine(net, pair_universe(net, m1, m2, kind), kind, 1)
+        with pytest.raises(SearchBudgetError):
+            _failures_walk(engine)
+        got = decide(net, m1, m2, kind, "exhaustive", DecideCaps(node_budget=1))
+        want = decide(net, m1, m2, kind, "exhaustive")
+        assert (got.status, got.witness) == (want.status, want.witness), (name, kind)
+        related += got.status == "related"
+    assert related == 1
 
 
 def test_the_depth_one_cut_walks_no_condition(monkeypatch):

@@ -266,9 +266,6 @@ NOT_ENTERED = {
     "relations.PlaceRelation.__reduce__": (
         "copy and pickle, which would otherwise assign the slots"
     ),
-    "silent.silent_reachable": (
-        "perfbench/spans.CROSS_MODULE swaps it by name in the checking module"
-    ),
 }
 
 
