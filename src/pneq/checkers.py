@@ -107,23 +107,23 @@ def _check_kind(kind: str) -> None:
 class _Engine:
     """Relation checks compiled against a fixed pair universe.
 
-    Candidate relations are bitmasks over the universe. Image sets are
-    cached keyed by the pairs of the pre-set's places; `respond` caches each
-    response's trace, or None, keyed by `resp_mask`, built once per
-    transition and side, so the many relations that the branch-and-bound
-    search visits share most of their work. `failures` is the one walk over
-    the finite conditions of a set of pairs, and it asks every response
-    through `respond`: `check_relation`, guided repair, the association
-    cut and the branch-and-bound all consume it. `images` gives each
-    place's tokens the multisets of its images, so a pre-set's image set
-    grows with its token count polynomially, not exponentially.
-    `depth_one_cut` finds the pairs that fail a condition on their own
-    without asking a response, from the theta conditions on one place and
-    from `lone`, the transitions whose pre-set holds a single place.
-    `member` is the one closure-membership routine, for the additive
-    closure and the d one alike: it backtracks over the tokens up to
-    `SMALL_MATCH` tokens in all, and runs the max-flow `_match` past it.
-    `associations` is the one enumeration of the associations of two
+    Candidate relations are bitmasks over the universe. Three caches let
+    the many relations that the branch-and-bound visits share their work:
+    image sets keyed by the pairs of the pre-set's places; each response's
+    trace, or None, keyed by `resp_mask`, built once per transition and
+    side; and each closure answer of `member`, keyed by the question.
+    `failures` is the one walk over the finite conditions of a set of
+    pairs, and it asks every response through `respond`: `check_relation`,
+    guided repair, the association cut and the branch-and-bound all
+    consume it. `images` gives each place's tokens the multisets of its
+    images, so a pre-set's image set grows with its token count
+    polynomially, not exponentially. `depth_one_cut` finds the pairs that
+    fail a condition on their own without asking a response, from the
+    theta conditions on one place and from `lone`, the transitions whose
+    pre-set holds a single place. `member` is the one closure-membership
+    routine, for the additive closure and the d one alike: it backtracks
+    up to `SMALL_MATCH` tokens in all, and runs the max-flow `_match` past
+    it. `associations` is the one enumeration of the associations of two
     markings, for the exhaustive search and guided mode alike.
 
     The engine builds only the tables of its universe. It reads the tables
@@ -192,6 +192,7 @@ class _Engine:
         }
         self._images_cache: dict = {}
         self._resp_cache: dict = {}
+        self._member_cache: dict = {}
         self.matchings_solved = 0
 
     # -- closure membership ------------------------------------------------
@@ -199,19 +200,25 @@ class _Engine:
     def member(self, m1, m2, rbits, d) -> bool:
         """Whether the sorted token tuples (m1, m2) are in the closure of
         `rbits`: the additive one, or with `d` the one where a token may
-        pair with theta. Counts a matching for every `d` call and for plain
-        ones with equal, non-zero sizes."""
+        pair with theta. Every `d` question and every plain one with equal,
+        non-zero sizes is a matching, solved once per engine: the answer is
+        memoised, and `matchings_solved` counts the distinct ones."""
         n1, n2 = len(m1), len(m2)
         if not d:
             if n1 != n2:
                 return False
             if not n1:
                 return True
-        self.matchings_solved += 1
-        if n1 + n2 > SMALL_MATCH:
-            allowed = [pair for pair, b in self.bit.items() if rbits & b]
-            return _match(allowed, Marking(m1), Marking(m2), d) is not None
-        return self._assign(m1, 0, m2, rbits, d)
+        hit = self._member_cache.get(key := (m1, m2, rbits, d))
+        if hit is None:
+            self.matchings_solved += 1
+            if n1 + n2 > SMALL_MATCH:
+                allowed = [pair for pair, b in self.bit.items() if rbits & b]
+                hit = _match(allowed, Marking(m1), Marking(m2), d) is not None
+            else:
+                hit = self._assign(m1, 0, m2, rbits, d)
+            self._member_cache[key] = hit
+        return hit
 
     def _assign(self, m1, i, rest, rbits, d) -> bool:
         """Whether the left tokens from `m1[i]` on pair off with the right
@@ -353,13 +360,9 @@ class _Engine:
 
         if self.branching and c.tau_seq[ti]:
             if side == 1:
-                final_ok = lambda f: (
-                    self.member(anchor, f, bar, False) and self.member(post, f, bar, False)
-                )
+                final_ok = lambda f: psi_ok(f) and self.member(post, f, bar, False)
             else:
-                final_ok = lambda f: (
-                    self.member(f, anchor, bar, False) and self.member(f, post, bar, False)
-                )
+                final_ok = lambda f: psi_ok(f) and self.member(f, post, bar, False)
             if final_ok(m):
                 return (m, m)
             found = run_search(self.net.silent_moves, m, psi_ok, final_ok, self.node_budget)
@@ -377,7 +380,7 @@ class _Engine:
             if cpre == m:
                 # answering with idling on every token
                 return (m,) * (len(m) + 1)
-            found = run_search(self.net.silent_moves, m, psi_ok, cpre.__eq__, self.node_budget)
+            found = run_search(self.net.silent_moves, m, psi_ok, cpre, self.node_budget)
             if found:
                 return found[0]
         return None
@@ -826,8 +829,7 @@ def _repair_options(engine, ti, m, side, rbits) -> set:
     for cj in c.answerers[ti]:
         cpre = c.pre_tok[cj]
         if engine.branching:
-            traces = run_search(moves, m, always_true, cpre.__eq__, engine.node_budget,
-                                sigma_limit)
+            traces = run_search(moves, m, always_true, cpre, engine.node_budget, sigma_limit)
         else:
             traces = [()] if cpre == m else []
         for trace in traces:

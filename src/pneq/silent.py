@@ -10,6 +10,7 @@ so the search returns those, its trace.
 """
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
 from collections.abc import Mapping
 
@@ -43,20 +44,19 @@ def silent_reachable(adj: Mapping, places) -> frozenset:
 # ---------------------------------------------------------------------------
 
 
-def run_search(
-    adj: Mapping,
-    start_tokens: tuple,
-    psi_ok,
-    goal,
-    node_budget: int,
-    limit: int = 1,
-) -> list:
+def run_search(adj: Mapping, start_tokens: tuple, psi_ok, goal, node_budget: int,
+               limit: int = 1) -> list:
     """The first `limit` silent responses from `start_tokens`, breadth first.
 
-    States are (pending tokens, active block, finished tokens); every step
-    fires from a marking that must satisfy `psi_ok`, the final marking is
-    exempt. A response succeeds when all tokens are finished and `goal`
-    accepts the finished tokens.
+    States are (pending tokens, active block, finished tokens, marking),
+    each a sorted token tuple but the block; only a move step changes the
+    marking. Every step fires from a marking that must satisfy `psi_ok`,
+    the final marking is exempt. A response succeeds when all tokens are
+    finished and `goal` accepts the finished tokens: `goal` is a predicate,
+    or one final marking as a sorted token tuple. An exact goal drops each
+    state whose finished tokens, which never move again, it does not hold;
+    the live states keep their order and parents, so the traces are those
+    of the predicate `goal.__eq__`, from fewer nodes.
 
     A response is its trace: the sorted token tuples of the markings it
     passes, one before each step plus the final one. A step idles or moves
@@ -66,17 +66,17 @@ def run_search(
     SearchBudgetError past the node budget: an aborted search never reports
     absence.
     """
-    start = (tuple(sorted(start_tokens)), None, ())
+    exact = isinstance(goal, tuple)
+    marking = tuple(sorted(start_tokens))
+    start = (marking, None, (), marking)
     parents: dict = {start: None}  # state -> (parent, whether a step reached it)
     queue = deque([start])
-    psi_cache: dict = {}
     found = []
     nodes = 0
 
-    def psi(mk):
-        if mk not in psi_cache:
-            psi_cache[mk] = psi_ok(mk)
-        return psi_cache[mk]
+    def finish(pending, done, p, marking):  # token p finishes; None if dead
+        if not exact or done.count(p) < goal.count(p):
+            return pending, None, tuple(sorted(done + (p,))), marking
 
     while queue:
         state = queue.popleft()
@@ -85,56 +85,54 @@ def run_search(
             raise SearchBudgetError(
                 f"silent response search exceeded {node_budget} nodes", nodes
             )
-        pending, active, done = state
+        pending, active, done, marking = state
         if active is None and not pending:
-            if goal(done):
+            if done == goal if exact else goal(done):
                 found.append(_trace(parents, state))
                 if len(found) == limit:
                     break
             continue
-        # (whether a step idles or moves a token, next state); closing a
-        # block is no step
+        # (whether a step idles or moves a token, next state or None);
+        # closing a block is no step
         successors = []
-        can_step = psi(_tokens(state))
+        can_step = psi_ok(marking)
         if active is not None:
             p0, cur, visited = active
-            successors.append((False, (pending, None, tuple(sorted(done + (cur,))))))
+            successors.append((False, finish(pending, done, cur, marking)))
             if can_step:
                 for nxt, _tid in adj.get(cur, ()):
                     if nxt in visited:  # cur itself is always in visited
                         continue
-                    if nxt == p0:
-                        # returning to the block's start closes it
-                        nstate = (pending, None, tuple(sorted(done + (nxt,))))
-                    else:
-                        nstate = (pending, (p0, nxt, visited | {nxt}), done)
-                    successors.append((True, nstate))
+                    moved = _moved(marking, cur, nxt)
+                    # returning to the block's start closes it
+                    successors.append((True, finish(pending, done, nxt, moved) if nxt == p0
+                                       else (pending, (p0, nxt, visited | {nxt}), done, moved)))
         elif can_step:
-            for p in sorted(set(pending)):
-                rest = list(pending)
-                rest.remove(p)
-                rest = tuple(rest)
-                successors.append((True, (rest, None, tuple(sorted(done + (p,))))))
+            for i, p in enumerate(pending):
+                if i and p == pending[i - 1]:
+                    continue  # each distinct token once
+                rest = pending[:i] + pending[i + 1:]
+                successors.append((True, finish(rest, done, p, marking)))
                 for nxt, _tid in adj.get(p, ()):
                     if nxt == p:
-                        nstate = (rest, None, tuple(sorted(done + (p,))))
+                        nstate = finish(rest, done, p, marking)
                     else:
-                        nstate = (rest, (p, nxt, frozenset((nxt,))), done)
+                        nstate = (rest, (p, nxt, frozenset((nxt,))), done,
+                                  _moved(marking, p, nxt))
                     successors.append((True, nstate))
         for stepped, nstate in successors:
-            if nstate not in parents:
+            if nstate is not None and nstate not in parents:
                 parents[nstate] = (state, stepped)
                 queue.append(nstate)
     return found
 
 
-def _tokens(state) -> tuple:
-    """The sorted tokens of a search state's marking."""
-    pending, active, done = state
-    toks = list(pending) + list(done)
-    if active is not None:
-        toks.append(active[1])
-    return tuple(sorted(toks))
+def _moved(marking, src, dst) -> tuple:
+    """The sorted marking with one token moved from `src` to `dst`."""
+    toks = list(marking)
+    toks.remove(src)
+    insort(toks, dst)
+    return tuple(toks)
 
 
 def _trace(parents, state) -> tuple:
@@ -144,7 +142,7 @@ def _trace(parents, state) -> tuple:
     while parents[state] is not None:
         prev, stepped = parents[state]
         if stepped:
-            trace.append(_tokens(state))
+            trace.append(state[3])
         state = prev
-    trace.append(_tokens(state))
+    trace.append(state[3])
     return tuple(reversed(trace))

@@ -228,7 +228,7 @@ def test_fan_out_runs_the_general_matcher(kind, monkeypatch):
     d = kind in ("dplace", "bdplace")
     assert calls and set(calls) == {d}  # post-sets: the plain closure, or the d one
     if kind == "place":
-        assert len(calls) == 653
+        assert len(calls) == 612
     # the naive checker agrees on the witness and on each pair dropped from it;
     # only dropping (s0,r0) leaves a relation that passes
     for pr in [None] + sorted(witness):

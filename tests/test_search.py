@@ -38,7 +38,7 @@ from pneq import (
 )
 import pneq.net
 from pneq import checkers
-from pneq.checkers import _decide_exhaustive, _Engine, _is_branching, pair_universe
+from pneq.checkers import SMALL_MATCH, _decide_exhaustive, _Engine, _is_branching, pair_universe
 from pneq.errors import SearchBudgetError
 from pneq.ltsbisim import branching_relation, strong_partition
 from pneq.silent import silent_reachable
@@ -109,7 +109,7 @@ def test_node_budget_errors_only_where_the_scan_raises():
     # raise where the scan answers, nor answer otherwise than without a cap.
     rng = random.Random(47)
     outcomes = {"both": 0, "search only": 0, "neither": 0}
-    for i in range(2000):
+    for i in range(3000):
         kind = KINDS[i % len(KINDS)]
         net, m1, m2 = _random_query(rng, kind)
         caps = DecideCaps(node_budget=rng.choice([2, 3, 4, 6, 10]))
@@ -123,8 +123,9 @@ def test_node_budget_errors_only_where_the_scan_raises():
         else:
             assert got == _outcome(decide, net, m1, m2, kind, "exhaustive")
             outcomes["search only"] += 1
-    # 27 both, 63 search only and 1,910 neither when written: the depth-one
-    # cut runs no silent search, so the search meets fewer budgets per query
+    # 27 both, 19 search only and 2,954 neither when written: the depth-one
+    # cut runs no silent search, and an exact goal drops dead states, so the
+    # search meets fewer budgets per query
     assert outcomes["both"] >= 20 and outcomes["neither"] >= 500, outcomes
 
 
@@ -152,6 +153,47 @@ def test_the_response_cache_is_transparent():
                         assert got == want, (kind, net.transitions, ti, m, side, upper)
                         conditions += 1
     assert conditions >= 30_000, conditions  # 33,546 when written
+
+
+def test_the_member_memo_is_transparent():
+    # `member` memoises each answer on its engine, keyed by (m1, m2, rbits,
+    # d). On one warm engine per query, every question, asked again from a
+    # small pool, must get the answer a fresh engine gives: random masks,
+    # both closures, token tuples on both sides of SMALL_MATCH. A matching
+    # counts only on its question's first asking.
+    rng = random.Random(67)
+    seen = Counter()  # (small, d, answer, asked before)
+    for i in range(300):
+        kind = KINDS[i % len(KINDS)]
+        net, m1, m2 = _random_query(rng, kind)
+        universe = pair_universe(net, m1, m2, kind)
+        engine = _Engine(net, universe, kind, DecideCaps().node_budget)
+        left = sorted({a for a, _ in universe if a is not THETA})
+        right = sorted({c for _, c in universe if c is not THETA})
+        if not (left and right):
+            continue  # two empty markings: no pairs to ask about
+        pool = []
+        for _ in range(8):
+            n1 = rng.randint(0, 5)
+            n2 = n1 if rng.random() < 0.6 else rng.randint(0, 5)
+            pool.append((tuple(sorted(rng.choices(left, k=n1))),
+                         tuple(sorted(rng.choices(right, k=n2))),
+                         rng.getrandbits(len(engine.pairs)), rng.random() < 0.5))
+        asked = set()
+        for _ in range(24):
+            question = rng.choice(pool)
+            m1, m2, rbits, d = question
+            before = engine.matchings_solved
+            got = engine.member(*question)
+            fresh = _Engine(net, universe, kind, DecideCaps().node_budget)
+            assert got == fresh.member(*question), (kind, net.transitions, question)
+            matching = d or len(m1) == len(m2) > 0
+            again = question in asked
+            assert engine.matchings_solved == before + (matching and not again)
+            asked.add(question)
+            if matching:
+                seen[len(m1) + len(m2) <= SMALL_MATCH, d, got, again] += 1
+    assert min(seen.values()) >= 30 and len(seen) == 16, seen  # 44 least when written
 
 
 def test_images_are_the_related_markings():
@@ -298,19 +340,24 @@ def test_depth_one_walk_prunes_the_reference_bits(monkeypatch):
 def test_a_budget_the_cut_met_no_longer_ends_the_decide():
     # The depth-one cut runs no silent search, so a node budget that its
     # responses met before (the per-bit walk still meets it) leaves the
-    # search to answer: as without a cap.
+    # search to answer: as without a cap. Each net's walk searches for an
+    # answerer's pre-set from a marking with a live first step.
     related = 0
-    for name, m1, m2, kind in (("spawn_deadlock.pn", "s1", "s4", "bdplace"),
-                               ("token_pump.pn", "s1", "s3", "bplace"),
-                               ("latent_sync.pn", "s1", "s4", "bdplace")):
-        net = corpus.load_net(name)
+    for text, m1, m2, kind in (
+            ("trans t0 : p0+p2 -> b -> 0\ntrans t1 : 2*p2 -> b -> 0\n",
+             "2*p0", "2*p0", "bplace"),
+            ("trans t0 : p0+p1 -> tau -> p0+p1\ntrans t1 : 2*p1 -> tau -> p0+p1\n",
+             "2*p1", "p0+2*p1", "bdplace"),
+            ("trans t0 : p0+p1 -> tau -> p1\ntrans t1 : 2*p0 -> tau -> p0\n"
+             "trans t2 : p1 -> a -> 2*p2\n", "2*p2", "p1+p2", "bplace")):
+        net = parse_net("net walk\nplace p0 p1 p2\n" + text)
         m1, m2 = parse_marking(m1, net), parse_marking(m2, net)
         engine = _Engine(net, pair_universe(net, m1, m2, kind), kind, 1)
         with pytest.raises(SearchBudgetError):
             _failures_walk(engine)
         got = decide(net, m1, m2, kind, "exhaustive", DecideCaps(node_budget=1))
         want = decide(net, m1, m2, kind, "exhaustive")
-        assert (got.status, got.witness) == (want.status, want.witness), (name, kind)
+        assert (got.status, got.witness) == (want.status, want.witness), (text, kind)
         related += got.status == "related"
     assert related == 1
 

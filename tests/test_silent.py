@@ -1,5 +1,6 @@
 import random
 import zlib
+from collections import Counter
 
 import pytest
 
@@ -46,13 +47,14 @@ def answer_silently(rel, t, direction):
 def respond(net, rel, anchor, start, direction, goal, node_budget=DEFAULT_NODE_BUDGET):
     """The first response from `start` under the anchor's constraint, as
     the reference search's (blocks, trace), or None; a goal tuple is the
-    final marking's tokens. run_search must give the reference's traces,
-    and every hit must replay to its trace."""
+    final marking's tokens, which run_search takes as it is and the
+    reference as `goal.__eq__`. run_search must give the reference's
+    traces, and every hit must replay to its trace."""
+    args = (net.silent_moves, start.tokens(), psi_ok(rel, anchor, direction))
+    traces = run_search(*args, goal, node_budget)
     if isinstance(goal, tuple):
         goal = goal.__eq__
-    args = (net.silent_moves, start.tokens(), psi_ok(rel, anchor, direction), goal, node_budget)
-    traces = run_search(*args)
-    found = reference_search(*args)
+    found = reference_search(*args, goal, node_budget)
     assert traces == [trace for _, trace in found]
     for blocks, trace in found:
         assert replay(net, start, blocks) == trace
@@ -332,6 +334,54 @@ class TestReferenceSearch:
         assert nonempty >= 650, nonempty  # 753 when written
         assert several >= 130, several  # 159 when written
         assert budget >= 200, budget  # 241 when written
+
+    def test_an_exact_goal_drops_only_dead_states(self):
+        # With a final marking as its goal, run_search drops every state
+        # whose finished tokens that marking does not hold. Against the
+        # reference with the predicate `goal.__eq__`: the same traces in the
+        # same order; never a budget error where the reference answers; and
+        # where the reference meets the budget, a budget error or the traces
+        # it gives without one. Counting `psi_ok` calls (one per popped
+        # state that is not final) against the unpruned search shows that
+        # the pruned one pops no more states.
+        rng = random.Random(1618)
+        dropped = rescued = answered = 0
+        for n in range(2000):
+            net = _random_silent_net(rng, n)
+            start = tuple(sorted(rng.choices(net.places, k=rng.randint(1, 4))))
+            target = tuple(sorted(rng.choices(net.places, k=len(start))))
+            psi_rate, salt = rng.choice((100, 90, 70, 40)), rng.getrandbits(32)
+            budget = min(int(10 ** rng.uniform(0, 6)), DEFAULT_NODE_BUDGET)
+            limit = rng.randint(1, 5)
+            popped = Counter()
+
+            def psi(mk, search=None):
+                popped[search] += 1
+                return _coin(salt, mk, psi_rate)
+
+            def outcome(search, goal, node_budget=budget, name=None):
+                try:
+                    return search(net.silent_moves, start, lambda mk: psi(mk, name), goal,
+                                  node_budget, limit)
+                except SearchBudgetError:
+                    return "budget"
+
+            got = outcome(run_search, target, name="pruned")
+            want = outcome(reference_search, target.__eq__)
+            if want == "budget":
+                unbudgeted = outcome(reference_search, target.__eq__, DEFAULT_NODE_BUDGET)
+                assert got in ("budget", [trace for _, trace in unbudgeted]), (
+                    net.transitions, start, target, budget, limit)
+                rescued += got != "budget"
+                continue
+            assert got == [trace for _, trace in want], (net.transitions, start, target, limit)
+            assert outcome(run_search, target.__eq__, name="unpruned") == got
+            assert popped["pruned"] <= popped["unpruned"]
+            dropped += popped["pruned"] < popped["unpruned"]
+            answered += bool(got)
+        assert dropped >= 550, dropped  # 659 when written
+        assert rescued >= 55, rescued  # 73 when written
+        assert answered >= 550, answered  # 619 when written
 
 
 class TestPsiHolds:
