@@ -41,6 +41,7 @@ KINDS = ("place", "dplace", "bplace", "bdplace")
 AUTO_NODES = 100_000  # auto mode: exhaustive search nodes before the guided fallback
 GUIDED_NODES = 20_000  # candidate relations guided mode checks before giving up
 GUIDED_WIDTH = 12  # repair options guided mode tries per failed condition
+REPAIR_TRACES = 4  # silent traces guided repair aims at per response form
 SMALL_MATCH = 6  # closure membership: past this many tokens in all, max-flow
 _MISS = object()  # `_Engine.respond`: no cached trace yet
 NO_ASSOCIATION = "no association over the pair universe"  # either mode's reason
@@ -86,6 +87,11 @@ class Verdict(namedtuple("Verdict", "status witness mode_used stats violations",
     __slots__ = ()
 
 
+def _anywhere(tokens) -> bool:
+    """A search predicate that every marking meets."""
+    return True
+
+
 def _is_d(kind: str) -> bool:
     return kind in ("dplace", "bdplace")
 
@@ -112,6 +118,10 @@ class _Engine:
     image sets keyed by the pairs of the pre-set's places; each response's
     trace, or None, keyed by `resp_mask`, built once per transition and
     side; and each closure answer of `member`, keyed by the question.
+    Three more serve guided repair, whose needs do not depend on the
+    relation: each failed condition's `requirements`, the silent traces of
+    `repair_traces` keyed by start and goal, and the first association
+    masks of each requirement in `repair_choices`.
     `failures` is the one walk over the finite conditions of a set of
     pairs, and it asks every response through `respond`: `check_relation`,
     guided repair, the association cut and the branch-and-bound all
@@ -193,6 +203,9 @@ class _Engine:
         self._images_cache: dict = {}
         self._resp_cache: dict = {}
         self._member_cache: dict = {}
+        self._requirements_cache: dict = {}
+        self._traces_cache: dict = {}
+        self._choices_cache: dict = {}
         self.matchings_solved = 0
 
     # -- closure membership ------------------------------------------------
@@ -384,6 +397,68 @@ class _Engine:
             if found:
                 return found[0]
         return None
+
+    # -- guided repair ---------------------------------------------------------
+
+    def requirements(self, ti: int, m: tuple, side: int) -> tuple:
+        """What an answer to the condition (ti, m, side) needs, for each
+        answer `_respond_compute` could give, taken along one of its first
+        `REPAIR_TRACES` silent traces (a strong kind's is empty): each
+        marking of the trace psi-related to the moving pre-set, then the
+        post-set pair. A requirement is (left, right, d): two sorted token
+        tuples, related under the closure `d` picks. The table does not
+        depend on the relation, so it is built once per engine."""
+        key = (ti, m, side)
+        table = self._requirements_cache.get(key)
+        if table is not None:
+            return table
+        c = self.compiled
+        anchor = c.pre_tok[ti]
+        post = c.post_tok[ti]
+
+        def oriented(x, y, d):
+            return (x, y, d) if side == 1 else (y, x, d)
+
+        answers = []  # (trace, its post-set requirement)
+        if self.branching and c.tau_seq[ti]:
+            for trace in self.repair_traces(m, _anywhere):
+                answers.append((trace, oriented(post, trace[-1], False)))
+        for cj in c.answerers[ti]:
+            cpre = c.pre_tok[cj]
+            if self.branching:
+                traces = self.repair_traces(m, cpre)
+            else:
+                traces = [()] if cpre == m else []
+            for trace in traces:
+                answers.append((trace, oriented(post, c.post_tok[cj], self.d)))
+        table = self._requirements_cache[key] = tuple(
+            (*(oriented(anchor, mk, False) for mk in trace), post_req)
+            for trace, post_req in answers
+        )
+        return table
+
+    def repair_traces(self, start: tuple, goal) -> list:
+        """The first `REPAIR_TRACES` silent traces from `start` to `goal`,
+        one exact marking or `_anywhere`, with no psi check: shared by every
+        condition that asks the same search."""
+        key = (start, goal)
+        hit = self._traces_cache.get(key)
+        if hit is None:
+            hit = self._traces_cache[key] = run_search(
+                self.net.silent_moves, start, _anywhere, goal, self.node_budget, REPAIR_TRACES)
+        return hit
+
+    def repair_choices(self, left: tuple, right: tuple, d: bool) -> tuple:
+        """The first `GUIDED_WIDTH` association masks of the requirement
+        (left, right, d), over the universe under `d` and over the core
+        pairs otherwise."""
+        key = (left, right, d)
+        hit = self._choices_cache.get(key)
+        if hit is None:
+            found = self.associations(Counter(left).items(), Counter(right).items(),
+                                      self.universe_mask if d else self.core_mask, d)
+            hit = self._choices_cache[key] = tuple(itertools.islice(found, GUIDED_WIDTH))
+        return hit
 
     # -- the condition walk ---------------------------------------------------
 
@@ -770,12 +845,17 @@ def _decide_guided(engine, masks) -> Verdict:
     """Grow a witness breadth first from the association masks `masks`."""
     stats = {"relations_examined": 0, "relations_checked": 0}
 
+    labels: dict = {}  # bit -> its printed pair, formatted when first sorted
+
     def printed(mask):  # the sorted printed pairs of a mask: guided mode's order
         out = []
         while mask:
             low = mask & -mask
-            a, b = engine.pairs[low.bit_length() - 1]
-            out.append((format_side(a), format_side(b)))
+            label = labels.get(low)
+            if label is None:
+                a, b = engine.pairs[low.bit_length() - 1]
+                label = labels[low] = (format_side(a), format_side(b))
+            out.append(label)
             mask ^= low
         return sorted(out)
 
@@ -805,48 +885,17 @@ def _decide_guided(engine, masks) -> Verdict:
 
 def _repair_options(engine, ti, m, side, rbits) -> set:
     """The masks of pair additions that could discharge the failed
-    condition (ti, m, side), each once, in no particular order. An answer
-    of `_Engine._respond_compute`, taken along one of its first
-    `sigma_limit` traces (a strong kind's is empty), needs each marking of
-    the trace psi-related to the moving pre-set and its post-set pair."""
-    c = engine.compiled
-    anchor = c.pre_tok[ti]
-    post = c.post_tok[ti]
-    moves = engine.net.silent_moves
-    sigma_limit = 4
-    always_true = lambda mk: True
-
-    def oriented(x, y):
-        return (x, y) if side == 1 else (y, x)
-
-    # (trace, post-set pair, whether the pair is matched under the
-    # theta-extended closure)
-    answers = []
-    if engine.branching and c.tau_seq[ti]:
-        for trace in run_search(moves, m, always_true, always_true, engine.node_budget,
-                                sigma_limit):
-            answers.append((trace, oriented(post, trace[-1]), False))
-    for cj in c.answerers[ti]:
-        cpre = c.pre_tok[cj]
-        if engine.branching:
-            traces = run_search(moves, m, always_true, cpre, engine.node_budget, sigma_limit)
-        else:
-            traces = [()] if cpre == m else []
-        for trace in traces:
-            answers.append((trace, oriented(post, c.post_tok[cj]), engine.d))
-
+    condition (ti, m, side), each once, in no particular order: for each
+    answer of `_Engine.requirements`, the unions of one association mask,
+    less `rbits`, per requirement that `rbits` does not meet."""
     options = set()
-    for trace, post_pair, post_d in answers:
-        reqs = [(oriented(anchor, mk), False) for mk in trace]
-        reqs.append((post_pair, post_d))
+    for reqs in engine.requirements(ti, m, side):
         choice_lists = []
-        for (left, right), use_d in reqs:
-            allowed = engine.universe_mask if use_d else engine.core_mask
-            if engine.member(left, right, rbits & allowed, use_d):
+        for left, right, d in reqs:
+            allowed = engine.universe_mask if d else engine.core_mask
+            if engine.member(left, right, rbits & allowed, d):
                 continue
-            found = engine.associations(Counter(left).items(), Counter(right).items(),
-                                        allowed, use_d)
-            choices = [q & ~rbits for q in itertools.islice(found, GUIDED_WIDTH)]
+            choices = [q & ~rbits for q in engine.repair_choices(left, right, d)]
             if not choices:
                 break  # a requirement no addition can meet
             choice_lists.append(choices)

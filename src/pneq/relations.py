@@ -4,12 +4,14 @@ A place relation is a finite set of ordered pairs of places; the d-extended
 variant may also pair a place with the empty marking (THETA). A marking
 pair is in the additive closure when its tokens pair off along the
 relation, and in the d closure when a token may also pair with THETA.
-Tokens on one place are alike, so `_match` answers on places: one
-breadth-first augmenting max flow from the left marking's places to the
-right one's, each path carrying its whole bottleneck. Shortest augmenting
-paths number O(V E) over V places and E pairs whatever the counts, so the
-work and the memory follow the places, not the tokens; only the witnesses
-of `additive_member` and `d_additive_member` list one pair per token.
+Tokens on one place are alike, so `_match` answers on places: a max flow
+from the left marking's places to the right one's. It first routes each
+direct arc as far as its two ends allow, then searches breadth-first
+augmenting paths for the tokens left over, each path carrying its whole
+bottleneck. Shortest augmenting paths number O(V E) over V places and E
+pairs whatever the counts, so the work and the memory follow the places,
+not the tokens; only the witnesses of `additive_member` and
+`d_additive_member` list one pair per token.
 """
 from __future__ import annotations
 
@@ -33,14 +35,18 @@ class PlaceRelation:
     Immutable; two relations are equal when their pairs and names are.
     """
 
-    __slots__ = ("pairs", "name")
+    __slots__ = ("pairs", "name", "is_d_extended")
 
     def __init__(self, pairs: frozenset, name: str = ""):
+        theta = False  # whether a pair holds THETA
         for a, b in pairs:
-            if a is THETA and b is THETA:
-                raise ModelError("the pair (0, 0) is not allowed in a relation")
+            if a is THETA or b is THETA:
+                if a is b:
+                    raise ModelError("the pair (0, 0) is not allowed in a relation")
+                theta = True
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "name", name)
+        object.__setattr__(self, "is_d_extended", theta)
 
     def __setattr__(self, attr, value):
         raise AttributeError("PlaceRelation is immutable")
@@ -59,10 +65,6 @@ class PlaceRelation:
     @classmethod
     def of(cls, pairs, name: str = "") -> "PlaceRelation":
         return cls(frozenset(pairs), name)
-
-    @property
-    def is_d_extended(self) -> bool:
-        return any(a is THETA or b is THETA for a, b in self.pairs)
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -91,12 +93,16 @@ def _match(rel_pairs, m1: Marking, m2: Marking, d: bool) -> tuple | None:
     """The association of (m1, m2) over the pairs `rel_pairs`, as sorted
     ((a, b), count) pairs, or None when there is none.
 
-    One breadth-first augmenting max flow from m1's places to m2's, each
-    path carrying its bottleneck. With `d`, THETA is a node on each side:
-    the left one holds |m2| tokens, the right one takes |m1|, and the
+    A max flow from m1's places to m2's. With `d`, THETA is a node on each
+    side: the left one holds |m2| tokens, the right one takes |m1|, and the
     THETA-THETA arc, left out of the result, takes the slack. Arcs are
-    searched by partner name, THETA last, and undo arcs in the order of
-    their first flow.
+    taken by partner name, THETA last, and undo arcs in the order of their
+    first flow. The flow first routes each direct arc, left nodes in m1's
+    order (THETA last) and each one's partners in arc order, as far as its
+    two ends allow: these are the augmentations a breadth-first search
+    would find first, since a shortest path is a direct arc while one
+    remains. It then searches augmenting paths, each carrying its
+    bottleneck, for the tokens left over; only those paths use undo arcs.
     """
     supply = dict(m1.sorted_items())
     demand = dict(m2.sorted_items())
@@ -106,16 +112,31 @@ def _match(rel_pairs, m1: Marking, m2: Marking, d: bool) -> tuple | None:
     elif m1.size != m2.size:
         return None
     arcs: dict = {a: [] for a in supply}
+    to_theta = {THETA} if d else set()  # the left nodes with an arc to THETA
     for a, b in rel_pairs:
         if a in arcs and b in demand:
-            arcs[a].append(b)
-    if d:
-        arcs[THETA].append(THETA)
-    for bs in arcs.values():
-        bs.sort(key=lambda b: (b is THETA, b or ""))
+            if b is THETA:
+                to_theta.add(a)
+            else:
+                arcs[a].append(b)
     flow: dict = {}  # (a, b) -> units
     back: dict = {b: [] for b in demand}  # b -> each a that sent it flow, by first flow
-    unrouted = sum(supply.values())
+    unrouted = 0
+    for a, bs in arcs.items():  # the direct arcs first, in the search's order
+        bs.sort()
+        if a in to_theta:
+            bs.append(THETA)
+        n = supply[a]
+        for b in bs:
+            if not n:
+                break
+            if units := min(n, demand[b]):
+                flow[a, b] = units
+                back[b].append(a)
+                demand[b] -= units
+                n -= units
+        supply[a] = n
+        unrouted += n
     while unrouted:
         # Breadth first from the roots, the left nodes with tokens left. A
         # right node's undo arcs are followed as soon as it is met: the left

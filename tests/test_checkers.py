@@ -291,7 +291,8 @@ class TestDecide:
         monkeypatch.setattr("pneq.checkers.AUTO_NODES", 1)
         # the query's associations are enumerated once per decide, for the
         # exhaustive attempt and guided mode alike; guided repair makes its
-        # own calls. Calls counted by the caller's name.
+        # own calls, once per requirement, through `repair_choices`. Calls
+        # counted by the caller's name.
         associations = _Engine.associations
         callers = Counter()
 
@@ -304,7 +305,7 @@ class TestDecide:
         m1, m2 = parse_marking("P1+C", net), parse_marking("P1'+C'", net)
         v = decide(net, m1, m2, "bplace", "auto")
         assert v.mode_used == "guided" and v.status == "related"
-        assert callers.pop("_repair_options") > 0
+        assert callers.pop("repair_choices") > 0
         assert callers == {"decide": 1}, callers
         assert v.stats["fallback"] == "relation search exceeded 1 nodes"
         assert check_relation(net, v.witness, "bplace").ok
@@ -328,7 +329,7 @@ class TestDecide:
         v = decide(net, m1, m2, "place", "auto")
         assert v.status == "unknown" and v.mode_used == "guided"
         assert "fallback" in v.stats
-        callers.pop("_repair_options", None)
+        callers.pop("repair_choices", None)
         assert callers == {"decide": 1}, callers
 
     def test_minimal_witness_in_pair_count(self, nets):

@@ -84,6 +84,18 @@ def test_a_relations_name_counts():
     assert PlaceRelation.of(pairs) != frozenset(pairs)
 
 
+def test_a_relation_is_d_extended_when_a_pair_holds_theta():
+    # set in the pair loop that refuses (0, 0); a copy or a pickle rebuilds
+    # it through the constructor, and it takes no part in equality
+    for pairs, want in (((), False), ({("a", "b")}, False),
+                        ({("a", "b"), ("c", THETA)}, True), ({(THETA, "c")}, True)):
+        rel = PlaceRelation.of(pairs, "r")
+        for r in (rel, copy.copy(rel), copy.deepcopy(rel), pickle.loads(pickle.dumps(rel))):
+            assert r.is_d_extended is want and r == rel and hash(r) == hash(rel)
+        with pytest.raises(AttributeError):
+            rel.is_d_extended = not want
+
+
 @pytest.mark.parametrize("name, field", [
     ("Transition", "label"), ("PlaceRelation", "pairs"), ("PlaceRelation", "name"),
     ("PlaceRelation", "other"), ("MatchWitness", "pairs"), ("Violation", "reason"),

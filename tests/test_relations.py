@@ -126,14 +126,42 @@ def _matched_pair(rng, places, pairs, theta):
     return Marking(m1), Marking(+m2), True
 
 
+def _left_by_direct_arcs(pairs, m1, m2, d) -> int:
+    """The tokens that `_match`'s first phase leaves over: each left node in
+    m1's order (THETA last under `d`) sends what it can along its arcs, by
+    partner name and THETA last. Positive for a member where the flow needs
+    a path through an undo arc."""
+    supply = dict(m1.sorted_items())
+    demand = dict(m2.sorted_items())
+    if d:
+        supply[THETA] = m2.size
+        demand[THETA] = m1.size
+    left = 0
+    for a, n in supply.items():
+        partners = sorted(b for x, b in pairs if x == a and b is not THETA and b in demand)
+        if d and (a is THETA or (a, THETA) in pairs):
+            partners.append(THETA)
+        for b in partners:
+            units = min(n, demand[b])
+            n -= units
+            demand[b] -= units
+        left += n
+    return left
+
+
 class TestMatcher:
     def test_match_gives_the_reference_association(self):
         """`_match`, expanded to one pair per token, against the reference
         matcher on 10,000 seeded instances: plain and theta relations, given
         as a frozenset and as a sorted list, under both closures, with
-        counts up to 10**6. The reference lists the same association."""
+        counts up to 10**6. The reference lists the same association. Both
+        phases of `_match` are met under both closures: members whose direct
+        arcs, routed in order, leave tokens over for a path through an undo
+        arc, and d members of theta relations where the THETA-THETA arc
+        takes slack."""
         rng = random.Random(2025)
         seen = Counter()
+        phases = Counter()  # (d, what the member needed)
         for i in range(10_000):
             places = [f"p{j}" for j in range(rng.randint(1, 5))]
             density = rng.choice((0.2, 0.5, 0.8))
@@ -153,9 +181,16 @@ class TestMatcher:
                     sorted(pairs, key=str), m1, m2, d)
                 if got is not None:
                     assert all(n > 0 for _, n in got)
+                    if _left_by_direct_arcs(pairs, m1, m2, d):
+                        phases[d, "undo path"] += 1
+                    if theta and d and sum(n for (a, _), n in got if a is THETA) < m2.size:
+                        phases[d, "theta slack"] += 1
                 seen[theta, d, got is not None, big] += 1
         assert min(n for (_, _, _, big), n in seen.items() if not big) >= 400, seen
         assert min(n for (_, _, _, big), n in seen.items() if big) >= 2, seen
+        # 197 and 541 undo paths, 1,840 with theta slack when written
+        assert min(phases[d, "undo path"] for d in (False, True)) >= 150, phases
+        assert phases[True, "theta slack"] >= 1000, phases
 
     def test_cost_follows_the_places_not_the_tokens(self, nets, relations):
         net = nets["bare_places"]

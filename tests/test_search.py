@@ -743,6 +743,80 @@ def test_guided_matches_the_pair_set_reference():
             assert outcomes.get((kind, status, True), 0) >= 30, outcomes
 
 
+def test_guided_repair_searches_each_silent_response_once(monkeypatch):
+    # Guided repair's needs do not depend on the relation: a failed
+    # condition's requirement table is built once per engine, its silent
+    # searches are shared by (start, goal) across conditions, and each
+    # requirement's associations are enumerated once. Over guided decides of
+    # random nets and the corpus guided case, repair never runs the same
+    # search or enumeration twice within one decide (one engine), and only
+    # a table's first request asks for traces, while conditions fail again
+    # and searches are asked again.
+    searches = []  # (start, goal) of each repair search in the current decide
+    enumerations = []  # the arguments of each repair enumeration
+    tables = Counter()  # (ti, m, side) -> its requirement-table requests
+    building = []  # the condition whose table request is running
+    asked = []  # (start, goal) of each repair-trace request
+    run_search = checkers.run_search
+    associations = _Engine.associations
+    requirements = _Engine.requirements
+    repair_traces = _Engine.repair_traces
+
+    def search_spy(adj, start, psi_ok, goal, node_budget, limit=1):
+        if sys._getframe(1).f_code.co_name == "repair_traces":
+            searches.append((start, goal if isinstance(goal, tuple) else None))
+        return run_search(adj, start, psi_ok, goal, node_budget, limit)
+
+    def associations_spy(self, left, right, allowed, d):
+        if sys._getframe(1).f_code.co_name == "repair_choices":
+            enumerations.append((tuple(left), tuple(right), allowed, d))
+        return associations(self, left, right, allowed, d)
+
+    def requirements_spy(self, *key):
+        tables[key] += 1
+        building.append(key)
+        try:
+            return requirements(self, *key)
+        finally:
+            building.pop()
+
+    def traces_spy(self, *key):
+        assert tables[building[-1]] == 1, building
+        asked.append(key)
+        return repair_traces(self, *key)
+
+    monkeypatch.setattr(checkers, "run_search", search_spy)
+    monkeypatch.setattr(_Engine, "associations", associations_spy)
+    monkeypatch.setattr(_Engine, "requirements", requirements_spy)
+    monkeypatch.setattr(_Engine, "repair_traces", traces_spy)
+    queries = []
+    rng = random.Random(907)
+    for i in range(2000):
+        kind = KINDS[i % len(KINDS)]
+        queries.append((*_random_query(rng, kind), kind))
+    case = next(c for c in corpus.load_cases() if c.name == "producer-consumer-guided")
+    net = corpus.load_net(case.net)
+    queries.append((net, parse_marking(case.query["m1"], net),
+                    parse_marking(case.query["m2"], net), case.query["eq"]))
+    totals = Counter()
+    for net, m1, m2, kind in queries:
+        searches.clear()
+        enumerations.clear()
+        tables.clear()
+        asked.clear()
+        decide(net, m1, m2, kind, "guided")
+        query = (kind, net.transitions, m1, m2)
+        assert len(set(searches)) == len(searches), query
+        assert len(set(enumerations)) == len(enumerations), query
+        totals["searches"] += len(searches)
+        totals["enumerations"] += len(enumerations)
+        totals["table_reuses"] += sum(tables.values()) - len(tables)
+        totals["search_reuses"] += len(asked) - len(searches)
+    # 887 searches, 580 enumerations, 205 and 143 reuses when written
+    assert totals["searches"] >= 600 and totals["enumerations"] >= 400, totals
+    assert totals["table_reuses"] >= 150 and totals["search_reuses"] >= 100, totals
+
+
 def test_auto_matches_exhaustive_on_random_queries():
     # Below the node cap, auto is the exhaustive search: every verdict and
     # counter is the same.
