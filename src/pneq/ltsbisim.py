@@ -9,7 +9,10 @@ signature (strong moves, or Blom & Orzan's branching signatures), so `bint`,
 like `int`, scales to the corpus's cap of 5,000 states. Labels are interned
 once per graph, with `TAU` as 0, so a signature is a set of ints: a move
 with label id `l` into block `b` is `l + L * b`, where `L` is the number of
-label ids.
+label ids. The edges are read once into flat arrays grouped by source state
+(`_successors`), so a round codes every edge in one pass and builds each
+state's signature from its slice of the arrays; each signature is consumed
+as it is made, so only a new block's key outlives the round.
 
 Refinement only ever splits states that are not bisimilar: every
 intermediate partition is coarser than the greatest bisimulation. So a query
@@ -19,26 +22,30 @@ blocks (`pair=`), and the answer `not bisimilar` is still exact.
 from __future__ import annotations
 
 import time
+from itertools import accumulate
+from operator import itemgetter
 
 from .multiset import Marking
 from .net import TAU, Lts, Net, reach_lts
 
 
 def _successors(lts: Lts) -> tuple:
-    """Each state's moves as (label id, target), and the number of label
-    ids. `TAU` is label id 0."""
-    ids = {TAU: 0}
-    succ = [[] for _ in range(len(lts.states))]  # reads no state's Marking
-    for src, label, dst in lts.edges:
-        succ[src].append((ids.setdefault(label, len(ids)), dst))
-    return succ, len(ids)
+    """The moves as flat arrays grouped by source state, one entry per
+    edge: sources, label ids and targets; then the number of label ids.
+    `TAU` is label id 0. A hand-built graph may list its edges in any
+    order, so a stable sort groups them by source."""
+    edges = sorted(lts.edges, key=itemgetter(0))  # reach_lts's are sorted
+    sources, names, targets = zip(*edges) if edges else ((), (), ())
+    ids = {name: k for k, name in enumerate(dict.fromkeys([TAU, *names]))}
+    return sources, list(map(ids.__getitem__, names)), targets, len(ids)
 
 
 def _refine(n: int, signatures, pair=None, stats: dict | None = None) -> list:
     """Coarsest stable partition, as a block id per state.
 
-    Starting from one block, split blocks by (old block, signatures(block))
-    until no block splits. Block ids number blocks by their first state.
+    Starting from one block, split blocks by (old block, signature), with
+    the signatures given in state order by `signatures(block)`, until no
+    block splits. Block ids number blocks by their first state.
     With `pair == (i, j)`, stop as soon as i and j are in different blocks;
     the partition returned is then coarser than the stable one, but still
     separates only states that are not bisimilar. A given `stats` dict
@@ -61,17 +68,21 @@ def strong_partition(lts: Lts, *, pair=None, stats: dict | None = None) -> list:
     """Greatest strong bisimulation as a block id per state.
 
     A state's signature is the set of (label, target block) of its moves,
-    each encoded as one int. `pair` and `stats` are passed to `_refine`.
+    each encoded as one int: a round codes every edge, then takes one
+    frozenset per state's slice. `pair` and `stats` are passed to `_refine`.
     """
-    succ, labels = _successors(lts)
-    return _refine(
-        len(succ),
-        lambda block: [
-            frozenset([label + labels * block[d] for label, d in moves]) for moves in succ
-        ],
-        pair,
-        stats,
-    )
+    sources, labels, targets, width = _successors(lts)
+    counts = [0] * (len(lts.states) + 1)  # reads no state's Marking
+    for s in sources:
+        counts[s + 1] += 1
+    starts = list(accumulate(counts))
+    slices = list(map(slice, starts, starts[1:]))  # per state, its moves
+
+    def signatures(block):
+        codes = [lab + width * b for lab, b in zip(labels, map(block.__getitem__, targets))]
+        return map(frozenset, map(codes.__getitem__, slices))
+
+    return _refine(len(slices), signatures, pair, stats)
 
 
 def branching_relation(lts: Lts, *, pair=None, stats: dict | None = None) -> list:
@@ -83,35 +94,51 @@ def branching_relation(lts: Lts, *, pair=None, stats: dict | None = None) -> lis
     is inert when its label id is 0 (`TAU`) and its target is in the source's
     block. `pair` and `stats` are passed to `_refine`.
     """
-    succ, labels = _successors(lts)
-    n = len(succ)
+    sources, labels, targets, width = _successors(lts)
+    n = len(lts.states)  # reads no state's Marking
 
     def signatures(block):
         sig = [set() for _ in range(n)]
         inert = []
-        for s, moves in enumerate(succ):
-            b = block[s]
-            own = sig[s]
-            for label, d in moves:
-                bd = block[d]
-                if label == 0 and bd == b:
-                    inert.append((s, d))
-                else:
-                    own.add(label + labels * bd)
-        # Union signatures along inert silent edges until stable. reach_lts
-        # numbers states breadth-first, so most silent edges point forward
-        # and a sweep in reverse order of source state settles them at once.
-        inert.reverse()
-        changed = True
-        while changed:
-            changed = False
-            for s, d in inert:
-                if not sig[d] <= sig[s]:
-                    sig[s] |= sig[d]
-                    changed = True
-        return [frozenset(x) for x in sig]
+        for s, label, d in zip(sources, labels, targets):
+            bd = block[d]
+            if label or bd != block[s]:
+                sig[s].add(label + width * bd)
+            else:
+                inert.append((s, d))
+        _close(sig, inert)
+        return map(frozenset, sig)
 
     return _refine(n, signatures, pair, stats)
+
+
+def _close(sig: list, inert: list) -> None:
+    """Union each inert edge's target signature into its source's, until
+    every source's holds its targets'. reach_lts numbers states breadth-
+    first, so most silent edges point forward and a sweep in reverse order
+    of source state settles them at once; a second sweep checks that. When
+    it still grows a set, a worklist over inert predecessors finishes from
+    the states that grew, so a signature that must flow against the
+    numbering costs one step per edge and not one sweep."""
+    inert.reverse()
+    for _ in range(2):
+        grown = []
+        for s, d in inert:
+            if not sig[d] <= sig[s]:
+                sig[s] |= sig[d]
+                grown.append(s)
+        if not grown:
+            return
+    preds: dict = {}
+    for s, d in inert:
+        preds.setdefault(d, []).append(s)
+    work = grown
+    while work:
+        d = work.pop()
+        for s in preds.get(d, ()):
+            if not sig[d] <= sig[s]:
+                sig[s] |= sig[d]
+                work.append(s)
 
 
 # The graph-level kinds, each mapped to whether it compares branching bisimilarity.

@@ -4,7 +4,6 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence
 from functools import cached_property
-from itertools import compress
 from types import MappingProxyType
 
 from .errors import ModelError, NotEnabledError, StateSpaceLimitError
@@ -211,6 +210,26 @@ class Net:
             by_first[pre[0][0]].append((tuple(pre), effect, rise, t.label))
         return tuple(map(tuple, by_first))
 
+    @cached_property
+    def _packed(self) -> dict:
+        return {}  # field width -> `packed_moves(width)`
+
+    def packed_moves(self, width: int) -> tuple:
+        """`by_first` for `reach_lts` with `width` bits per place: each
+        transition as (pre, effect, step, label), where `step` is its effect
+        packed, place i's delta at bit i * width. Built once per net and
+        width."""
+        moves = self._packed.get(width)
+        if moves is None:
+            moves = self._packed[width] = tuple(
+                tuple(
+                    (pre, effect, sum(d << i * width for i, d in effect), label)
+                    for pre, effect, _, label in ts
+                )
+                for ts in self.by_first
+            )
+        return moves
+
     def component_of(self, places: Iterable[str]) -> frozenset:
         """Union of the components touched by the given places."""
         wanted = set(places)
@@ -317,92 +336,93 @@ def reach_lts(
     canonical marking ordering (`Net.marking_key`), then by label.
     Exceeding a cap raises StateSpaceLimitError carrying the count reached.
 
-    The transitions are compiled once per net to place-index form
-    (`Net.by_first`), and states are explored as tuples of token
-    counts in place order: a state tries only the transitions whose first
-    pre-set place holds a token.
-    The graph keeps each state as its counts; `lts.states` builds a state's
-    Marking only when a caller reads it, so a caller that needs only the
-    edges and the state count builds none.
+    The graph keeps each state as its `marking_key`; `lts.states` builds a
+    state's Marking only when a caller reads it, so a caller that needs
+    only the edges and the state count builds none. A state tries only the
+    transitions whose first pre-set place holds a token (`Net.by_first`),
+    and reads their pre-sets from one dict of its counts.
 
-    A firing that takes a count past MAX_MULTIPLICITY raises the ModelError
-    of `Marking` arithmetic (`_overflow`). Looking for one costs a scan of
-    each state's largest count, which is skipped when no firing can
-    overflow: when the largest initial count plus `state_cap` times the
-    largest rise of one place by one transition is at most
-    MAX_MULTIPLICITY. The bound is sound: breadth-first search reaches a
-    state along a shortest firing path from an initial marking, whose
-    states are distinct and all in the graph, so a state that is expanded
-    is at most `state_cap - 1` firings from an initial marking and a
-    successor it computes at most `state_cap`, and no firing raises a count
-    by more than the largest rise.
+    Each state is also identified by one packed int: place i's count sits
+    in bits [i*B, (i+1)*B), and firing adds the transition's packed effect
+    (`Net.packed_moves`, built once per net and width). No field ever
+    carries into the next, because no count ever computed exceeds the
+    bound below, and B is one bit more than the bound's length. The bound
+    is the largest initial count plus `state_cap` times the largest rise
+    of one place by one transition. It holds because breadth-first search
+    reaches a state along a shortest firing path from an initial marking,
+    whose states are distinct and all in the graph: a state that is
+    expanded is at most `state_cap - 1` firings from an initial marking,
+    a successor it computes at most `state_cap`, and no firing raises a
+    count by more than the largest rise. A successor's key is built only
+    when its packed int is not yet a state's, and only then can a count
+    have passed MAX_MULTIPLICITY: that firing raises the ModelError of
+    `Marking` arithmetic (`_overflow`).
     """
     if state_cap <= 0 or edge_cap <= 0:
         raise ModelError("state and edge caps must be positive")
-    by_first = net.by_first
-    places = net.places
-    vectors: list[tuple] = []
     keys: list[tuple] = []  # per state, its marking_key
     built: dict[int, Marking] = {}  # the initials as given; others once read
-    lts = Lts(states=_States(places, keys, built))
+    lts = Lts(states=_States(net.places, keys, built))
     edges = lts.edges
-    index: dict[tuple, int] = {}
 
-    def intern(w: tuple, key: tuple) -> int:
-        if len(keys) >= state_cap:
-            raise StateSpaceLimitError(
-                f"state space too large or unbounded (cap {state_cap})",
-                count=len(keys),
-            )
-        s = index[w] = len(keys)
-        vectors.append(w)
-        keys.append(key)
-        return s
+    def full() -> StateSpaceLimitError:
+        return StateSpaceLimitError(
+            f"state space too large or unbounded (cap {state_cap})", count=len(keys)
+        )
 
+    first_seen: dict[tuple, int] = {}
     for m in initials:
         net.check_marking(m)
         key = net.marking_key(m)
-        w = [0] * len(places)
-        for i, n in key:
-            w[i] = n
-        w = tuple(w)
-        s = index.get(w)
+        s = first_seen.get(key)
         if s is None:
-            s = intern(w, key)
+            if len(keys) >= state_cap:
+                raise full()
+            s = first_seen[key] = len(keys)
+            keys.append(key)
             built[s] = m
         lts.initials.append(s)
-    # The docstring's bound: unless `scan`, no firing can overflow, `top`
-    # stays 0 and no single rise passes the overflow test below.
     top_start = max((n for key in keys for _, n in key), default=0)
-    top_rise = max([0] + [r for ts in by_first for _, _, r, _ in ts])
-    scan = top_start + state_cap * top_rise > MAX_MULTIPLICITY
-    top = 0
+    top_rise = max([0] + [r for ts in net.by_first for _, _, r, _ in ts])
+    width = (top_start + state_cap * top_rise).bit_length() + 1
+    moves = net.packed_moves(width)
+    codes = [sum(n << i * width for i, n in key) for key in keys]  # per state
+    index = {code: s for s, code in enumerate(codes)}
     src = 0
     while src < len(keys):
-        w = vectors[src]
-        if scan:
-            top = max(w, default=0)
+        key, code = keys[src], codes[src]
+        have = dict(key)
         batch = []
-        for first, _ in keys[src]:
-            for pre, effect, rise, label in by_first[first]:
+        for first, _ in key:
+            for pre, effect, step, label in moves[first]:
                 for i, n in pre:
-                    if w[i] < n:
+                    if have.get(i, 0) < n:
                         break
                 else:
-                    v = list(w)
-                    for i, d in effect:
-                        v[i] += d
-                    if top + rise > MAX_MULTIPLICITY and max(v) > MAX_MULTIPLICITY:
-                        _overflow(net, lts.states[src])  # raises
-                    v = tuple(v)
+                    v = code + step
                     s = index.get(v)
-                    key = keys[s] if s is not None else tuple(compress(enumerate(v), v))
-                    batch.append((key, label, v))
-        batch.sort()  # keys differ for different vectors: (marking_key, label)
+                    if s is not None:
+                        batch.append((keys[s], label, v))
+                        continue
+                    counts = have.copy()
+                    for i, d in effect:
+                        n = counts.get(i, 0) + d
+                        if n > MAX_MULTIPLICITY:
+                            _overflow(net, lts.states[src])  # raises
+                        if n:
+                            counts[i] = n
+                        else:
+                            del counts[i]
+                    batch.append((tuple(sorted(counts.items())), label, v))
+        batch.sort()  # keys differ for different states: (marking_key, label)
         for key, label, v in batch:
             dst = index.get(v)
             if dst is None:
-                dst = intern(v, key)
+                if len(keys) >= state_cap:
+                    raise full()
+                dst = index[v] = len(keys)
+                keys.append(key)
+                codes.append(v)
             if len(edges) >= edge_cap:
                 raise StateSpaceLimitError(
                     f"edge count exceeded cap {edge_cap}", count=len(edges)

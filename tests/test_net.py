@@ -246,10 +246,10 @@ def test_reach_lts_matches_the_marking_arithmetic_reference():
 
 @pytest.mark.parametrize("rise,state_cap", [(1, 1), (1, 5), (2, 5), (3, 40)])
 def test_reach_lts_overflow_bound_edge(rise, state_cap):
-    # `reach_lts` skips its overflow scan when the largest initial count
+    # No firing of `reach_lts` can overflow when the largest initial count
     # plus state_cap times the largest rise is at most MAX_MULTIPLICITY.
-    # Here b rises by `rise` per firing: from the largest start that skips
-    # the scan the graph fills the state cap below the bound; from one more
+    # Here b rises by `rise` per firing: from the largest start within that
+    # bound the graph fills the state cap below the limit; from one more
     # the last state's firing overflows before the cap is hit.
     net = Net(
         "o", ["a", "b"],
@@ -266,6 +266,47 @@ def test_reach_lts_overflow_bound_edge(rise, state_cap):
         (StateSpaceLimitError, f"state space too large or unbounded (cap {state_cap})"),
         (ModelError, "multiplicity overflow at 'b'"),
     ]
+
+
+def test_reach_lts_packed_fields_never_carry():
+    # `reach_lts` packs place i's count into bits [i*B, (i+1)*B) and fires
+    # by adding packed effects; B is one bit more than the length of the
+    # docstring's bound. Here the lowest place `a` climbs by 2**k a firing,
+    # fed from `p`, and `trade` swaps 2**j of it and `c` for one token of
+    # `b`, with `b`, `c` and `p` above it in use. Were a field j bits wide,
+    # 2**j tokens of `a` would carry into `b`, and two states would share
+    # one packed int. The sweep over k and j covers every field width up to
+    # 64 bits, and narrower fields than the bound's fail it; the caps
+    # let the graph fit, or hit the cap with `a` at the bound; the starts
+    # near MAX_MULTIPLICITY make fields wider than 64 bits, and overflow.
+    hits = {"graphs": 0, "wide": 0, "cap": 0, "overflow": 0}
+    for k in range(60):
+        for j in range(k, k + 4):
+            net = Net("climb", ["a", "b", "c", "p"], [
+                Transition("fill", Marking(["p"]), "x", Marking({"a": 2**k})),
+                Transition("trade", Marking({"a": 2**j, "c": 1}), TAU, Marking(["b"])),
+            ])
+            for start in (0, 2**k - 1, MAX_MULTIPLICITY - 2**j, MAX_MULTIPLICITY - 2**j + 1):
+                counts = {"a": start, "b": 1, "c": 1, "p": 2 ** (j - k)}
+                initials = [Marking({p: n for p, n in counts.items() if n})]
+                want = _reach_outcome(reference_reach_lts, net, initials, (10_000, 1_000))
+                caps = [10_000]
+                if want[0] is ModelError:
+                    hits["overflow"] += 1
+                else:
+                    caps += [len(want[0]), len(want[0]) - 1]
+                for cap in filter(None, caps):
+                    got = _reach_outcome(reach_lts, net, initials, (cap, 1_000))
+                    assert got == _reach_outcome(
+                        reference_reach_lts, net, initials, (cap, 1_000)), (k, j, start, cap)
+                    if got[0] is StateSpaceLimitError:
+                        hits["cap"] += 1
+                    elif got[0] is not ModelError:
+                        hits["graphs"] += 1
+                        hits["wide"] += max(counts.values()) + cap * 2**k > MAX_MULTIPLICITY
+    # 1,440, 560, 720 and 240 when written
+    assert hits["graphs"] >= 1_200 and hits["wide"] >= 500, hits
+    assert hits["cap"] >= 600 and hits["overflow"] >= 200, hits
 
 
 def test_reach_lts_states_read_as_the_reference_list():
