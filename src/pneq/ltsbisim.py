@@ -6,13 +6,17 @@ the corresponding graph-level ones on bounded nets.
 
 Both oracles are one partition-refinement loop that differs only in the
 signature (strong moves, or Blom & Orzan's branching signatures), so `bint`,
-like `int`, scales to the corpus's cap of 5,000 states. Labels are interned
-once per graph, with `TAU` as 0, so a signature is a set of ints: a move
-with label id `l` into block `b` is `l + L * b`, where `L` is the number of
-label ids. The edges are read once into flat arrays grouped by source state
-(`_successors`), so a round codes every edge in one pass and builds each
-state's signature from its slice of the arrays; each signature is consumed
-as it is made, so only a new block's key outlives the round.
+like `int`, scales to the corpus's cap of 5,000 states. They read the
+graph's own representation: flat per-edge arrays of sources, label ids and
+targets, grouped by source state, with each state's edge offset
+(`net._Edges`), which `reach_lts` writes as it builds the graph. Label ids
+are interned once per net (`Net.labels`), with `TAU` as 0, so a signature is
+a set of ints: a move with label id `l` into block `b` is `l + L * b`, where
+`L` is the number of label ids. A round codes every edge in one pass and
+builds each state's signature from its slice of the arrays; each signature
+is consumed as it is made, so only a new block's key outlives the round. In
+the first round every state is in block 0, so an edge's code is its label
+id alone.
 
 Refinement only ever splits states that are not bisimilar: every
 intermediate partition is coarser than the greatest bisimulation. So a query
@@ -22,22 +26,9 @@ blocks (`pair=`), and the answer `not bisimilar` is still exact.
 from __future__ import annotations
 
 import time
-from itertools import accumulate
-from operator import itemgetter
 
 from .multiset import Marking
-from .net import TAU, Lts, Net, reach_lts
-
-
-def _successors(lts: Lts) -> tuple:
-    """The moves as flat arrays grouped by source state, one entry per
-    edge: sources, label ids and targets; then the number of label ids.
-    `TAU` is label id 0. A hand-built graph may list its edges in any
-    order, so a stable sort groups them by source."""
-    edges = sorted(lts.edges, key=itemgetter(0))  # reach_lts's are sorted
-    sources, names, targets = zip(*edges) if edges else ((), (), ())
-    ids = {name: k for k, name in enumerate(dict.fromkeys([TAU, *names]))}
-    return sources, list(map(ids.__getitem__, names)), targets, len(ids)
+from .net import Lts, Net, reach_lts
 
 
 def _refine(n: int, signatures, pair=None, stats: dict | None = None) -> list:
@@ -45,16 +36,19 @@ def _refine(n: int, signatures, pair=None, stats: dict | None = None) -> list:
 
     Starting from one block, split blocks by (old block, signature), with
     the signatures given in state order by `signatures(block)`, until no
-    block splits. Block ids number blocks by their first state.
+    block splits. In the first round `block` is None: every state is in
+    block 0, so a signature need not read it. Block ids number blocks by
+    their first state.
     With `pair == (i, j)`, stop as soon as i and j are in different blocks;
     the partition returned is then coarser than the stable one, but still
     separates only states that are not bisimilar. A given `stats` dict
     receives the number of signature rounds run (`refine_rounds`).
     """
-    block, count, rounds = [0] * n, 1, 0
+    block, count, rounds = None, 1, 0
     while True:
         ids: dict = {}
-        block = [ids.setdefault(key, len(ids)) for key in zip(block, signatures(block))]
+        keys = signatures(block) if block is None else zip(block, signatures(block))
+        block = [ids.setdefault(key, len(ids)) for key in keys]
         rounds += 1
         if len(ids) == count or (pair is not None and block[pair[0]] != block[pair[1]]):
             break
@@ -69,17 +63,17 @@ def strong_partition(lts: Lts, *, pair=None, stats: dict | None = None) -> list:
 
     A state's signature is the set of (label, target block) of its moves,
     each encoded as one int: a round codes every edge, then takes one
-    frozenset per state's slice. `pair` and `stats` are passed to `_refine`.
+    frozenset per state's slice of the edges. In the first round every
+    target is in block 0, so an edge's code is its label id. `pair` and
+    `stats` are passed to `_refine`.
     """
-    sources, labels, targets, width = _successors(lts)
-    counts = [0] * (len(lts.states) + 1)  # reads no state's Marking
-    for s in sources:
-        counts[s + 1] += 1
-    starts = list(accumulate(counts))
-    slices = list(map(slice, starts, starts[1:]))  # per state, its moves
+    edges = lts.edges
+    labels, targets, width = edges.labels, edges.targets, len(edges.names)
+    slices = list(map(slice, edges.starts, edges.starts[1:]))  # per state, its moves
 
     def signatures(block):
-        codes = [lab + width * b for lab, b in zip(labels, map(block.__getitem__, targets))]
+        codes = labels if block is None else [
+            lab + width * b for lab, b in zip(labels, map(block.__getitem__, targets))]
         return map(frozenset, map(codes.__getitem__, slices))
 
     return _refine(len(slices), signatures, pair, stats)
@@ -94,10 +88,13 @@ def branching_relation(lts: Lts, *, pair=None, stats: dict | None = None) -> lis
     is inert when its label id is 0 (`TAU`) and its target is in the source's
     block. `pair` and `stats` are passed to `_refine`.
     """
-    sources, labels, targets, width = _successors(lts)
-    n = len(lts.states)  # reads no state's Marking
+    edges = lts.edges
+    sources, labels, targets = edges.sources, edges.labels, edges.targets
+    width, n = len(edges.names), len(lts.states)  # reads no state's Marking
 
     def signatures(block):
+        if block is None:
+            block = [0] * n
         sig = [set() for _ in range(n)]
         inert = []
         for s, label, d in zip(sources, labels, targets):

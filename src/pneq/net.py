@@ -4,6 +4,8 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence
 from functools import cached_property
+from itertools import accumulate
+from operator import itemgetter
 from types import MappingProxyType
 
 from .errors import ModelError, NotEnabledError, StateSpaceLimitError
@@ -186,14 +188,22 @@ class Net:
         return MappingProxyType({p: tuple(sorted(v)) for p, v in adj.items()})
 
     @cached_property
-    def by_first(self) -> tuple:
-        """Each transition as (pre, effect, rise, label) over place indices,
-        for `reach_lts`, built on first use.
+    def labels(self) -> tuple:
+        """The label names, `TAU` first and then the others in net order: a
+        label's position is its id in every graph `reach_lts` builds."""
+        return tuple(dict.fromkeys([TAU, *(t.label for t in self.transitions)]))
 
-        `pre` is its pre-set as (index, count) pairs, `effect` its nonzero
-        change per place as (index, delta) pairs, and `rise` its largest
-        increase of one place. The tuple holds, per place index, the
-        transitions whose pre-set starts at that place.
+    @cached_property
+    def by_first(self) -> tuple:
+        """Each transition as (need, rest, effect, rise, label) over place
+        indices, for `reach_lts`, built on first use.
+
+        Its pre-set is its first place's index with count `need`, then
+        `rest`, the other places' (index, count) pairs, empty for a pre-set
+        of one place; `effect` is its nonzero change per place as (index,
+        delta) pairs, and `rise` its largest increase of one place. The
+        tuple holds, per place index, the transitions whose pre-set starts
+        at that place.
         """
         index = self.place_index
         by_first: list = [[] for _ in self.places]
@@ -204,10 +214,10 @@ class Net:
                 i = index[p]
                 pre.append((i, n))
                 delta[i] = delta.get(i, 0) - n
-            pre.sort()
+            (first, need), *rest = sorted(pre)
             effect = tuple((i, d) for i, d in sorted(delta.items()) if d)
             rise = max([d for _, d in effect], default=0)
-            by_first[pre[0][0]].append((tuple(pre), effect, rise, t.label))
+            by_first[first].append((need, tuple(rest), effect, rise, t.label))
         return tuple(map(tuple, by_first))
 
     @cached_property
@@ -216,15 +226,18 @@ class Net:
 
     def packed_moves(self, width: int) -> tuple:
         """`by_first` for `reach_lts` with `width` bits per place: each
-        transition as (pre, effect, step, label), where `step` is its effect
-        packed, place i's delta at bit i * width. Built once per net and
-        width."""
+        transition as (need, rest, effect, step, label, label id), where
+        `step` is its effect packed, place i's delta at bit i * width, and
+        the label id is the label's position in `labels`. Built once per
+        net and width."""
         moves = self._packed.get(width)
         if moves is None:
+            ids = {label: k for k, label in enumerate(self.labels)}
             moves = self._packed[width] = tuple(
                 tuple(
-                    (pre, effect, sum(d << i * width for i, d in effect), label)
-                    for pre, effect, _, label in ts
+                    (need, rest, effect, sum(d << i * width for i, d in effect),
+                     label, ids[label])
+                    for need, rest, effect, _, label in ts
                 )
                 for ts in self.by_first
             )
@@ -264,9 +277,15 @@ class Lts:
     """A reachability graph: deduplicated markings and labelled edges.
 
     `reach_lts` keeps its states as token counts: `states` is a read-only
-    sequence that builds a state's Marking when it is first read. A graph
-    equals only itself; two graphs are the same graph when their
-    `list(states)`, `edges` and `initials` are equal.
+    sequence that builds a state's Marking when it is first read. The edges
+    are kept as flat per-edge arrays grouped by source state, the shape the
+    graph oracles read (`_Edges`): `edges` is a read-only sequence whose
+    edge i reads as the tuple (source, label, target), built when it is
+    read. Edges given as (source, label, target) tuples, in any order, are
+    grouped by source with a stable sort and their labels interned, once,
+    when the graph is constructed. A graph equals only itself; two graphs
+    are the same graph when their `list(states)`, `list(edges)` and
+    `initials` are equal.
     """
 
     __slots__ = ("states", "edges", "initials")
@@ -274,12 +293,52 @@ class Lts:
     def __init__(
         self,
         states: Sequence[Marking] | None = None,
-        edges: list[tuple[int, str, int]] | None = None,
+        edges: Iterable[tuple[int, str, int]] = (),
         initials: list[int] | None = None,
     ):
         self.states = [] if states is None else states
-        self.edges = [] if edges is None else edges
+        if not isinstance(edges, _Edges):
+            columns = zip(*sorted(edges, key=itemgetter(0)))
+            sources, labels, targets = [list(c) for c in columns] or ([], [], [])
+            names = tuple(dict.fromkeys([TAU, *labels]))
+            ids = {name: k for k, name in enumerate(names)}
+            counts = [0] * (len(self.states) + 1)
+            for s in sources:
+                counts[s + 1] += 1
+            edges = _Edges(sources, list(map(ids.__getitem__, labels)), targets,
+                           list(accumulate(counts)), names)
+        self.edges = edges
         self.initials = [] if initials is None else initials
+
+
+class _Edges(Sequence):
+    """The edges of a graph as flat arrays, one entry per edge, grouped by
+    source state: `sources`, `labels` (label ids) and `targets`. State s's
+    edges are those from `starts[s]` up to `starts[s + 1]`, and `names`
+    gives each label id's name, `TAU` as 0. Edge i reads as the tuple
+    (source, label name, target), built when it is read."""
+
+    __slots__ = ("sources", "labels", "targets", "starts", "names")
+
+    def __init__(self, sources: list, labels: list, targets: list, starts: list,
+                 names: Sequence[str]):
+        self.sources = sources
+        self.labels = labels
+        self.targets = targets
+        self.starts = starts
+        self.names = names
+
+    def __len__(self) -> int:
+        return len(self.targets)
+
+    def __getitem__(self, i):
+        return self.sources[i], self.names[self.labels[i]], self.targets[i]
+
+    def __iter__(self):
+        return zip(self.sources, map(self.names.__getitem__, self.labels), self.targets)
+
+    def __repr__(self) -> str:
+        return repr(list(self))
 
 
 class _States(Sequence):
@@ -338,9 +397,14 @@ def reach_lts(
 
     The graph keeps each state as its `marking_key`; `lts.states` builds a
     state's Marking only when a caller reads it, so a caller that needs
-    only the edges and the state count builds none. A state tries only the
-    transitions whose first pre-set place holds a token (`Net.by_first`),
-    and reads their pre-sets from one dict of its counts.
+    only the edges and the state count builds none. The edges are written
+    straight into the flat arrays the graph oracles read (`_Edges`): per
+    edge its source, label id and target, and per state the offset of its
+    first edge, with the label ids of `Net.labels`. A state tries only the
+    transitions whose first pre-set place holds a token (`Net.by_first`):
+    a pre-set of one place is enabled when that place's count in the
+    state's key reaches the arc weight, and only a pre-set of more places
+    reads the others from a dict of the state's counts.
 
     Each state is also identified by one packed int: place i's count sits
     in bits [i*B, (i+1)*B), and firing adds the transition's packed effect
@@ -356,14 +420,15 @@ def reach_lts(
     count by more than the largest rise. A successor's key is built only
     when its packed int is not yet a state's, and only then can a count
     have passed MAX_MULTIPLICITY: that firing raises the ModelError of
-    `Marking` arithmetic (`_overflow`).
+    `Marking` arithmetic (`_overflow`). A successor that is already a state
+    carries its number through the batch sort, so its edge costs one
+    lookup of its packed int.
     """
     if state_cap <= 0 or edge_cap <= 0:
         raise ModelError("state and edge caps must be positive")
     keys: list[tuple] = []  # per state, its marking_key
     built: dict[int, Marking] = {}  # the initials as given; others once read
-    lts = Lts(states=_States(net.places, keys, built))
-    edges = lts.edges
+    states = _States(net.places, keys, built)
 
     def full() -> StateSpaceLimitError:
         return StateSpaceLimitError(
@@ -371,6 +436,7 @@ def reach_lts(
         )
 
     first_seen: dict[tuple, int] = {}
+    numbers: list[int] = []  # per initial marking, its state
     for m in initials:
         net.check_marking(m)
         key = net.marking_key(m)
@@ -381,9 +447,11 @@ def reach_lts(
             s = first_seen[key] = len(keys)
             keys.append(key)
             built[s] = m
-        lts.initials.append(s)
+        numbers.append(s)
+    edges = _Edges([], [], [], [0], net.labels)
+    sources, labels, targets, starts = edges.sources, edges.labels, edges.targets, edges.starts
     top_start = max((n for key in keys for _, n in key), default=0)
-    top_rise = max([0] + [r for ts in net.by_first for _, _, r, _ in ts])
+    top_rise = max([0] + [move[3] for ts in net.by_first for move in ts])
     width = (top_start + state_cap * top_rise).bit_length() + 1
     moves = net.packed_moves(width)
     codes = [sum(n << i * width for i, n in key) for key in keys]  # per state
@@ -391,42 +459,49 @@ def reach_lts(
     src = 0
     while src < len(keys):
         key, code = keys[src], codes[src]
-        have = dict(key)
+        have = None  # the state's counts by place, once a pre-set needs them
         batch = []
-        for first, _ in key:
-            for pre, effect, step, label in moves[first]:
-                for i, n in pre:
+        for first, count in key:
+            for need, rest, effect, step, name, lid in moves[first]:
+                if count < need:
+                    continue
+                if rest and have is None:
+                    have = dict(key)
+                for i, n in rest:
                     if have.get(i, 0) < n:
                         break
                 else:
                     v = code + step
                     s = index.get(v)
                     if s is not None:
-                        batch.append((keys[s], label, v))
+                        batch.append((keys[s], name, lid, s, v))
                         continue
-                    counts = have.copy()
+                    counts = dict(key)
                     for i, d in effect:
                         n = counts.get(i, 0) + d
                         if n > MAX_MULTIPLICITY:
-                            _overflow(net, lts.states[src])  # raises
+                            _overflow(net, states[src])  # raises
                         if n:
                             counts[i] = n
                         else:
                             del counts[i]
-                    batch.append((tuple(sorted(counts.items())), label, v))
-        batch.sort()  # keys differ for different states: (marking_key, label)
-        for key, label, v in batch:
-            dst = index.get(v)
-            if dst is None:
-                if len(keys) >= state_cap:
-                    raise full()
-                dst = index[v] = len(keys)
-                keys.append(key)
-                codes.append(v)
-            if len(edges) >= edge_cap:
+                    batch.append((tuple(sorted(counts.items())), name, lid, None, v))
+        batch.sort()  # by (marking_key, label): entries equal in both are equal
+        for key, _, lid, dst, v in batch:
+            if dst is None:  # new when fired, unless an earlier edge added it
+                dst = index.setdefault(v, len(keys))
+                if dst == len(keys):
+                    if dst >= state_cap:
+                        raise full()
+                    keys.append(key)
+                    codes.append(v)
+            if len(targets) >= edge_cap:
                 raise StateSpaceLimitError(
-                    f"edge count exceeded cap {edge_cap}", count=len(edges)
+                    f"edge count exceeded cap {edge_cap}", count=len(targets)
                 )
-            edges.append((src, label, dst))
+            labels.append(lid)
+            targets.append(dst)
+        sources += [src] * len(batch)
+        starts.append(len(targets))
         src += 1
-    return lts
+    return Lts(states, edges, numbers)

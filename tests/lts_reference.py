@@ -35,29 +35,29 @@ def reference_reach_lts(
     numbering, caps and errors of `pneq.net.reach_lts`."""
     if state_cap <= 0 or edge_cap <= 0:
         raise ModelError("state and edge caps must be positive")
-    lts = Lts()
+    states, edges, numbers = [], [], []
     index: dict[Marking, int] = {}
     queue: deque[int] = deque()
 
     def intern(m: Marking) -> int:
         if m in index:
             return index[m]
-        if len(lts.states) >= state_cap:
+        if len(states) >= state_cap:
             raise StateSpaceLimitError(
                 f"state space too large or unbounded (cap {state_cap})",
-                count=len(lts.states),
+                count=len(states),
             )
-        index[m] = len(lts.states)
-        lts.states.append(m)
+        index[m] = len(states)
+        states.append(m)
         queue.append(index[m])
         return index[m]
 
     for m in initials:
         net.check_marking(m)
-        lts.initials.append(intern(m))
+        numbers.append(intern(m))
     while queue:
         src = queue.popleft()
-        m = lts.states[src]
+        m = states[src]
         successors = []
         for t in net.transitions:
             if m.covers(t.pre):
@@ -65,12 +65,12 @@ def reference_reach_lts(
         successors.sort(key=lambda pair: (net.marking_key(pair[0]), pair[1]))
         for m2, label in successors:
             dst = intern(m2)
-            if len(lts.edges) >= edge_cap:
+            if len(edges) >= edge_cap:
                 raise StateSpaceLimitError(
-                    f"edge count exceeded cap {edge_cap}", count=len(lts.edges)
+                    f"edge count exceeded cap {edge_cap}", count=len(edges)
                 )
-            lts.edges.append((src, label, dst))
-    return lts
+            edges.append((src, label, dst))
+    return Lts(states, edges, numbers)
 
 
 def _label_successors(lts: Lts) -> list:

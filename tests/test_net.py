@@ -131,7 +131,7 @@ class TestReachability:
         a = reach_lts(net, init)
         b = reach_lts(net, init)
         assert list(a.states) == list(b.states)
-        assert a.edges == b.edges and a.initials == b.initials
+        assert list(a.edges) == list(b.edges) and a.initials == b.initials
 
     def test_a_graph_equals_only_itself(self, nets):
         # Lts compares by identity, by design: two builds of one graph are
@@ -140,7 +140,8 @@ class TestReachability:
         m = parse_marking("s1+s2", net)
         a, b = reach_lts(net, [m]), reach_lts(net, [m])
         assert a == a and a != b and len({a, b}) == 2
-        assert (list(a.states), a.edges, a.initials) == (list(b.states), b.edges, b.initials)
+        assert (list(a.states), list(a.edges), a.initials) == (
+            list(b.states), list(b.edges), b.initials)
         assert len(a.edges) > 0
 
     def test_edges_reference_valid_states(self, nets):
@@ -220,7 +221,7 @@ def _reach_outcome(build, net, initials, caps):
         lts = build(net, initials, *caps)
     except (ModelError, StateSpaceLimitError) as exc:
         return type(exc), str(exc), getattr(exc, "count", None)
-    return list(lts.states), lts.edges, lts.initials
+    return list(lts.states), list(lts.edges), lts.initials
 
 
 def test_reach_lts_matches_the_marking_arithmetic_reference():
@@ -242,6 +243,80 @@ def test_reach_lts_matches_the_marking_arithmetic_reference():
     assert hits["state"] >= 100 and hits["edge"] >= 100, hits
     assert hits["multi_pre"] >= 500 and hits["graphs"] >= 500, hits
     assert hits["overflow"] >= 10, hits
+
+
+def _small_pre_set_case(rng):
+    """A random net whose pre-sets have one or two places, every arc weight
+    from 1 to 3, and two initial markings."""
+    places = [f"p{i}" for i in range(rng.randint(1, 4))]
+
+    def marking(sizes, counts):
+        chosen = rng.sample(places, min(rng.choice(sizes), len(places)))
+        return Marking({p: rng.choice(counts) for p in chosen})
+
+    transitions = [
+        Transition(f"t{j}", marking((1, 2), (1, 2, 3)), rng.choice(("a", "b", TAU)),
+                   marking((0, 1, 2), (1, 2, 3)))
+        for j in range(rng.randint(1, 6))
+    ]
+    net = Net("w", places, transitions)
+    return net, [marking((1, 2, 3, 4), (1, 2, 3, 4)) for _ in range(2)]
+
+
+def test_reach_lts_tries_pre_sets_by_their_first_place():
+    # `reach_lts` fires a move whose pre-set is one place when that place's
+    # count in the state's key reaches the arc weight, and reads the other
+    # place of a two-place pre-set from the state's counts. The graph must
+    # be the reference's, down to each state's edge offset and the label
+    # ids, and a cap as large as the graph's count must let it through.
+    rng = random.Random(6067)
+    hits = {"one_fired": 0, "one_refused": 0, "two_checked": 0, "graphs": 0, "caps": 0}
+    for case in range(400):
+        net, initials = _small_pre_set_case(rng)
+        try:
+            want = reference_reach_lts(net, initials, 200, 2_000)
+        except StateSpaceLimitError:
+            continue
+        lts = reach_lts(net, initials, 200, 2_000)
+        edges = list(want.edges)
+        assert (list(lts.states), list(lts.edges), lts.initials) == (
+            want.states, edges, want.initials), case
+        n = len(want.states)
+        assert lts.edges.starts == [
+            sum(src < s for src, _, _ in edges) for s in range(n + 1)], case
+        assert lts.edges.names == net.labels and net.labels[0] == TAU, case
+        hits["graphs"] += 1
+        for m in want.states:
+            for tr in net.transitions:
+                (first, need), *rest = sorted(
+                    (net.place_index[p], k) for p, k in tr.pre.items())
+                count = m[net.places[first]]
+                if count and not rest:
+                    hits["one_fired" if count >= need else "one_refused"] += 1
+                elif count >= need:
+                    hits["two_checked"] += 1
+        e = len(edges)
+        for state_cap, edge_cap, error in (
+            (n, 2_000, None),
+            (n - 1, 2_000, (f"state space too large or unbounded (cap {n - 1})", n - 1)),
+            (200, e, None),
+            (200, e - 1, (f"edge count exceeded cap {e - 1}", e - 1)),
+        ):
+            if min(state_cap, edge_cap) <= 0:
+                continue
+            got = _reach_outcome(reach_lts, net, initials, (state_cap, edge_cap))
+            assert got == _reach_outcome(
+                reference_reach_lts, net, initials, (state_cap, edge_cap)), case
+            if error is None:
+                assert got[1:] == (edges, want.initials), case
+            else:
+                assert got == (StateSpaceLimitError, *error), case
+            hits["caps"] += 1
+    # when written: 237 graphs, 842 cap runs, 1,808 one-place firings and
+    # 1,002 refusals, 1,945 two-place checks
+    assert hits["graphs"] >= 200 and hits["caps"] >= 700, hits
+    assert hits["one_fired"] >= 1_500 and hits["one_refused"] >= 800, hits
+    assert hits["two_checked"] >= 1_500, hits
 
 
 @pytest.mark.parametrize("rise,state_cap", [(1, 1), (1, 5), (2, 5), (3, 40)])
@@ -335,8 +410,8 @@ def test_reach_lts_states_read_as_the_reference_list():
         assert all(states[i] is m for i, m in enumerate(states)), case
         assert states[lts.initials[0]] is initials[0], case
         again = reach_lts(net, initials, 200, 1_000)
-        assert (list(again.states), again.edges, again.initials) == (
-            want, lts.edges, lts.initials), case
+        assert (list(again.states), list(again.edges), again.initials) == (
+            want, list(lts.edges), lts.initials), case
         graphs += 1
     assert graphs >= 200, graphs  # 237 when written
 

@@ -1,11 +1,16 @@
 """pneq's records are named tuples and slotted classes. They compare and
 hash by field, refuse assignment and keep every constructor check, and the
 command line's JSON made from them stays byte for byte what it was: the
-files under `golden/` hold the reports, with every timing masked."""
+files under `golden/` hold the reports, with every timing masked, and the
+reachability graphs `pneq lts` prints and draws."""
 import copy
 import io
+import os
 import pickle
 import re
+import subprocess
+import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -29,6 +34,7 @@ from pneq.corpus import CaseResult, CorpusCase, load_cases
 from pneq.silent import DEFAULT_NODE_BUDGET
 
 HERE = Path(__file__).resolve().parent
+ROOT = HERE.parent
 GOLDEN = HERE / "golden"
 CORPUS = HERE.parent / "src" / "pneq" / "corpus"
 _TIMING = re.compile(r'("(?:[a-z_]+_s|seconds)"): [^,\n]+')
@@ -206,3 +212,40 @@ def test_verify_json_is_unchanged():
     want = (GOLDEN / "verify_reports.txt").read_text(encoding="utf-8")
     assert want.count('"transition"') >= 30  # violation dicts: 36 when written
     assert verify_transcript() == want
+
+
+LTS_CAP = 200  # the unbounded graphs of producer_consumer and token_pump pass it
+
+
+def lts_transcript() -> str:
+    """`pneq lts --dot` of every corpus net from each distinct marking its
+    manifest cases name, in manifest order: the printed states and the DOT
+    file, with its numbering, edge order and labels, or the cap's error."""
+    markings: dict = {}
+    for case in load_cases():
+        for m in (case.query["m1"], case.query["m2"]):
+            markings.setdefault(case.net, {})[m] = None
+    parts = []
+    with tempfile.TemporaryDirectory() as tmp:
+        dot = Path(tmp) / "g.dot"
+        for net, ms in markings.items():
+            for m in ms:
+                dot.unlink(missing_ok=True)
+                text = _cli("lts", "--cap", LTS_CAP, "--dot", dot, CORPUS / net, m)
+                drawn = dot.read_text(encoding="utf-8") if dot.exists() else ""
+                parts.append(f"== {net} {m}\n{text}{drawn}")
+    return "".join(parts)
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_lts_graphs_are_unchanged(seed):
+    # In a fresh process per hash seed, so that no order of a set or dict
+    # of strings can reach the numbering, the edges or the labels.
+    env = dict(os.environ, PYTHONHASHSEED=seed,
+               PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(HERE)]))
+    code = "import sys, test_records; sys.stdout.write(test_records.lts_transcript())"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300, check=True)
+    want = (GOLDEN / "lts_graphs.txt").read_text(encoding="utf-8")
+    assert want.count("->") >= 40 and "\nerror: " in want  # 50 edges when written
+    assert proc.stdout == want

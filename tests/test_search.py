@@ -539,7 +539,7 @@ def _graph(net, m1, m2):
         lts = reach_lts(net, [m1, m2], state_cap=300)
     except StateSpaceLimitError as exc:
         return "cap", exc.count
-    return list(lts.states), lts.edges, lts.initials
+    return list(lts.states), list(lts.edges), lts.initials
 
 
 def test_warm_and_cold_answers_are_identical():

@@ -35,18 +35,39 @@ SPANS = ROOT / "perfbench" / "spans.py"
 CORPUS = ROOT / "src" / "pneq" / "corpus"
 
 
-def _cross_module():
+def _spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    return spans.CROSS_MODULE
+    return spans
 
 
 def test_traced_cross_module_names_resolve():
-    entries = _cross_module()
+    entries = _spans().CROSS_MODULE
     assert entries
     for module, attr, _span in entries:
         assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
+
+
+def test_the_graph_oracles_keep_their_traced_layers():
+    # The benchmark's per-layer metrics `net.reach_lts_s`,
+    # `ltsbisim.strong_partition_s` and `ltsbisim.branching_relation_s`
+    # come from spans over ltsbisim's module-level names: decide_interleaving
+    # must keep calling reach_lts and both partitions through them.
+    net = pneq.corpus.load_net("latent_sync.pn")
+    m1, m2 = (pneq.parse_marking(m, net) for m in ("2*s1", "2*s4"))
+    tracer = _spans().Tracer()
+    with tracer.installed():
+        for branching in (False, True):
+            tracer.qid = branching
+            ltsbisim.decide_interleaving(net, m1, m2, branching)
+    assert ltsbisim.reach_lts is pneq.net.reach_lts  # restored
+    assert sorted((name, qid) for name, _, _, _, qid in tracer.spans) == [
+        ("ltsbisim.branching_relation", True),
+        ("ltsbisim.strong_partition", False),
+        ("net.reach_lts", False),
+        ("net.reach_lts", True),
+    ]
 
 
 def test_public_names_import():
@@ -174,7 +195,7 @@ def _unread_imports(path) -> set:
 def test_no_module_imports_a_name_it_never_reads():
     # The one exception is a name perfbench/spans.CROSS_MODULE reaches in
     # the importing module: the traced pass swaps it there by that name.
-    traced = {(module, attr) for module, attr, _span in _cross_module()}
+    traced = {(module, attr) for module, attr, _span in _spans().CROSS_MODULE}
     unread = {
         (f"pneq.{path.stem}", name)
         for path in (ROOT / "src" / "pneq").glob("*.py")
@@ -257,6 +278,10 @@ NOT_ENTERED = {
     "multiset.Marking.__eq__": "equal Markings hash alike, so they must compare equal",
     "net.Net.__repr__": "for people",
     "net._States.__repr__": "for people",
+    "net._Edges.__getitem__": (
+        "the abstract method of Sequence: pneq reads a graph's edges in order"
+    ),
+    "net._Edges.__repr__": "for people",
     "relations.PlaceRelation.__repr__": "for people",
     "relations.PlaceRelation.__setattr__": "keeps a PlaceRelation immutable",
     "relations.PlaceRelation.__eq__": (
