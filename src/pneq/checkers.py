@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import time
 from collections import Counter, deque, namedtuple
-from math import comb
+from math import comb, prod
 
 from .errors import ModelError, PneqError, SearchBudgetError
 from .multiset import Marking
@@ -35,15 +35,15 @@ from .relations import (
     _match,
     format_side,
 )
-from .silent import DEFAULT_NODE_BUDGET, run_search, silent_reachable
+from .silent import DEFAULT_NODE_BUDGET, run_search, silent_reachable, silent_traces
 
 KINDS = ("place", "dplace", "bplace", "bdplace")
-AUTO_NODES = 100_000  # auto mode: exhaustive search nodes before the guided fallback
+AUTO_NODES = 20_000  # auto mode: relations checked before the guided fallback
 GUIDED_NODES = 20_000  # candidate relations guided mode checks before giving up
 GUIDED_WIDTH = 12  # repair options guided mode tries per failed condition
 REPAIR_TRACES = 4  # silent traces guided repair aims at per response form
 SMALL_MATCH = 6  # closure membership: past this many tokens in all, max-flow
-_MISS = object()  # `_Engine.respond`: no cached trace yet
+_MISS = object()  # a cache with no entry yet: `respond`, `_repair_options`
 NO_ASSOCIATION = "no association over the pair universe"  # either mode's reason
 
 
@@ -114,18 +114,17 @@ class _Engine:
     """Relation checks compiled against a fixed pair universe.
 
     Candidate relations are bitmasks over the universe. Three caches let
-    the many relations that the branch-and-bound visits share their work:
-    image sets keyed by the pairs of the pre-set's places; each response's
-    trace, or None, keyed by `resp_mask`, built once per transition and
-    side; and each closure answer of `member`, keyed by the question.
-    Three more serve guided repair, whose needs do not depend on the
-    relation: each failed condition's `requirements`, the silent traces of
-    `repair_traces` keyed by start and goal, and the first association
-    masks of each requirement in `repair_choices`.
+    the relations that a search visits share their work: image sets keyed
+    by the pairs of the pre-set's places; each response's trace, or None,
+    keyed by `resp_mask`, built once per transition and side; and each
+    closure answer of `member`, keyed by the question. Three more serve
+    repair, capped or exact, whose needs do not depend on the relation:
+    each failed condition's `requirements`, the silent traces of
+    `repair_traces` and each requirement's masks in `repair_choices`.
     `failures` is the one walk over the finite conditions of a set of
     pairs, and it asks every response through `respond`: `check_relation`,
-    guided repair, the association cut and the branch-and-bound all
-    consume it. `images` gives each place's tokens the multisets of its
+    guided mode, the association cut and the demand search all consume
+    it. `images` gives each place's tokens the multisets of its
     images, so a pre-set's image set grows with its token count
     polynomially, not exponentially. `depth_one_cut` finds the pairs that
     fail a condition on their own without asking a response, from the
@@ -398,17 +397,17 @@ class _Engine:
                 return found[0]
         return None
 
-    # -- guided repair ---------------------------------------------------------
+    # -- repair ----------------------------------------------------------------
 
-    def requirements(self, ti: int, m: tuple, side: int) -> tuple:
+    def requirements(self, ti: int, m: tuple, side: int, limit) -> tuple:
         """What an answer to the condition (ti, m, side) needs, for each
         answer `_respond_compute` could give, taken along one of its first
-        `REPAIR_TRACES` silent traces (a strong kind's is empty): each
-        marking of the trace psi-related to the moving pre-set, then the
-        post-set pair. A requirement is (left, right, d): two sorted token
-        tuples, related under the closure `d` picks. The table does not
-        depend on the relation, so it is built once per engine."""
-        key = (ti, m, side)
+        `limit` silent traces (all when None; a strong kind's is empty):
+        each marking of the trace psi-related to the moving pre-set, then
+        the post-set pair. A requirement is (left, right, d): two sorted
+        token tuples, related under the closure `d` picks. The table does
+        not depend on the relation, so it is built once per engine."""
+        key = (ti, m, side, limit)
         table = self._requirements_cache.get(key)
         if table is not None:
             return table
@@ -421,43 +420,52 @@ class _Engine:
 
         answers = []  # (trace, its post-set requirement)
         if self.branching and c.tau_seq[ti]:
-            for trace in self.repair_traces(m, _anywhere):
+            for trace in self.repair_traces(m, _anywhere, limit):
                 answers.append((trace, oriented(post, trace[-1], False)))
         for cj in c.answerers[ti]:
             cpre = c.pre_tok[cj]
             if self.branching:
-                traces = self.repair_traces(m, cpre)
+                traces = self.repair_traces(m, cpre, limit)
             else:
                 traces = [()] if cpre == m else []
             for trace in traces:
                 answers.append((trace, oriented(post, c.post_tok[cj], self.d)))
-        table = self._requirements_cache[key] = tuple(
-            (*(oriented(anchor, mk, False) for mk in trace), post_req)
-            for trace, post_req in answers
-        )
+        table = tuple((*(oriented(anchor, mk, False) for mk in trace), post_req)
+                      for trace, post_req in answers)
+        if limit is None:  # an answer that needs all another needs adds no option
+            sets = sorted(set(map(frozenset, table)), key=len)
+            table = tuple(r for i, r in enumerate(sets) if not any(k <= r for k in sets[:i]))
+        self._requirements_cache[key] = table
         return table
 
-    def repair_traces(self, start: tuple, goal) -> list:
-        """The first `REPAIR_TRACES` silent traces from `start` to `goal`,
-        one exact marking or `_anywhere`, with no psi check: shared by every
-        condition that asks the same search."""
-        key = (start, goal)
+    def repair_traces(self, start: tuple, goal, limit) -> list:
+        """The silent traces from `start` to `goal`, one exact marking or
+        `_anywhere`, with no psi check: the first `limit` of `run_search`,
+        or every distinct one (`silent_traces`) when `limit` is None.
+        Shared by every condition that asks the same search, a budget
+        error too: it is kept and raised again."""
+        key = (start, goal, limit)
         hit = self._traces_cache.get(key)
         if hit is None:
-            hit = self._traces_cache[key] = run_search(
-                self.net.silent_moves, start, _anywhere, goal, self.node_budget, REPAIR_TRACES)
+            try:
+                hit = (silent_traces(self.net.silent_moves, start, goal, self.node_budget)
+                       if limit is None else run_search(
+                           self.net.silent_moves, start, _anywhere, goal, self.node_budget, limit))
+            except SearchBudgetError as exc:
+                hit = exc
+            self._traces_cache[key] = hit
+        if isinstance(hit, SearchBudgetError):
+            raise SearchBudgetError(str(hit), hit.count)
         return hit
 
-    def repair_choices(self, left: tuple, right: tuple, d: bool) -> tuple:
-        """The first `GUIDED_WIDTH` association masks of the requirement
-        (left, right, d), over the universe under `d` and over the core
-        pairs otherwise."""
-        key = (left, right, d)
+    def repair_choices(self, left: tuple, right: tuple, d: bool, allowed, limit) -> tuple:
+        """The first `limit` association masks (all when None) of the
+        requirement (left, right, d) over the bits of `allowed`."""
+        key = (left, right, d, allowed, limit)
         hit = self._choices_cache.get(key)
         if hit is None:
-            found = self.associations(Counter(left).items(), Counter(right).items(),
-                                      self.universe_mask if d else self.core_mask, d)
-            hit = self._choices_cache[key] = tuple(itertools.islice(found, GUIDED_WIDTH))
+            found = self.associations(Counter(left).items(), Counter(right).items(), allowed, d)
+            hit = self._choices_cache[key] = tuple(itertools.islice(found, limit))
         return hit
 
     # -- the condition walk ---------------------------------------------------
@@ -536,21 +544,11 @@ class _Engine:
     def violation(self, ti, m, side) -> Violation:
         t = self.net.transitions[ti]
         if m is None:
-            return Violation(
-                t.tid,
-                t.pre,
-                side,
-                "closure-failure",
-                "a pre-set place is related to the empty marking, so the "
-                "move cannot be answered when its token is matched away",
-            )
-        return Violation(
-            t.tid,
-            Marking(m),
-            side,
-            "no-response",
-            f"no matching response from {Marking(m)!r}",
-        )
+            return Violation(t.tid, t.pre, side, "closure-failure",
+                             "a pre-set place is related to the empty marking, so the "
+                             "move cannot be answered when its token is matched away")
+        return Violation(t.tid, Marking(m), side, "no-response",
+                         f"no matching response from {Marking(m)!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -648,26 +646,26 @@ def decide(
 ) -> Verdict:
     """Decide whether two markings are equivalent under the given kind.
 
-    Exhaustive mode searches the candidate relations over the pair
-    universe by increasing pair count, then lexicographically, so a
-    related verdict carries the minimal witness in that order. The search
-    is a branch-and-bound that cuts every subtree of candidates a monotone
-    condition rules out, and counts them as examined, so exhausting it is
+    Exhaustive mode answers with the first witness over the pair universe
+    by pair count, then lexicographically. Its search (`_demand_search`)
+    grows relations from the associations of the two markings only by the
+    exact repairs of each one's first failing condition, best first in
+    that order; a minimal witness is reachable so, and exhausting it is
     conclusive. Before it starts, pairs that fail a condition on their own
     are pruned, and associations of the two markings that fail a condition
     under every unpruned pair are refuted, since each witness contains an
-    association; when all are refuted, the search rules out the candidates
-    of each pair count in one cut. A pair fails on its own only through a
-    transition whose pre-set holds just its place, so `_Engine.depth_one_cut`
-    settles those in closed form, asking no response; every other condition
-    comes from one walk, `_Engine.failures`. Both modes take the query
-    pair's associations, which `_Engine.associations` enumerates once per
-    call. Guided mode grows a candidate from them and answers related or
+    association; when all are refuted, the search checks nothing. A pair
+    fails on its own only through a transition whose pre-set holds just
+    its place, so `_Engine.depth_one_cut` settles those in closed form,
+    asking no response; every other condition comes from one walk,
+    `_Engine.failures`. Both modes take the query pair's associations,
+    which `_Engine.associations` enumerates once per call. Guided mode
+    grows a candidate from them by capped repairs and answers related or
     unknown, never not-related.
 
-    Auto mode runs the exhaustive search within `AUTO_NODES` nodes; when a
-    budget runs out, it falls back to guided mode, noting why in
-    `stats["fallback"]` and keeping the attempt's stats under
+    Auto mode runs the exhaustive search within `AUTO_NODES` relations
+    checked; when a budget runs out, it falls back to guided mode, noting
+    why in `stats["fallback"]` and keeping the attempt's stats under
     `exhaustive_`-prefixed keys.
     """
     _check_kind(kind)
@@ -702,13 +700,23 @@ def decide(
 
 
 def _witness_verdict(engine, mask, mode, stats) -> Verdict:
-    rel = PlaceRelation.of(pair for pair, b in engine.bit.items() if mask & b)
+    rel = PlaceRelation.of(engine.pairs[i] for i in _positions(mask))
     t0 = time.perf_counter()
     report = check_relation(engine.net, rel, engine.kind, node_budget=engine.node_budget)
     stats["reverify_s"] = time.perf_counter() - t0
     if not report.ok:
         raise PneqError("internal error: candidate witness failed re-verification")
     return Verdict("related", rel, mode, stats)
+
+
+def _positions(mask) -> list:
+    """The positions of the set bits of `mask`, in ascending order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _decide_exhaustive(engine, masks, compile_t0, node_cap, stats) -> Verdict:
@@ -720,13 +728,12 @@ def _decide_exhaustive(engine, masks, compile_t0, node_cap, stats) -> Verdict:
     full universe (`_Engine.depth_one_cut`, in closed form: it asks no
     response, so no budget ends it), and an association mask is refuted
     when it fails a condition under every pair that is not bad
-    (`_Engine.failures`); `prune_s` times the two. The branch-and-bound
-    then runs over the good bits with the surviving masks; with none left,
-    its root cut counts every candidate at once. `stats` keeps its counters
-    and timings when a budget error ends the search.
+    (`_Engine.failures`); `prune_s` times the two. The demand search then
+    runs over the good bits from the surviving masks; with none left, it
+    checks no relation and counts every candidate. `stats` keeps its
+    counters and timings when a budget error ends the search.
     """
-    counters = ("relations_examined", "relations_checked", "pruned_pairs", "search_nodes",
-                "cuts_association", "cuts_theta", "cuts_response",
+    counters = ("relations_examined", "relations_checked", "pruned_pairs",
                 "associations", "associations_refuted")
     stats |= dict.fromkeys(counters, 0) | {"search_s": 0.0, "reverify_s": 0.0}
     prune_t0 = time.perf_counter()
@@ -762,7 +769,7 @@ def _decide_exhaustive(engine, masks, compile_t0, node_cap, stats) -> Verdict:
     bits = [engine.bit[pair] for pair in engine.pairs if not engine.bit[pair] & bad]
     t0 = time.perf_counter()
     try:
-        found = _branch_and_bound(engine, bits, kept, node_cap, stats)
+        found = _demand_search(engine, bits, kept, node_cap, stats)
     finally:
         stats["search_s"] = time.perf_counter() - t0
     if found is None:
@@ -770,75 +777,66 @@ def _decide_exhaustive(engine, masks, compile_t0, node_cap, stats) -> Verdict:
     return _witness_verdict(engine, found, "exhaustive", stats)
 
 
-def _branch_and_bound(engine, bits, masks, node_cap, stats):
-    """The first relation over `bits` that contains an association mask and
-    passes the full check, by pair count and then lexicographically; None
-    when there is none. `masks` holds the associations left after the
-    up-front cut of `_decide_exhaustive`; when it is empty, the root of
-    each pair count is one association cut.
+def _demand_search(engine, bits, masks, node_cap, stats):
+    """The first relation over `bits` that contains one of the association
+    masks `masks` and passes the full check, by pair count and then
+    lexicographically; None when there is none.
 
-    For each pair count k, a depth-first search decides the bits in order,
-    including a bit before excluding it: that visits the candidates of k
-    pairs in lexicographic order of their bit positions. A node has the
-    included bits `rel`, and `upper` adds the undecided ones. Its subtree is
-    cut when no association mask fits inside `upper` within k pairs, or,
-    where `rel` has just grown, when a condition fails between `rel` and
-    `upper` (see `_Engine.failures`). A leaf is the full check of `rel`. A
-    cut adds the candidates it rules out to `relations_examined`, so that
-    count is that of a scan of them all.
-    More than `node_cap` nodes, unless it is None, raise SearchBudgetError.
-    The counters reach `stats` even when a budget error ends the search.
+    Best first in that order, from `masks`, a relation grows only by the
+    exact repair options of its first failing condition (a theta failure
+    is a dead end). A minimal witness holds only the pairs its responses
+    need, so it is reached from an association inside it, and a relation
+    comes after the one it grew from. A budget error while building the
+    options grows the relation by each good bit instead, as the scan would.
+    `relations_examined` is the scan's count up to the last relation
+    checked, or every candidate. Past `node_cap` checks (None: no cap),
+    SearchBudgetError; the counters reach `stats` even then.
     """
-    n = len(bits)
-    suffix = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | bits[i]
-    examined = checked = nodes = 0
-
-    def rule_out(count, cut):
-        nonlocal examined
-        examined += count
-        if cut:
-            stats[cut] += 1
-
-    def visit(i, rel, need, grew):
-        nonlocal checked, nodes
-        nodes += 1
-        if node_cap is not None and nodes > node_cap:
-            raise SearchBudgetError(f"relation search exceeded {node_cap} nodes", nodes)
-        upper = rel | suffix[i] if need else rel
-        if not any(mm & upper == mm and (rel | mm).bit_count() <= k for mm in masks):
-            rule_out(comb(n - i, need), "cuts_association")
-            return None
-        if not need:
-            rule_out(1, None)
-            checked += 1
-            return rel if next(engine.failures(rel, rel), None) is None else None
-        if grew and need < n - i:  # else the subtree is one leaf
-            try:
-                failure = next(engine.failures(rel, upper), None)
-            except SearchBudgetError:
-                failure = None  # undecided under `upper`: leave it to the leaves
-            if failure is not None:
-                cut = "cuts_theta" if failure[1] is None else "cuts_response"
-                rule_out(comb(n - i, need), cut)
-                return None
-        found = visit(i + 1, rel | bits[i], need - 1, True)
-        if found is None and need < n - i:
-            found = visit(i + 1, rel, need, False)
-        return found
-
-    found = None
+    good = sum(bits)
+    levels: dict = {}  # pair count -> the relations of that count to check
+    for mm in masks:
+        levels.setdefault(mm.bit_count(), set()).add(mm)
+    checked, last = 0, None
     try:
-        for k in range(n + 1):
-            found = visit(0, 0, k, True)
-            if found is not None:
-                break
+        while levels:  # a relation grows into a later level
+            for rel in sorted(levels.pop(min(levels)), key=_positions):
+                if checked == node_cap:
+                    raise SearchBudgetError(
+                        f"relation search exceeded {node_cap} nodes", checked + 1)
+                failure = next(engine.failures(rel, rel), None)
+                checked += 1
+                last = rel
+                if failure is None:
+                    return rel
+                if failure[1] is None:
+                    continue  # theta viability cannot be repaired by adding pairs
+                try:
+                    options = _repair_options(engine, *failure, rel, good)
+                except SearchBudgetError:
+                    options = [b for b in bits if not rel & b]
+                for option in options:
+                    grown = rel | option
+                    levels.setdefault(grown.bit_count(), set()).add(grown)
     finally:
-        stats["relations_examined"] = examined
         stats["relations_checked"] = checked
-        stats["search_nodes"] = nodes
-    return found
+        stats["relations_examined"] = 0 if last is None else _scan_count(bits, last)
+    stats["relations_examined"] = 2 ** len(bits)
+    return None
+
+
+def _scan_count(bits, mask) -> int:
+    """The relations over the n `bits` before `mask` (k pairs) by pair count,
+    then lexicographically, plus one: every C(n, j), j < k, and for the i-th
+    bit, outside `mask` and after j < k of its bits, C(n - i - 1, k - j - 1)."""
+    n, k = len(bits), mask.bit_count()
+    count = 1 + sum(comb(n, j) for j in range(k))
+    j = 0
+    for i, b in enumerate(bits):
+        if mask & b:
+            j += 1
+        elif j < k:
+            count += comb(n - i - 1, k - j - 1)
+    return count
 
 
 def _decide_guided(engine, masks) -> Verdict:
@@ -883,27 +881,39 @@ def _decide_guided(engine, masks) -> Verdict:
     return Verdict("unknown", None, "guided", stats)
 
 
-def _repair_options(engine, ti, m, side, rbits) -> set:
+def _repair_options(engine, ti, m, side, rbits, good=None) -> set:
     """The masks of pair additions that could discharge the failed
     condition (ti, m, side), each once, in no particular order: for each
     answer of `_Engine.requirements`, the unions of one association mask,
-    less `rbits`, per requirement that `rbits` does not meet."""
+    less `rbits`, per requirement that `rbits` does not meet. Guided mode
+    caps them; with `good`, the pairs a witness may hold, all are taken,
+    their unions within the node budget (SearchBudgetError past it)."""
+    exact = good is not None
+    width = None if exact else GUIDED_WIDTH
     options = set()
-    for reqs in engine.requirements(ti, m, side):
+    needed: dict = {}  # requirement -> its choices, or None when `rbits` meets it
+    for reqs in engine.requirements(ti, m, side, None if exact else REPAIR_TRACES):
         choice_lists = []
-        for left, right, d in reqs:
-            allowed = engine.universe_mask if d else engine.core_mask
-            if engine.member(left, right, rbits & allowed, d):
+        for req in reqs:
+            choices = needed.get(req, _MISS)
+            if choices is _MISS:
+                left, right, d = req
+                allowed = engine.universe_mask if d else engine.core_mask
+                choices = None
+                if not engine.member(left, right, rbits & allowed, d):
+                    choices = [q & ~rbits for q in engine.repair_choices(
+                        left, right, d, allowed & good if exact else allowed, width)]
+                needed[req] = choices
+            if choices is None:
                 continue
-            choices = [q & ~rbits for q in engine.repair_choices(left, right, d)]
             if not choices:
                 break  # a requirement no addition can meet
             choice_lists.append(choices)
         else:
+            if exact and (count := prod(map(len, choice_lists))) > engine.node_budget:
+                raise SearchBudgetError("repair options exceeded the node budget", count)
             # with no choice lists, the one empty addition is dropped below
-            for combo in itertools.islice(
-                itertools.product(*choice_lists), GUIDED_WIDTH * 4
-            ):
+            for combo in itertools.islice(itertools.product(*choice_lists), width and width * 4):
                 additions = 0
                 for q in combo:
                     additions |= q

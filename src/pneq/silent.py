@@ -127,6 +127,56 @@ def run_search(adj: Mapping, start_tokens: tuple, psi_ok, goal, node_budget: int
     return found
 
 
+def silent_traces(adj: Mapping, start_tokens: tuple, goal, node_budget: int) -> list:
+    """A trace of `run_search`'s responses from `start_tokens` to `goal`, psi
+    holding everywhere, per final state and set of markings passed, the final
+    one included: states merge only when they passed the same markings. A
+    self-loop idles. Walked depth first on an explicit stack; raises
+    SearchBudgetError past `node_budget` states."""
+    exact = isinstance(goal, tuple)
+    found = {}
+    seen = set()
+
+    def finish(pending, done, p, trace):  # token p finishes, unless the goal has no room
+        if not exact or done.count(p) < goal.count(p):
+            succ.append((pending, None, tuple(sorted(done + (p,))), trace))
+
+    marking = tuple(sorted(start_tokens))
+    stack = [(marking, None, (), (marking,))]
+    while stack:
+        pending, active, done, trace = stack.pop()
+        if (key := (pending, active, done, frozenset(trace))) in seen:
+            continue
+        seen.add(key)
+        if len(seen) > node_budget:
+            raise SearchBudgetError(f"silent trace walk exceeded {node_budget} nodes", len(seen))
+        succ = []
+        if active is not None:
+            p0, cur, visited = active
+            finish(pending, done, cur, trace)
+            for nxt, _tid in adj.get(cur, ()):
+                if nxt not in visited:
+                    moved = trace + (_moved(trace[-1], cur, nxt),)
+                    if nxt == p0:
+                        finish(pending, done, nxt, moved)
+                    else:
+                        succ.append((pending, (p0, nxt, visited | {nxt}), done, moved))
+        elif pending:
+            for i, p in enumerate(pending):
+                if i and p == pending[i - 1]:
+                    continue
+                rest = pending[:i] + pending[i + 1:]
+                finish(rest, done, p, trace + trace[-1:])
+                for nxt, _tid in adj.get(p, ()):
+                    if nxt != p:
+                        succ.append((rest, (p, nxt, frozenset((nxt,))), done,
+                                     trace + (_moved(trace[-1], p, nxt),)))
+        elif done == goal if exact else goal(done):
+            found[trace] = None
+        stack.extend(reversed(succ))  # the first successor is walked first
+    return list(found)
+
+
 def _moved(marking, src, dst) -> tuple:
     """The sorted marking with one token moved from `src` to `dst`."""
     toks = list(marking)

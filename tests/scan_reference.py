@@ -3,7 +3,7 @@
 `_decide_exhaustive` below is that loop: every combination of the
 statically feasible pair bits, by size and then lexicographically, each
 one that contains an association checked in full. It is the reference the
-branch-and-bound is compared against: same status, same witness, same
+relation search is compared against: same status, same witness, same
 `relations_examined` and `pruned_pairs`.
 
 `static_bad_mask` is the static pruning pass the engine ran before

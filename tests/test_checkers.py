@@ -309,10 +309,10 @@ class TestDecide:
         assert callers == {"decide": 1}, callers
         assert v.stats["fallback"] == "relation search exceeded 1 nodes"
         assert check_relation(net, v.witness, "bplace").ok
-        # the exhaustive attempt's stats survive the fallback, prefixed
-        assert v.stats["exhaustive_search_nodes"] == 2
-        assert v.stats["exhaustive_relations_examined"] == 1
-        assert v.stats["exhaustive_relations_checked"] == 0
+        # the exhaustive attempt's stats survive the fallback, prefixed: it
+        # checked one relation, the scan's 55th candidate
+        assert v.stats["exhaustive_relations_checked"] == 1
+        assert v.stats["exhaustive_relations_examined"] == 55
         assert v.stats["exhaustive_pruned_pairs"] == 39
         assert v.stats["exhaustive_associations"] == 1
         assert v.stats["exhaustive_associations_refuted"] == 0
@@ -324,7 +324,7 @@ class TestDecide:
         net = nets["latent_sync"]
         m1, m2 = Marking(["s1"]), Marking(["s4"])
         v = decide(net, m1, m2, "place", "exhaustive")
-        assert v.status == "not-related" and v.stats["search_nodes"] == 49
+        assert v.status == "not-related" and v.stats["relations_checked"] == 3
         callers.clear()
         v = decide(net, m1, m2, "place", "auto")
         assert v.status == "unknown" and v.mode_used == "guided"

@@ -1,8 +1,10 @@
-"""The branch-and-bound relation search of exhaustive `decide`.
+"""The demand-driven relation search of exhaustive `decide`.
 
-It is compared against the power-set scan it replaced
-(`scan_reference.py`): the same status, witness, `relations_examined` and
-`pruned_pairs` on random nets, and the same budget errors. Its depth-one
+It is compared against the power-set scan (`scan_reference.py`) and the
+branch-and-bound (`bnb_reference.py`) it replaced: the same status,
+witness, `relations_examined` and `pruned_pairs` on random nets, and the
+same budget errors; its node counts on copy nets that the
+branch-and-bound takes millions of nodes to decide are pinned. Its depth-one
 cut is compared bit for bit against the per-bit `failures` walk it
 replaced and the old pruning pass, the engine's tables and answer rule
 against the build and the rule they replaced (`engine_reference.py`), its
@@ -12,11 +14,13 @@ The up-front association cut must refute every association of the
 silent-sync family.
 """
 import functools
+import importlib.util
 import itertools
 import random
 import sys
 import time
 from collections import Counter
+from pathlib import Path
 from types import MappingProxyType
 
 import pytest
@@ -42,13 +46,13 @@ from pneq.checkers import SMALL_MATCH, _decide_exhaustive, _Engine, _is_branchin
 from pneq.errors import SearchBudgetError
 from pneq.ltsbisim import branching_relation, strong_partition
 from pneq.silent import silent_reachable
+from bnb_reference import bnb_decide
 from engine_reference import engine_tables, frozen, net_tables, repair_options, respond_compute
 from guided_reference import guided_decide
 from scan_reference import scan_decide, single_place_presets, static_bad_mask
 from test_crosscheck import _random_net
 
 COUNTERS = ("relations_examined", "pruned_pairs")
-CUTS = ("cuts_association", "cuts_theta", "cuts_response")
 
 
 def _random_query(rng, kind):
@@ -101,6 +105,27 @@ def test_search_matches_the_scan_reference():
             assert outcomes.get((kind, status, "deep"), 0) >= 2, outcomes
             assert outcomes.get((kind, status, "shallow"), 0) >= 50, outcomes
     assert refuting >= 100, refuting  # 114 when written
+
+
+def test_search_matches_the_branch_and_bound_reference():
+    # The demand search against the branch-and-bound it replaced, over all
+    # four kinds: the same status, witness, `relations_examined` and
+    # `pruned_pairs`, with witnesses that hold a theta pair and witnesses
+    # of more than one pair among them.
+    rng = random.Random(9001)
+    seen = Counter()
+    for i in range(4000):
+        kind = KINDS[i % len(KINDS)]
+        net, m1, m2 = _random_query(rng, kind)
+        got = _outcome(decide, net, m1, m2, kind, "exhaustive")
+        assert got == _outcome(bnb_decide, net, m1, m2, kind), (kind, net.transitions, m1, m2)
+        pairs = got[1].pairs if got[1] else ()
+        seen[kind, got[0]] += 1
+        seen["theta"] += any(THETA in pair for pair in pairs)
+        seen["several"] += len(pairs) > 1
+    for kind in KINDS:
+        assert seen[kind, "related"] >= 300 and seen[kind, "not-related"] >= 300, seen
+    assert seen["theta"] >= 40 and seen["several"] >= 800, seen  # 54, 1,032 when written
 
 
 def test_node_budget_errors_only_where_the_scan_raises():
@@ -363,11 +388,11 @@ def test_a_budget_the_cut_met_no_longer_ends_the_decide():
 
 
 def test_the_depth_one_cut_walks_no_condition(monkeypatch):
-    # Before the branch-and-bound starts, `failures` runs once per
+    # Before the demand search starts, `failures` runs once per
     # association, for the up-front refutation, and never for the
     # depth-one cut. Calls counted by the caller's code object.
     walk = _Engine.failures
-    search = checkers._branch_and_bound
+    search = checkers._demand_search
     callers = Counter()
     searching = False
 
@@ -382,7 +407,7 @@ def test_the_depth_one_cut_walks_no_condition(monkeypatch):
         return search(*args)
 
     monkeypatch.setattr(_Engine, "failures", failures_spy)
-    monkeypatch.setattr(checkers, "_branch_and_bound", search_spy)
+    monkeypatch.setattr(checkers, "_demand_search", search_spy)
     rng = random.Random(11)
     queries = [(*_random_query(rng, KINDS[i % len(KINDS)]), KINDS[i % len(KINDS)])
                for i in range(400)]
@@ -694,11 +719,10 @@ def test_phase_stats_are_flat_and_repeatable(nets, net_name, m1, m2, kind):
         for key in ("compile_s", "prune_s", "search_s", "reverify_s"):
             assert isinstance(v.stats[key], float) and v.stats[key] >= 0.0
         assert v.stats["prune_s"] <= v.stats["compile_s"]
-        assert sum(v.stats[k] for k in CUTS) <= v.stats["search_nodes"]
         assert v.stats["relations_checked"] <= v.stats["relations_examined"]
     counters = [{k: x for k, x in v.stats.items() if not k.endswith("_s")} for v in runs]
     assert counters[0] == counters[1]
-    assert counters[0]["search_nodes"] > 0
+    assert counters[0]["relations_examined"] > 0
 
 
 def test_guided_agrees_with_exhaustive_on_random_queries():
@@ -817,6 +841,29 @@ def test_guided_repair_searches_each_silent_response_once(monkeypatch):
     assert totals["table_reuses"] >= 150 and totals["search_reuses"] >= 100, totals
 
 
+def test_a_trace_search_past_the_budget_runs_once(monkeypatch):
+    # A repair trace search that meets the node budget is kept per key, as
+    # its traces would be: asking it again raises the same error, with the
+    # same count, and does not search again. Both the exact walk and the
+    # capped search.
+    calls = Counter()
+    for name in ("silent_traces", "run_search"):
+        def spy(*args, _search=getattr(checkers, name), _name=name):
+            calls[_name, args[1]] += 1
+            return _search(*args)
+        monkeypatch.setattr(checkers, name, spy)
+    text = "net chain\nplace " + " ".join(f"p{i}" for i in range(10)) + "\n" + "".join(
+        f"trans t{i} : p{i} -> tau -> p{i + 1}\n" for i in range(9))
+    net = parse_net(text)
+    engine = _Engine(net, [("p0", "p0")], "bplace", 3)
+    for limit in (None, 4):
+        for _ in range(3):
+            with pytest.raises(SearchBudgetError) as exc:
+                engine.repair_traces(("p0",), ("p9",), limit)
+            assert exc.value.count == 4
+    assert calls == {("silent_traces", ("p0",)): 1, ("run_search", ("p0",)): 1}
+
+
 def test_auto_matches_exhaustive_on_random_queries():
     # Below the node cap, auto is the exhaustive search: every verdict and
     # counter is the same.
@@ -836,9 +883,10 @@ def test_auto_matches_exhaustive_on_random_queries():
 
 
 def test_node_cap_error_counts_the_nodes(nets):
-    net = nets["latent_sync"]
-    m1, m2 = Marking(["s1"]), Marking(["s4"])
-    engine = _Engine(net, pair_universe(net, m1, m2, "place"), "place", 1_000)
+    # without a cap, the search checks 17 relations here
+    net = nets["producer_consumer"]
+    m1, m2 = parse_marking("P1+C", net), parse_marking("P1'+C'", net)
+    engine = _Engine(net, pair_universe(net, m1, m2, "bplace"), "bplace", 1_000)
     masks = set(engine.associations(
         m1.sorted_items(), m2.sorted_items(), engine.universe_mask, engine.d))
     stats = {}
@@ -846,9 +894,60 @@ def test_node_cap_error_counts_the_nodes(nets):
         _decide_exhaustive(engine, masks, time.perf_counter(), 10, stats)
     assert exc.value.count == 11
     # the attempt keeps its counters and timings up to the error
-    assert stats["search_nodes"] == 11 and stats["associations"] == 1
+    assert stats["relations_checked"] == 10 and stats["associations"] == 1
+    assert 0 < stats["relations_examined"] < 701_786_173  # the uncapped count
     assert stats["compile_s"] >= 0.0 and stats["search_s"] >= 0.0
 
+
+GEN = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+
+
+def _copy_query(i, n_places, relabel=False):
+    """Copy net i at `n_places` places from the benchmark's generator (which
+    this only reads), queried on its marking against the renamed image;
+    with `relabel`, its last copied transition gets a fresh label."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", GEN)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    c = gen.Copy(gen._shape(gen._COPY, i), gen._rng(1, gen._COPY, i), n_places, n_places + 1,
+                 2, ("a", "b", "tau"))
+    trans = c.copied()
+    if relabel:
+        tid, pre, _, post = trans[-1]
+        trans[-1] = (tid, pre, "zfresh", post)
+    net = parse_net(gen._net_text(f"copy{i}", c.left + c.right, trans))
+    return net, parse_marking(gen._mexpr(c.m), net), parse_marking(gen._mexpr(c.m_copy), net)
+
+
+def test_the_demand_search_decides_the_copy_nets():
+    # Copy net 1 at 12 places is related under every kind by an 8-pair
+    # witness, and copy net 2 at 10 places, relabelled, under none; the
+    # branch-and-bound took 1.2 million nodes on the first under `place`
+    # and 32 million under `bdplace`. Auto mode decides each exhaustively.
+    t0 = time.perf_counter()
+    net, m1, m2 = _copy_query(1, 12)
+    witness = {("p113", "q75"), ("p116", "q50"), ("p117", "q120"), ("p4", "q87"),
+               ("p47", "q73"), ("p65", "q68"), ("p68", "q17"), ("p95", "q15")}
+    for kind, checked, examined in (("place", 6, 133_931_577), ("dplace", 17, 657_782_291),
+                                    ("bplace", 22, 8_924_907_561),
+                                    ("bdplace", 58, 22_171_530_867)):
+        for mode in ("exhaustive", "auto"):
+            v = decide(net, m1, m2, kind, mode)
+            assert v.status == "related" and v.mode_used == "exhaustive", (kind, mode)
+            assert "fallback" not in v.stats
+            assert (v.stats["relations_checked"], v.stats["relations_examined"]) == (
+                checked, examined), (kind, mode)
+            assert v.witness.pairs == witness, (kind, mode)
+    net, m1, m2 = _copy_query(2, 10, relabel=True)
+    for kind, checked, universe in (("place", 5, 32), ("dplace", 19, 42), ("bplace", 5, 34),
+                                    ("bdplace", 19, 44)):
+        for mode in ("exhaustive", "auto"):
+            v = decide(net, m1, m2, kind, mode)
+            assert v.status == "not-related" and v.mode_used == "exhaustive", (kind, mode)
+            assert v.stats["relations_checked"] == checked, (kind, mode)
+            assert v.stats["relations_examined"] == 2 ** universe, (kind, mode)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 1.0, f"{elapsed:.2f}s"
 
 
 def test_related_under_a_finer_kind_is_related_under_a_coarser_one():

@@ -1,4 +1,5 @@
 import random
+import sys
 import zlib
 from collections import Counter
 
@@ -17,7 +18,7 @@ from pneq import (
     parse_marking,
     parse_net,
 )
-from pneq.silent import DEFAULT_NODE_BUDGET, run_search
+from pneq.silent import DEFAULT_NODE_BUDGET, run_search, silent_traces
 from relation_algebra import inverse
 from silent_reference import SilentStep
 from silent_reference import run_search as reference_search
@@ -334,6 +335,50 @@ class TestReferenceSearch:
         assert nonempty >= 650, nonempty  # 753 when written
         assert several >= 130, several  # 159 when written
         assert budget >= 200, budget  # 241 when written
+
+    def test_silent_traces_answer_every_psi(self):
+        # The exact repair of a relation search reads the silent responses
+        # through `silent_traces`, with no psi. Under every psi that the
+        # final marking must meet too, as in a response to a move, run_search
+        # must find a response exactly when psi accepts every marking of one
+        # of those traces, for a goal predicate and an exact goal alike; and
+        # the traces are distinct.
+        rng = random.Random(3141)
+        found = refused = walked = 0
+        for n in range(1500):
+            net = _random_silent_net(rng, n)
+            start = tuple(sorted(rng.choices(net.places, k=rng.randint(1, 3))))
+            salt, goal_rate = rng.getrandbits(32), rng.choice((100, 50))
+            goal = rng.choice((lambda f: _coin(salt, f, goal_rate),
+                               tuple(sorted(rng.choices(net.places, k=len(start))))))
+            traces = silent_traces(net.silent_moves, start, goal, DEFAULT_NODE_BUDGET)
+            assert len(set(traces)) == len(traces)
+            walked += len(traces) > 1
+            for rate in (100, 80, 50, 20):
+                psi = lambda mk: _coin(salt + 1, mk, rate)
+                if isinstance(goal, tuple):
+                    final, ends = goal, psi(goal)
+                else:
+                    final, ends = lambda f: goal(f) and psi(f), True
+                got = ends and bool(
+                    run_search(net.silent_moves, start, psi, final, DEFAULT_NODE_BUDGET))
+                assert got == any(all(map(psi, t)) for t in traces), (
+                    net.transitions, start, goal, rate)
+                found += got
+                refused += not got and bool(traces)
+        # 2,381, 1,671 and 428 when written
+        assert found >= 2000 and refused >= 1400 and walked >= 350, (found, refused, walked)
+
+    def test_silent_traces_walk_a_chain_past_the_recursion_limit(self):
+        # One block of a silent chain longer than Python's recursion limit:
+        # the walk keeps its own stack, so it answers instead of raising
+        # RecursionError.
+        n = sys.getrecursionlimit() + 100
+        adj = {f"p{i}": [(f"p{i + 1}", i)] for i in range(n)}
+        (trace,) = silent_traces(adj, ("p0",), (f"p{n}",), DEFAULT_NODE_BUDGET)
+        assert trace == tuple((f"p{i}",) for i in range(n + 1))
+        traces = silent_traces(adj, ("p0",), lambda done: True, DEFAULT_NODE_BUDGET)
+        assert sorted(t[-1] for t in traces) == sorted((f"p{i}",) for i in range(n + 1))
 
     def test_an_exact_goal_drops_only_dead_states(self):
         # With a final marking as its goal, run_search drops every state

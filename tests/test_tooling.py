@@ -394,7 +394,7 @@ def test_every_stat_key_is_documented(monkeypatch):
     assert verdict.mode_used == "guided" and "fallback" in verdict.stats
     keys |= set(verdict.stats)
     documented = set(re.findall(r"`([a-z_]+)`", (ROOT / "README.md").read_text(encoding="utf-8")))
-    assert {"exhaustive_search_nodes", "refine_rounds", "relation_ok"} <= keys
+    assert {"exhaustive_relations_checked", "refine_rounds", "relation_ok"} <= keys
     assert sorted(
         k for k in keys if k not in documented and k.removeprefix("exhaustive_") not in documented
     ) == []
