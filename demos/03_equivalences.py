@@ -26,7 +26,8 @@ report = check_relation(net, rel, "bplace")
 print("candidate relation passes the game conditions:", report.ok)
 print("verify:", verify(net, rel, "bplace", m1, m2).status)
 
-# The guided search reconstructs a witness from scratch.
+# Guided mode reconstructs a minimal witness from scratch: the exhaustive
+# search without its up-front cut, capped, and never answering not-related.
 found = decide(net, m1, m2, "bplace", "guided")
 print("guided:", found.status, "witness pairs:", len(found.witness))
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from collections import Counter, deque, namedtuple
+from collections import Counter, namedtuple
 from math import comb, prod
 
 from .errors import ModelError, PneqError, SearchBudgetError
@@ -33,18 +33,14 @@ from .relations import (
     PlaceRelation,
     _image_choices,
     _match,
-    format_side,
 )
 from .silent import DEFAULT_NODE_BUDGET, run_search, silent_reachable, silent_traces
 
 KINDS = ("place", "dplace", "bplace", "bdplace")
-AUTO_NODES = 20_000  # auto mode: relations checked before the guided fallback
-GUIDED_NODES = 20_000  # candidate relations guided mode checks before giving up
-GUIDED_WIDTH = 12  # repair options guided mode tries per failed condition
-REPAIR_TRACES = 4  # silent traces guided repair aims at per response form
+SEARCH_CAP = 20_000  # guided and auto mode: relations checked before answering unknown
 SMALL_MATCH = 6  # closure membership: past this many tokens in all, max-flow
 _MISS = object()  # a cache with no entry yet: `respond`, `_repair_options`
-NO_ASSOCIATION = "no association over the pair universe"  # either mode's reason
+NO_ASSOCIATION = "no association over the pair universe"  # every mode's reason
 
 
 class Violation(namedtuple("Violation", "transition marking side reason details",
@@ -118,22 +114,22 @@ class _Engine:
     by the pairs of the pre-set's places; each response's trace, or None,
     keyed by `resp_mask`, built once per transition and side; and each
     closure answer of `member`, keyed by the question. Three more serve
-    repair, capped or exact, whose needs do not depend on the relation:
+    the demand search's repair, whose needs do not depend on the relation:
     each failed condition's `requirements`, the silent traces of
     `repair_traces` and each requirement's masks in `repair_choices`.
     `failures` is the one walk over the finite conditions of a set of
     pairs, and it asks every response through `respond`: `check_relation`,
-    guided mode, the association cut and the demand search all consume
-    it. `images` gives each place's tokens the multisets of its
-    images, so a pre-set's image set grows with its token count
-    polynomially, not exponentially. `depth_one_cut` finds the pairs that
-    fail a condition on their own without asking a response, from the
-    theta conditions on one place and from `lone`, the transitions whose
-    pre-set holds a single place. `member` is the one closure-membership
-    routine, for the additive closure and the d one alike: it backtracks
-    up to `SMALL_MATCH` tokens in all, and runs the max-flow `_match` past
-    it. `associations` is the one enumeration of the associations of two
-    markings, for the exhaustive search and guided mode alike.
+    the association cut and the demand search all consume it. `images`
+    gives each place's tokens the multisets of its images, so a pre-set's
+    image set grows with its token count polynomially, not exponentially.
+    `depth_one_cut` finds the pairs that fail a condition on their own
+    without asking a response, from the theta conditions on one place and
+    from `lone`, the transitions whose pre-set holds a single place.
+    `member` is the one closure-membership routine, for the additive
+    closure and the d one alike: it backtracks up to `SMALL_MATCH` tokens
+    in all, and runs the max-flow `_match` past it. `associations` is the
+    one enumeration of the associations of two markings, for the query
+    pair and each repair requirement alike.
 
     The engine builds only the tables of its universe. It reads the tables
     of the net alone, `lone` and `answerers` among them, from `Net.compiled`,
@@ -379,7 +375,7 @@ class _Engine:
                 return (m, m)
             found = run_search(self.net.silent_moves, m, psi_ok, final_ok, self.node_budget)
             if found:
-                return found[0]
+                return found
 
         for cj in c.answerers[ti]:
             cpre = c.pre_tok[cj]
@@ -394,20 +390,21 @@ class _Engine:
                 return (m,) * (len(m) + 1)
             found = run_search(self.net.silent_moves, m, psi_ok, cpre, self.node_budget)
             if found:
-                return found[0]
+                return found
         return None
 
     # -- repair ----------------------------------------------------------------
 
-    def requirements(self, ti: int, m: tuple, side: int, limit) -> tuple:
+    def requirements(self, ti: int, m: tuple, side: int) -> tuple:
         """What an answer to the condition (ti, m, side) needs, for each
-        answer `_respond_compute` could give, taken along one of its first
-        `limit` silent traces (all when None; a strong kind's is empty):
-        each marking of the trace psi-related to the moving pre-set, then
-        the post-set pair. A requirement is (left, right, d): two sorted
-        token tuples, related under the closure `d` picks. The table does
-        not depend on the relation, so it is built once per engine."""
-        key = (ti, m, side, limit)
+        answer `_respond_compute` could give, taken along each of its
+        silent traces (a strong kind's is empty): each marking of the trace
+        psi-related to the moving pre-set, then the post-set pair. A
+        requirement is (left, right, d): two sorted token tuples, related
+        under the closure `d` picks. An answer that needs all another needs
+        adds no option, so it is dropped. The table does not depend on the
+        relation, so it is built once per engine."""
+        key = (ti, m, side)
         table = self._requirements_cache.get(key)
         if table is not None:
             return table
@@ -420,37 +417,32 @@ class _Engine:
 
         answers = []  # (trace, its post-set requirement)
         if self.branching and c.tau_seq[ti]:
-            for trace in self.repair_traces(m, _anywhere, limit):
+            for trace in self.repair_traces(m, _anywhere):
                 answers.append((trace, oriented(post, trace[-1], False)))
         for cj in c.answerers[ti]:
             cpre = c.pre_tok[cj]
             if self.branching:
-                traces = self.repair_traces(m, cpre, limit)
+                traces = self.repair_traces(m, cpre)
             else:
                 traces = [()] if cpre == m else []
             for trace in traces:
                 answers.append((trace, oriented(post, c.post_tok[cj], self.d)))
-        table = tuple((*(oriented(anchor, mk, False) for mk in trace), post_req)
-                      for trace, post_req in answers)
-        if limit is None:  # an answer that needs all another needs adds no option
-            sets = sorted(set(map(frozenset, table)), key=len)
-            table = tuple(r for i, r in enumerate(sets) if not any(k <= r for k in sets[:i]))
+        sets = sorted({frozenset((*(oriented(anchor, mk, False) for mk in trace), post_req))
+                       for trace, post_req in answers}, key=len)
+        table = tuple(r for i, r in enumerate(sets) if not any(k <= r for k in sets[:i]))
         self._requirements_cache[key] = table
         return table
 
-    def repair_traces(self, start: tuple, goal, limit) -> list:
-        """The silent traces from `start` to `goal`, one exact marking or
-        `_anywhere`, with no psi check: the first `limit` of `run_search`,
-        or every distinct one (`silent_traces`) when `limit` is None.
-        Shared by every condition that asks the same search, a budget
-        error too: it is kept and raised again."""
-        key = (start, goal, limit)
+    def repair_traces(self, start: tuple, goal) -> list:
+        """Every distinct silent trace (`silent_traces`) from `start` to
+        `goal`, one exact marking or `_anywhere`, with no psi check. Shared
+        by every condition that asks the same walk, a budget error too: it
+        is kept and raised again."""
+        key = (start, goal)
         hit = self._traces_cache.get(key)
         if hit is None:
             try:
-                hit = (silent_traces(self.net.silent_moves, start, goal, self.node_budget)
-                       if limit is None else run_search(
-                           self.net.silent_moves, start, _anywhere, goal, self.node_budget, limit))
+                hit = silent_traces(self.net.silent_moves, start, goal, self.node_budget)
             except SearchBudgetError as exc:
                 hit = exc
             self._traces_cache[key] = hit
@@ -458,14 +450,14 @@ class _Engine:
             raise SearchBudgetError(str(hit), hit.count)
         return hit
 
-    def repair_choices(self, left: tuple, right: tuple, d: bool, allowed, limit) -> tuple:
-        """The first `limit` association masks (all when None) of the
-        requirement (left, right, d) over the bits of `allowed`."""
-        key = (left, right, d, allowed, limit)
+    def repair_choices(self, left: tuple, right: tuple, d: bool, allowed) -> tuple:
+        """The association masks of the requirement (left, right, d) over
+        the bits of `allowed`."""
+        key = (left, right, d, allowed)
         hit = self._choices_cache.get(key)
         if hit is None:
-            found = self.associations(Counter(left).items(), Counter(right).items(), allowed, d)
-            hit = self._choices_cache[key] = tuple(itertools.islice(found, limit))
+            hit = self._choices_cache[key] = tuple(
+                self.associations(Counter(left).items(), Counter(right).items(), allowed, d))
         return hit
 
     # -- the condition walk ---------------------------------------------------
@@ -646,27 +638,26 @@ def decide(
 ) -> Verdict:
     """Decide whether two markings are equivalent under the given kind.
 
-    Exhaustive mode answers with the first witness over the pair universe
-    by pair count, then lexicographically. Its search (`_demand_search`)
-    grows relations from the associations of the two markings only by the
-    exact repairs of each one's first failing condition, best first in
-    that order; a minimal witness is reachable so, and exhausting it is
-    conclusive. Before it starts, pairs that fail a condition on their own
-    are pruned, and associations of the two markings that fail a condition
-    under every unpruned pair are refuted, since each witness contains an
-    association; when all are refuted, the search checks nothing. A pair
-    fails on its own only through a transition whose pre-set holds just
-    its place, so `_Engine.depth_one_cut` settles those in closed form,
-    asking no response; every other condition comes from one walk,
-    `_Engine.failures`. Both modes take the query pair's associations,
-    which `_Engine.associations` enumerates once per call. Guided mode
-    grows a candidate from them by capped repairs and answers related or
-    unknown, never not-related.
+    Every mode runs one search (`_demand_search`) for the first witness
+    over the pair universe by pair count, then lexicographically. It grows
+    relations from the associations of the two markings, which
+    `_Engine.associations` enumerates once per call, only by the exact
+    repairs of each one's first failing condition, best first in that
+    order; a minimal witness is reachable so, and exhausting it is
+    conclusive. Every condition comes from one walk, `_Engine.failures`.
 
-    Auto mode runs the exhaustive search within `AUTO_NODES` relations
-    checked; when a budget runs out, it falls back to guided mode, noting
-    why in `stats["fallback"]` and keeping the attempt's stats under
-    `exhaustive_`-prefixed keys.
+    Exhaustive mode first prunes pairs that fail a condition on their own
+    and refutes associations of the two markings that fail a condition
+    under every unpruned pair, since each witness contains an association;
+    when all are refuted, the search checks nothing. A pair fails on its
+    own only through a transition whose pre-set holds just its place, so
+    `_Engine.depth_one_cut` settles those in closed form, asking no
+    response. Auto mode runs the same within `SEARCH_CAP` relations
+    checked, and answers unknown when the cap runs out, keeping the
+    search's stats and the cap's message as `stats["reason"]`. Guided mode
+    skips the up-front cut, which costs more than it saves on a query it
+    need not refute, and runs the search under the same cap: it answers
+    related with the minimal witness, or unknown, never not-related.
     """
     _check_kind(kind)
     if mode not in ("exhaustive", "guided", "auto"):
@@ -680,19 +671,7 @@ def decide(
     engine = _Engine(net, universe, kind, caps.node_budget)
     masks = set(engine.associations(
         m1.sorted_items(), m2.sorted_items(), engine.universe_mask, engine.d))
-    if mode == "guided":
-        verdict = _decide_guided(engine, masks)
-    else:
-        node_cap = AUTO_NODES if mode == "auto" else None
-        attempt: dict = {}
-        try:
-            verdict = _decide_exhaustive(engine, masks, compile_t0, node_cap, attempt)
-        except SearchBudgetError as exc:
-            if mode == "exhaustive":
-                raise
-            verdict = _decide_guided(engine, masks)
-            verdict.stats["fallback"] = str(exc)
-            verdict.stats.update({f"exhaustive_{k}": x for k, x in attempt.items()})
+    verdict = _decide_search(engine, masks, compile_t0, mode)
     verdict.stats["universe"] = len(universe)
     verdict.stats["matchings_solved"] = engine.matchings_solved
     verdict.stats["wall_time_s"] = time.perf_counter() - t0
@@ -719,62 +698,77 @@ def _positions(mask) -> list:
     return out
 
 
-def _decide_exhaustive(engine, masks, compile_t0, node_cap, stats) -> Verdict:
-    """Fill `stats` and return the exhaustive verdict over the association
-    masks `masks` of the query pair.
+def _decide_search(engine, masks, compile_t0, mode) -> Verdict:
+    """`mode`'s verdict over the association masks `masks` of the query
+    pair.
 
-    Compiling prunes the pairs and associations that are in no witness: a
-    pair bit is bad when its relation fails a condition even under the
-    full universe (`_Engine.depth_one_cut`, in closed form: it asks no
-    response, so no budget ends it), and an association mask is refuted
-    when it fails a condition under every pair that is not bad
-    (`_Engine.failures`); `prune_s` times the two. The demand search then
-    runs over the good bits from the surviving masks; with none left, it
-    checks no relation and counts every candidate. `stats` keeps its
-    counters and timings when a budget error ends the search.
+    Outside guided mode, compiling prunes the pairs and associations that
+    are in no witness: a pair bit is bad when its relation fails a
+    condition even under the full universe (`_Engine.depth_one_cut`, in
+    closed form: it asks no response, so no budget ends it), and an
+    association mask is refuted when it fails a condition under every pair
+    that is not bad (`_Engine.failures`); `prune_s` times the two. The
+    demand search then runs over the good bits from the surviving masks;
+    with none left, it checks no relation and counts every candidate.
+    Guided and auto mode cap it at `SEARCH_CAP` relations checked, and
+    answer unknown past the cap, guided mode also where the search is
+    exhausted.
     """
     counters = ("relations_examined", "relations_checked", "pruned_pairs",
                 "associations", "associations_refuted")
-    stats |= dict.fromkeys(counters, 0) | {"search_s": 0.0, "reverify_s": 0.0}
+    stats = dict.fromkeys(counters, 0) | {"search_s": 0.0, "reverify_s": 0.0}
+    guided = mode == "guided"
+    mode_used = "guided" if guided else "exhaustive"
     prune_t0 = time.perf_counter()
     bad = 0
     reason = NO_ASSOCIATION
-    if masks:
+    kept = list(masks)
+    if masks and not guided:
         # the search's own cut at depth one: a pair whose relation fails a
         # condition even under the full universe is in no witness
         bad = engine.depth_one_cut()
         stats["pruned_pairs"] = bad.bit_count()
         masks = [mm for mm in masks if not mm & bad]
         reason = "every association uses a statically infeasible pair"
-    # and at the root: every witness contains an association, so one that
-    # fails a condition under all the good pairs is in none
-    allowed = engine.universe_mask & ~bad
-    kept = []
-    for mm in masks:
-        try:
-            failure = next(engine.failures(mm, allowed), None)
-        except SearchBudgetError:
-            failure = None  # undecided: leave it to the search
-        if failure is None:
-            kept.append(mm)
+        # and at the root: every witness contains an association, so one
+        # that fails a condition under all the good pairs is in none
+        allowed = engine.universe_mask & ~bad
+        kept = []
+        for mm in masks:
+            try:
+                failure = next(engine.failures(mm, allowed), None)
+            except SearchBudgetError:
+                failure = None  # undecided: leave it to the search
+            if failure is None:
+                kept.append(mm)
     stats["associations"] = len(masks)
     stats["associations_refuted"] = len(masks) - len(kept)
     stats["prune_s"] = time.perf_counter() - prune_t0
     stats["compile_s"] = time.perf_counter() - compile_t0
+    exhausted = "unknown" if guided else "not-related"
     if not masks:
         stats["reason"] = reason
-        return Verdict("not-related", None, "exhaustive", stats)
+        return Verdict(exhausted, None, mode_used, stats)
     if not kept:
         stats["reason"] = "every association fails a condition"
     bits = [engine.bit[pair] for pair in engine.pairs if not engine.bit[pair] & bad]
+    node_cap = None if mode == "exhaustive" else SEARCH_CAP
     t0 = time.perf_counter()
     try:
         found = _demand_search(engine, bits, kept, node_cap, stats)
+    except SearchBudgetError as exc:
+        # a response search's budget error ends a check before it counts
+        if stats["relations_checked"] != node_cap:
+            raise
+        stats["reason"] = str(exc)
+        return Verdict("unknown", None, mode_used, stats)
     finally:
         stats["search_s"] = time.perf_counter() - t0
     if found is None:
-        return Verdict("not-related", None, "exhaustive", stats)
-    return _witness_verdict(engine, found, "exhaustive", stats)
+        if guided:
+            stats["reason"] = "guided search exhausted without finding a witness"
+        return Verdict(exhausted, None, mode_used, stats)
+    return _witness_verdict(engine, found, mode_used, stats)
 
 
 def _demand_search(engine, bits, masks, node_cap, stats):
@@ -839,60 +833,16 @@ def _scan_count(bits, mask) -> int:
     return count
 
 
-def _decide_guided(engine, masks) -> Verdict:
-    """Grow a witness breadth first from the association masks `masks`."""
-    stats = {"relations_examined": 0, "relations_checked": 0}
-
-    labels: dict = {}  # bit -> its printed pair, formatted when first sorted
-
-    def printed(mask):  # the sorted printed pairs of a mask: guided mode's order
-        out = []
-        while mask:
-            low = mask & -mask
-            label = labels.get(low)
-            if label is None:
-                a, b = engine.pairs[low.bit_length() - 1]
-                label = labels[low] = (format_side(a), format_side(b))
-            out.append(label)
-            mask ^= low
-        return sorted(out)
-
-    queue = deque(sorted(masks, key=printed))
-    seen = set()
-    while queue and stats["relations_examined"] < GUIDED_NODES:
-        rbits = queue.popleft()
-        if rbits in seen:
-            continue
-        seen.add(rbits)
-        stats["relations_examined"] += 1
-        stats["relations_checked"] += 1
-        failure = next(engine.failures(rbits, rbits), None)
-        if failure is None:
-            return _witness_verdict(engine, rbits, "guided", stats)
-        if failure[1] is None:
-            continue  # theta viability cannot be repaired by adding pairs
-        options = sorted(_repair_options(engine, *failure, rbits),
-                         key=lambda add: (add.bit_count(), printed(add)))
-        for additions in options[:GUIDED_WIDTH]:
-            queue.append(rbits | additions)
-    stats["reason"] = (
-        "guided search exhausted without finding a witness" if masks else NO_ASSOCIATION
-    )
-    return Verdict("unknown", None, "guided", stats)
-
-
-def _repair_options(engine, ti, m, side, rbits, good=None) -> set:
+def _repair_options(engine, ti, m, side, rbits, good) -> set:
     """The masks of pair additions that could discharge the failed
     condition (ti, m, side), each once, in no particular order: for each
-    answer of `_Engine.requirements`, the unions of one association mask,
-    less `rbits`, per requirement that `rbits` does not meet. Guided mode
-    caps them; with `good`, the pairs a witness may hold, all are taken,
-    their unions within the node budget (SearchBudgetError past it)."""
-    exact = good is not None
-    width = None if exact else GUIDED_WIDTH
+    answer of `_Engine.requirements`, the unions of one association mask
+    over `good`, the pairs a witness may hold, less `rbits`, per
+    requirement that `rbits` does not meet. Their count is within the node
+    budget (SearchBudgetError past it)."""
     options = set()
     needed: dict = {}  # requirement -> its choices, or None when `rbits` meets it
-    for reqs in engine.requirements(ti, m, side, None if exact else REPAIR_TRACES):
+    for reqs in engine.requirements(ti, m, side):
         choice_lists = []
         for req in reqs:
             choices = needed.get(req, _MISS)
@@ -902,7 +852,7 @@ def _repair_options(engine, ti, m, side, rbits, good=None) -> set:
                 choices = None
                 if not engine.member(left, right, rbits & allowed, d):
                     choices = [q & ~rbits for q in engine.repair_choices(
-                        left, right, d, allowed & good if exact else allowed, width)]
+                        left, right, d, allowed & good)]
                 needed[req] = choices
             if choices is None:
                 continue
@@ -910,10 +860,10 @@ def _repair_options(engine, ti, m, side, rbits, good=None) -> set:
                 break  # a requirement no addition can meet
             choice_lists.append(choices)
         else:
-            if exact and (count := prod(map(len, choice_lists))) > engine.node_budget:
+            if (count := prod(map(len, choice_lists))) > engine.node_budget:
                 raise SearchBudgetError("repair options exceeded the node budget", count)
             # with no choice lists, the one empty addition is dropped below
-            for combo in itertools.islice(itertools.product(*choice_lists), width and width * 4):
+            for combo in itertools.product(*choice_lists):
                 additions = 0
                 for q in combo:
                     additions |= q

@@ -175,8 +175,8 @@ class Net:
     @cached_property
     def silent_moves(self) -> Mapping:
         """The tau-sequential moves, place -> ((next place, tid), ...) in
-        that order, read-only, built on first use. The checking engine and
-        guided repair hand it to `silent.run_search`.
+        that order, read-only, built on first use. The checking engine
+        hands it to `silent.run_search` and `silent.silent_traces`.
 
         A real silent self-loop transition does appear as an edge; idling
         steps are synthesized by the search instead and are never part of it.

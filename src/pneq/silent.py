@@ -44,9 +44,8 @@ def silent_reachable(adj: Mapping, places) -> frozenset:
 # ---------------------------------------------------------------------------
 
 
-def run_search(adj: Mapping, start_tokens: tuple, psi_ok, goal, node_budget: int,
-               limit: int = 1) -> list:
-    """The first `limit` silent responses from `start_tokens`, breadth first.
+def run_search(adj: Mapping, start_tokens: tuple, psi_ok, goal, node_budget: int):
+    """The first silent response from `start_tokens`, breadth first.
 
     States are (pending tokens, active block, finished tokens, marking),
     each a sorted token tuple but the block; only a move step changes the
@@ -55,23 +54,21 @@ def run_search(adj: Mapping, start_tokens: tuple, psi_ok, goal, node_budget: int
     finished and `goal` accepts the finished tokens: `goal` is a predicate,
     or one final marking as a sorted token tuple. An exact goal drops each
     state whose finished tokens, which never move again, it does not hold;
-    the live states keep their order and parents, so the traces are those
-    of the predicate `goal.__eq__`, from fewer nodes.
+    the live states keep their order and parents, so the trace is that of
+    the predicate `goal.__eq__`, from fewer nodes.
 
     A response is its trace: the sorted token tuples of the markings it
     passes, one before each step plus the final one. A step idles or moves
-    a token; closing a block is no step. The list is empty when no acyclic
-    response exists. The per-block acyclicity bound caps every block at one
-    visit per place, so absence of a hit is conclusive. Raises
-    SearchBudgetError past the node budget: an aborted search never reports
-    absence.
+    a token; closing a block is no step. None when no acyclic response
+    exists. The per-block acyclicity bound caps every block at one visit
+    per place, so absence of a hit is conclusive. Raises SearchBudgetError
+    past the node budget: an aborted search never reports absence.
     """
     exact = isinstance(goal, tuple)
     marking = tuple(sorted(start_tokens))
     start = (marking, None, (), marking)
     parents: dict = {start: None}  # state -> (parent, whether a step reached it)
     queue = deque([start])
-    found = []
     nodes = 0
 
     def finish(pending, done, p, marking):  # token p finishes; None if dead
@@ -88,9 +85,7 @@ def run_search(adj: Mapping, start_tokens: tuple, psi_ok, goal, node_budget: int
         pending, active, done, marking = state
         if active is None and not pending:
             if done == goal if exact else goal(done):
-                found.append(_trace(parents, state))
-                if len(found) == limit:
-                    break
+                return _trace(parents, state)
             continue
         # (whether a step idles or moves a token, next state or None);
         # closing a block is no step
@@ -124,7 +119,7 @@ def run_search(adj: Mapping, start_tokens: tuple, psi_ok, goal, node_budget: int
             if nstate is not None and nstate not in parents:
                 parents[nstate] = (state, stepped)
                 queue.append(nstate)
-    return found
+    return None
 
 
 def silent_traces(adj: Mapping, start_tokens: tuple, goal, node_budget: int) -> list:

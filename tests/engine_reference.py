@@ -18,14 +18,15 @@ holds each transition's places in set order, so compare them as sets.
 `respond_compute` and `repair_options` are `_Engine._respond_compute` and
 `checkers._repair_options` as they were: a strong block over `by_pre`
 answering `(m,)`, and a branching block over `by_label` that skips pre-sets
-of another size.
+of another size. `repair_options` takes every silent trace and every
+association, as the exact repair does, and drops an answer whose
+requirements include all of another's.
 """
 import itertools
 from collections import Counter
 
-from pneq.checkers import GUIDED_WIDTH
 from pneq.net import _tau_sequential
-from pneq.silent import run_search
+from pneq.silent import run_search, silent_traces
 
 
 def net_tables(net) -> dict:
@@ -137,7 +138,7 @@ def respond_compute(engine, ti, m, side, rbits):
             return (m, m)
         found = run_search(adj, m, psi_ok, final_ok, engine.node_budget)
         if found:
-            return found[0]
+            return found
 
     for cj in by_label.get(t.label, ()):
         cpre = c.pre_tok[cj]
@@ -159,7 +160,7 @@ def respond_compute(engine, ti, m, side, rbits):
             return (m,) * (len(m) + 1)
         found = run_search(adj, m, psi_ok, cpre.__eq__, engine.node_budget)
         if found:
-            return found[0]
+            return found
     return None
 
 
@@ -182,11 +183,8 @@ def repair_options(engine, ti, m, side, rbits) -> set:
     requirements_sets = []
     always_true = lambda mk: True
     if engine.branching:
-        sigma_limit = 4
         if c.tau_seq[ti]:
-            for trace in run_search(
-                adj, m, always_true, always_true, engine.node_budget, sigma_limit
-            ):
+            for trace in silent_traces(adj, m, always_true, engine.node_budget):
                 final = trace[-1]
                 reqs = [(oriented(anchor, mk), False) for mk in trace[:-1]]
                 reqs.append((oriented(anchor, final), False))
@@ -197,9 +195,7 @@ def repair_options(engine, ti, m, side, rbits) -> set:
             if len(cpre) != len(m):
                 continue
             cpost = c.post_tok[cj]
-            for trace in run_search(
-                adj, m, always_true, cpre.__eq__, engine.node_budget, sigma_limit
-            ):
+            for trace in silent_traces(adj, m, cpre, engine.node_budget):
                 reqs = [(oriented(anchor, mk), False) for mk in trace[:-1]]
                 reqs.append((oriented(anchor, cpre), False))
                 reqs.append((oriented(post, cpost), d))
@@ -209,8 +205,11 @@ def repair_options(engine, ti, m, side, rbits) -> set:
             cpost = c.post_tok[cj]
             requirements_sets.append([(oriented(post, cpost), d)])
 
+    sets = {frozenset(reqs) for reqs in requirements_sets}
     options = set()
-    for reqs in requirements_sets:
+    for reqs in sets:
+        if any(other < reqs for other in sets):
+            continue  # it needs all another answer needs
         choice_lists = []
         for (left, right), use_d in reqs:
             allowed = engine.universe_mask if use_d else engine.core_mask
@@ -218,15 +217,13 @@ def repair_options(engine, ti, m, side, rbits) -> set:
                 continue
             found = engine.associations(Counter(left).items(), Counter(right).items(),
                                         allowed, use_d)
-            choices = [q & ~rbits for q in itertools.islice(found, GUIDED_WIDTH)]
+            choices = [q & ~rbits for q in found]
             if not choices:
                 break  # a requirement no addition can meet
             choice_lists.append(choices)
         else:
             # with no choice lists, the one empty addition is dropped below
-            for combo in itertools.islice(
-                itertools.product(*choice_lists), GUIDED_WIDTH * 4
-            ):
+            for combo in itertools.product(*choice_lists):
                 additions = 0
                 for q in combo:
                     additions |= q

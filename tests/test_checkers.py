@@ -21,6 +21,7 @@ from pneq import (
     parse_marking,
     verify,
 )
+from pneq import checkers
 from pneq.checkers import _Engine
 from relation_algebra import compose, identity, inverse
 from silent_replay import silent_witnesses
@@ -252,7 +253,7 @@ class TestDecide:
             "bplace",
             "guided",
         )
-        assert v.status == "related"
+        assert v.status == "related" and len(v.witness) == 13
         assert check_relation(net, v.witness, "bplace").ok
 
     def test_guided_handles_theta_pairs(self, nets, relations):
@@ -284,53 +285,60 @@ class TestDecide:
         m1, m2 = parse_marking("P1+C", net), parse_marking("P1'+C'", net)
         v = decide(net, m1, m2, "bplace", "auto")
         assert v.stats["universe"] > 22  # past the old universe threshold
-        assert v.mode_used == "exhaustive" and "fallback" not in v.stats
+        assert v.mode_used == "exhaustive" and "reason" not in v.stats
         assert v.status == "related" and len(v.witness) == 13
 
-    def test_auto_falls_back_to_guided_past_the_node_cap(self, nets, monkeypatch):
-        monkeypatch.setattr("pneq.checkers.AUTO_NODES", 1)
-        # the query's associations are enumerated once per decide, for the
-        # exhaustive attempt and guided mode alike; guided repair makes its
-        # own calls, once per requirement, through `repair_choices`. Calls
+    def test_auto_answers_unknown_at_the_node_cap(self, nets, monkeypatch):
+        # Auto mode runs one search: past its cap it answers unknown with
+        # that search's stats and the cap's message as the reason, and runs
+        # no second search. The query's associations are enumerated once;
+        # repair makes its own calls, through `repair_choices`. Calls
         # counted by the caller's name.
+        monkeypatch.setattr("pneq.checkers.SEARCH_CAP", 1)
         associations = _Engine.associations
+        search = checkers._demand_search
         callers = Counter()
 
         def spy(self, *args):
             callers[sys._getframe(1).f_code.co_name] += 1
             return associations(self, *args)
 
+        def search_spy(*args):
+            callers["_demand_search"] += 1
+            return search(*args)
+
         monkeypatch.setattr(_Engine, "associations", spy)
+        monkeypatch.setattr(checkers, "_demand_search", search_spy)
         net = nets["producer_consumer"]
         m1, m2 = parse_marking("P1+C", net), parse_marking("P1'+C'", net)
         v = decide(net, m1, m2, "bplace", "auto")
-        assert v.mode_used == "guided" and v.status == "related"
-        assert callers.pop("repair_choices") > 0
-        assert callers == {"decide": 1}, callers
-        assert v.stats["fallback"] == "relation search exceeded 1 nodes"
-        assert check_relation(net, v.witness, "bplace").ok
-        # the exhaustive attempt's stats survive the fallback, prefixed: it
-        # checked one relation, the scan's 55th candidate
-        assert v.stats["exhaustive_relations_checked"] == 1
-        assert v.stats["exhaustive_relations_examined"] == 55
-        assert v.stats["exhaustive_pruned_pairs"] == 39
-        assert v.stats["exhaustive_associations"] == 1
-        assert v.stats["exhaustive_associations_refuted"] == 0
-        for key in ("exhaustive_compile_s", "exhaustive_prune_s", "exhaustive_search_s"):
+        assert (v.status, v.witness, v.mode_used) == ("unknown", None, "exhaustive")
+        callers.pop("repair_choices", None)
+        assert callers == {"decide": 1, "_demand_search": 1}, callers
+        assert v.stats["reason"] == "relation search exceeded 1 nodes"
+        # it checked one relation, the scan's 55th candidate
+        assert v.stats["relations_checked"] == 1
+        assert v.stats["relations_examined"] == 55
+        assert v.stats["pruned_pairs"] == 39
+        assert v.stats["associations"] == 1
+        assert v.stats["associations_refuted"] == 0
+        for key in ("compile_s", "prune_s", "search_s"):
             assert isinstance(v.stats[key], float) and 0.0 <= v.stats[key] <= v.stats["wall_time_s"]
-        assert v.stats["exhaustive_prune_s"] <= v.stats["exhaustive_compile_s"]
-        assert v.stats["relations_examined"] == 25  # guided's own count
-        # an exhausted cap is never a refutation, even where the full search is one
+        assert v.stats["prune_s"] <= v.stats["compile_s"]
+        assert not [k for k in v.stats if k == "fallback" or k.startswith("exhaustive_")]
+
+    def test_auto_at_the_node_cap_never_refutes(self, nets, monkeypatch):
+        # an exhausted cap is never a refutation, even where the full
+        # search is one
         net = nets["latent_sync"]
         m1, m2 = Marking(["s1"]), Marking(["s4"])
         v = decide(net, m1, m2, "place", "exhaustive")
         assert v.status == "not-related" and v.stats["relations_checked"] == 3
-        callers.clear()
+        monkeypatch.setattr("pneq.checkers.SEARCH_CAP", 1)
         v = decide(net, m1, m2, "place", "auto")
-        assert v.status == "unknown" and v.mode_used == "guided"
-        assert "fallback" in v.stats
-        callers.pop("repair_choices", None)
-        assert callers == {"decide": 1}, callers
+        assert (v.status, v.witness, v.mode_used) == ("unknown", None, "exhaustive")
+        assert v.stats["relations_checked"] == 1
+        assert v.stats["reason"] == "relation search exceeded 1 nodes"
 
     def test_minimal_witness_in_pair_count(self, nets):
         net = nets["handshake"]

@@ -58,11 +58,12 @@ class TestCheck:
         code, out, _ = run(*args[:3], "--json", *args[3:])
         report = json.loads(out)
         assert code == 0 and report["query"]["mode"] == "auto"
-        assert report["mode_used"] == "exhaustive" and "fallback" not in report["stats"]
-        monkeypatch.setattr("pneq.checkers.AUTO_NODES", 1)
+        assert report["mode_used"] == "exhaustive" and "reason" not in report["stats"]
+        # past the cap, auto mode answers unknown from its one search
+        monkeypatch.setattr("pneq.checkers.SEARCH_CAP", 1)
         code, out, _ = run(*args)
-        assert code == 0 and "verdict: related (guided)" in out
-        assert "fallback=relation search exceeded 1 nodes" in out
+        assert code == 3 and "verdict: unknown (exhaustive)" in out
+        assert "reason=relation search exceeded 1 nodes" in out
 
     def test_max_pairs_is_gone(self, run):
         with pytest.raises(SystemExit) as exc:

@@ -42,13 +42,12 @@ from pneq import (
 )
 import pneq.net
 from pneq import checkers
-from pneq.checkers import SMALL_MATCH, _decide_exhaustive, _Engine, _is_branching, pair_universe
+from pneq.checkers import SMALL_MATCH, _decide_search, _Engine, _is_branching, pair_universe
 from pneq.errors import SearchBudgetError
 from pneq.ltsbisim import branching_relation, strong_partition
 from pneq.silent import silent_reachable
 from bnb_reference import bnb_decide
 from engine_reference import engine_tables, frozen, net_tables, repair_options, respond_compute
-from guided_reference import guided_decide
 from scan_reference import scan_decide, single_place_presets, static_bad_mask
 from test_crosscheck import _random_net
 
@@ -420,7 +419,7 @@ def test_the_depth_one_cut_walks_no_condition(monkeypatch):
         except SearchBudgetError:
             continue
         assert sum(callers.values()) == v.stats["associations"], (kind, net.transitions, m1, m2)
-        assert set(callers) <= {_decide_exhaustive.__code__}, callers
+        assert set(callers) <= {_decide_search.__code__}, callers
         refuting += v.stats["associations"] > 0
     assert refuting >= 250, refuting  # 300 when written
 
@@ -482,9 +481,11 @@ def test_one_answer_loop_matches_the_old_answer_rule():
     # shape for all four kinds; the reference runs the old rule, a strong
     # block over `by_pre` and a branching block over `by_label`, with label
     # indices of its own. Every image of every pre-set, on both sides, gets
-    # a response exactly where the old rule gave one and the same repair
-    # options. A strong answer now idles on every token where it was `(m,)`,
-    # so only the branching kinds compare traces.
+    # a response exactly where the old rule gave one and the same exact
+    # repair options: from every silent trace and every association, less
+    # the answers that need all another needs. A strong answer now idles on
+    # every token where it was `(m,)`, so only the branching kinds compare
+    # traces.
     rng = random.Random(2718)
     strong = silent = repairs = crowded = 0
     for i in range(1000):
@@ -506,7 +507,8 @@ def test_one_answer_loop_matches_the_old_answer_rule():
                             silent += got is not None and len(set(got)) > 1
                         else:
                             strong += got is not None
-                        options = checkers._repair_options(engine, ti, m, side, rbits)
+                        options = checkers._repair_options(
+                            engine, ti, m, side, rbits, engine.universe_mask)
                         assert options == repair_options(engine, ti, m, side, rbits), case
                         repairs += bool(options)
                         crowded += len(set(m)) < len(m)
@@ -574,7 +576,7 @@ def test_warm_and_cold_answers_are_identical():
     # status, witness, every stat but the timings, and the graphs agree.
     rng = random.Random(5150)
     decides = multiplied = theta = graphs = 0
-    for _ in range(30):
+    for _ in range(80):
         text = _net_text(_random_query(rng, "place")[0])
         warm = parse_net(text)
         for kind in KINDS:
@@ -592,8 +594,10 @@ def test_warm_and_cold_answers_are_identical():
                 assert _graph(warm, m1, m2) == graph, (text, m1, m2)
                 graphs += graph[0] != "cap"
     # with token multiplicities, theta pairs in witnesses and full graphs
-    assert decides == 240 and multiplied >= 60 and theta >= 10 and graphs >= 150, (
-        multiplied, theta, graphs)  # 96, 13, 198 when written
+    # minimal guided witnesses hold fewer theta pairs: 30 nets gave 7, so
+    # 80 nets keep the floor
+    assert decides == 640 and multiplied >= 60 and theta >= 10 and graphs >= 150, (
+        multiplied, theta, graphs)  # 270, 16, 477 when written
 
 
 def test_the_compiled_net_is_built_once_on_first_use(monkeypatch):
@@ -733,12 +737,13 @@ def test_guided_agrees_with_exhaustive_on_random_queries():
         net, m1, m2 = _random_query(rng, kind)
         guided = decide(net, m1, m2, kind, "guided")
         exhaustive = decide(net, m1, m2, kind, "exhaustive")
-        assert guided.status in ("related", "unknown")
+        assert guided.status == ("unknown" if exhaustive.status == "not-related"
+                                 else "related"), (kind, net.transitions, m1, m2)
         if guided.status == "related":
             assert check_relation(net, guided.witness, kind).ok
             assert exhaustive.status == "related", (kind, net.transitions, m1, m2)
-        if exhaustive.status == "not-related":
-            assert guided.status == "unknown"
+            # the one search: guided mode's witness is the minimal one
+            assert guided.witness == exhaustive.witness, (kind, net.transitions, m1, m2)
         key = kind, exhaustive.status
         outcomes[key] = outcomes.get(key, 0) + 1
     for kind in KINDS:
@@ -746,50 +751,28 @@ def test_guided_agrees_with_exhaustive_on_random_queries():
             assert outcomes.get((kind, status), 0) >= 20, outcomes
 
 
-def test_guided_matches_the_pair_set_reference():
-    # Guided mode on pair masks against the same search on sets of pairs:
-    # the same status, witness and candidates examined, which pins the
-    # order of the queue and of the repair options.
-    rng = random.Random(83)
-    outcomes = {}
-    for i in range(1200):
-        kind = KINDS[i % len(KINDS)]
-        net, m1, m2 = _random_query(rng, kind)
-        got, want = (
-            (v.status, v.witness, v.stats["relations_examined"])
-            for v in (decide(net, m1, m2, kind, "guided"), guided_decide(net, m1, m2, kind))
-        )
-        assert got == want, (kind, net.transitions, m1, m2)
-        key = kind, got[0], got[2] > 1
-        outcomes[key] = outcomes.get(key, 0) + 1
-    for kind in KINDS:  # with repairs: at least 40 per cell when written
-        for status in ("related", "unknown"):
-            assert outcomes.get((kind, status, True), 0) >= 30, outcomes
-
-
 def test_guided_repair_searches_each_silent_response_once(monkeypatch):
-    # Guided repair's needs do not depend on the relation: a failed
-    # condition's requirement table is built once per engine, its silent
-    # searches are shared by (start, goal) across conditions, and each
-    # requirement's associations are enumerated once. Over guided decides of
-    # random nets and the corpus guided case, repair never runs the same
-    # search or enumeration twice within one decide (one engine), and only
-    # a table's first request asks for traces, while conditions fail again
-    # and searches are asked again.
-    searches = []  # (start, goal) of each repair search in the current decide
+    # Repair's needs do not depend on the relation: a failed condition's
+    # requirement table is built once per engine, its silent trace walks
+    # are shared by (start, goal) across conditions, and each requirement's
+    # associations are enumerated once. Over guided decides of random nets
+    # and the corpus guided case, repair never runs the same walk or
+    # enumeration twice within one decide (one engine), and only a table's
+    # first request asks for traces, while conditions fail again and walks
+    # are asked again.
+    searches = []  # (start, goal) of each repair walk in the current decide
     enumerations = []  # the arguments of each repair enumeration
     tables = Counter()  # (ti, m, side) -> its requirement-table requests
     building = []  # the condition whose table request is running
     asked = []  # (start, goal) of each repair-trace request
-    run_search = checkers.run_search
+    silent_traces = checkers.silent_traces
     associations = _Engine.associations
     requirements = _Engine.requirements
     repair_traces = _Engine.repair_traces
 
-    def search_spy(adj, start, psi_ok, goal, node_budget, limit=1):
-        if sys._getframe(1).f_code.co_name == "repair_traces":
-            searches.append((start, goal if isinstance(goal, tuple) else None))
-        return run_search(adj, start, psi_ok, goal, node_budget, limit)
+    def walk_spy(adj, start, goal, node_budget):
+        searches.append((start, goal if isinstance(goal, tuple) else None))
+        return silent_traces(adj, start, goal, node_budget)
 
     def associations_spy(self, left, right, allowed, d):
         if sys._getframe(1).f_code.co_name == "repair_choices":
@@ -809,7 +792,7 @@ def test_guided_repair_searches_each_silent_response_once(monkeypatch):
         asked.append(key)
         return repair_traces(self, *key)
 
-    monkeypatch.setattr(checkers, "run_search", search_spy)
+    monkeypatch.setattr(checkers, "silent_traces", walk_spy)
     monkeypatch.setattr(_Engine, "associations", associations_spy)
     monkeypatch.setattr(_Engine, "requirements", requirements_spy)
     monkeypatch.setattr(_Engine, "repair_traces", traces_spy)
@@ -836,32 +819,32 @@ def test_guided_repair_searches_each_silent_response_once(monkeypatch):
         totals["enumerations"] += len(enumerations)
         totals["table_reuses"] += sum(tables.values()) - len(tables)
         totals["search_reuses"] += len(asked) - len(searches)
-    # 887 searches, 580 enumerations, 205 and 143 reuses when written
+    # 831 walks, 561 enumerations, 182 and 139 reuses when written
     assert totals["searches"] >= 600 and totals["enumerations"] >= 400, totals
     assert totals["table_reuses"] >= 150 and totals["search_reuses"] >= 100, totals
 
 
 def test_a_trace_search_past_the_budget_runs_once(monkeypatch):
-    # A repair trace search that meets the node budget is kept per key, as
+    # A repair trace walk that meets the node budget is kept per key, as
     # its traces would be: asking it again raises the same error, with the
-    # same count, and does not search again. Both the exact walk and the
-    # capped search.
+    # same count, and does not walk again.
     calls = Counter()
-    for name in ("silent_traces", "run_search"):
-        def spy(*args, _search=getattr(checkers, name), _name=name):
-            calls[_name, args[1]] += 1
-            return _search(*args)
-        monkeypatch.setattr(checkers, name, spy)
+    walk = checkers.silent_traces
+
+    def spy(*args):
+        calls[args[1]] += 1
+        return walk(*args)
+
+    monkeypatch.setattr(checkers, "silent_traces", spy)
     text = "net chain\nplace " + " ".join(f"p{i}" for i in range(10)) + "\n" + "".join(
         f"trans t{i} : p{i} -> tau -> p{i + 1}\n" for i in range(9))
     net = parse_net(text)
     engine = _Engine(net, [("p0", "p0")], "bplace", 3)
-    for limit in (None, 4):
-        for _ in range(3):
-            with pytest.raises(SearchBudgetError) as exc:
-                engine.repair_traces(("p0",), ("p9",), limit)
-            assert exc.value.count == 4
-    assert calls == {("silent_traces", ("p0",)): 1, ("run_search", ("p0",)): 1}
+    for _ in range(3):
+        with pytest.raises(SearchBudgetError) as exc:
+            engine.repair_traces(("p0",), ("p9",))
+        assert exc.value.count == 4
+    assert calls == {("p0",): 1}
 
 
 def test_auto_matches_exhaustive_on_random_queries():
@@ -882,18 +865,24 @@ def test_auto_matches_exhaustive_on_random_queries():
     assert len(statuses) == 2 * len(KINDS), statuses
 
 
-def test_node_cap_error_counts_the_nodes(nets):
-    # without a cap, the search checks 17 relations here
+def test_node_cap_error_counts_the_nodes(nets, monkeypatch):
+    # Without a cap, the exhaustive search checks 17 relations here. Past
+    # its cap the demand search raises, counting the check it did not make;
+    # auto mode answers unknown instead, its message the reason, and keeps
+    # the search's counters and timings up to the cap.
     net = nets["producer_consumer"]
     m1, m2 = parse_marking("P1+C", net), parse_marking("P1'+C'", net)
     engine = _Engine(net, pair_universe(net, m1, m2, "bplace"), "bplace", 1_000)
     masks = set(engine.associations(
         m1.sorted_items(), m2.sorted_items(), engine.universe_mask, engine.d))
-    stats = {}
     with pytest.raises(SearchBudgetError, match="relation search exceeded 10 nodes") as exc:
-        _decide_exhaustive(engine, masks, time.perf_counter(), 10, stats)
+        checkers._demand_search(engine, list(engine.bit.values()), masks, 10, {})
     assert exc.value.count == 11
-    # the attempt keeps its counters and timings up to the error
+    monkeypatch.setattr(checkers, "SEARCH_CAP", 10)
+    v = _decide_search(engine, masks, time.perf_counter(), "auto")
+    stats = v.stats
+    assert (v.status, v.witness, v.mode_used) == ("unknown", None, "exhaustive")
+    assert stats["reason"] == "relation search exceeded 10 nodes"
     assert stats["relations_checked"] == 10 and stats["associations"] == 1
     assert 0 < stats["relations_examined"] < 701_786_173  # the uncapped count
     assert stats["compile_s"] >= 0.0 and stats["search_s"] >= 0.0
@@ -934,7 +923,6 @@ def test_the_demand_search_decides_the_copy_nets():
         for mode in ("exhaustive", "auto"):
             v = decide(net, m1, m2, kind, mode)
             assert v.status == "related" and v.mode_used == "exhaustive", (kind, mode)
-            assert "fallback" not in v.stats
             assert (v.stats["relations_checked"], v.stats["relations_examined"]) == (
                 checked, examined), (kind, mode)
             assert v.witness.pairs == witness, (kind, mode)
@@ -948,6 +936,31 @@ def test_the_demand_search_decides_the_copy_nets():
             assert v.stats["relations_examined"] == 2 ** universe, (kind, mode)
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0, f"{elapsed:.2f}s"
+
+
+def _dense_silent_net(n):
+    """A complete tau graph on n places per side, a0.. and b0.., with a
+    two-token synchronization `x0+x1 -go-> x2` on each side."""
+    lines = ["net dense", "place " + " ".join(f"{s}{i}" for s in "ab" for i in range(n))]
+    for s in "ab":
+        lines += [f"trans {s}{i}_{j} : {s}{i} -> tau -> {s}{j}"
+                  for i in range(n) for j in range(n) if i != j]
+        lines.append(f"trans {s}go : {s}0+{s}1 -> go -> {s}2")
+    return parse_net("\n".join(lines))
+
+
+def test_guided_decides_the_dense_silent_net():
+    # Guided mode runs the exact search with no up-front cut: on the dense
+    # silent net at n = 7 under `bplace` it finds exhaustive mode's minimal
+    # witness after the same 11,671 checks, within the node cap.
+    net = _dense_silent_net(7)
+    m1, m2 = parse_marking("a0+a1", net), parse_marking("b0+b1", net)
+    v = decide(net, m1, m2, "bplace", "guided")
+    assert (v.status, v.mode_used) == ("related", "guided")
+    assert v.stats["relations_checked"] == 11_671 < checkers.SEARCH_CAP
+    assert v.stats["relations_examined"] == 24_342_768  # as exhaustive mode counts it
+    assert v.stats["pruned_pairs"] == 0 and len(v.witness) == 7
+    assert check_relation(net, v.witness, "bplace").ok
 
 
 def test_related_under_a_finer_kind_is_related_under_a_coarser_one():

@@ -50,16 +50,17 @@ def respond(net, rel, anchor, start, direction, goal, node_budget=DEFAULT_NODE_B
     the reference search's (blocks, trace), or None; a goal tuple is the
     final marking's tokens, which run_search takes as it is and the
     reference as `goal.__eq__`. run_search must give the reference's
-    traces, and every hit must replay to its trace."""
+    trace, and a hit must replay to its trace."""
     args = (net.silent_moves, start.tokens(), psi_ok(rel, anchor, direction))
-    traces = run_search(*args, goal, node_budget)
+    trace = run_search(*args, goal, node_budget)
     if isinstance(goal, tuple):
         goal = goal.__eq__
     found = reference_search(*args, goal, node_budget)
-    assert traces == [trace for _, trace in found]
-    for blocks, trace in found:
-        assert replay(net, start, blocks) == trace
-    return found[0] if found else None
+    hit = found[0] if found else None
+    assert trace == (hit and hit[1])
+    if hit:
+        assert replay(net, start, hit[0]) == trace
+    return hit
 
 
 class TestTauSequential:
@@ -243,9 +244,12 @@ class TestFindSilentResponse:
         goal = answer_silently(rel, lt1, "psi")
         assert respond(net, rel, lt1.pre, start, "psi", goal) is None
 
-    def test_limit_and_budget_over_several_responses(self):
+    def test_first_response_and_budget_over_several_responses(self):
         # From a, every silent response is accepted: idling, or an acyclic
-        # walk to b, c or d, so the search has four responses to give.
+        # walk to b, c or d, so the reference has four responses to give.
+        # The search gives the first; a goal that one final marking alone
+        # meets, a predicate or that marking, gives that marking's first
+        # response, as the reference orders them.
         net = parse_net(
             "net fan\nplace a b c d\n"
             "trans t1 : a -> tau -> b\ntrans t2 : a -> tau -> c\n"
@@ -254,24 +258,24 @@ class TestFindSilentResponse:
         adj = net.silent_moves
         anything = lambda tokens: True
 
-        def search(node_budget, limit):
-            return run_search(adj, ("a",), anything, anything, node_budget, limit)
+        def search(goal, node_budget=DEFAULT_NODE_BUDGET):
+            return run_search(adj, ("a",), anything, goal, node_budget)
 
-        every = search(DEFAULT_NODE_BUDGET, 10)
-        assert len(every) >= 3
-        assert [trace[-1] for trace in every] == [("a",), ("b",), ("c",), ("d",)]
-        for k in range(1, len(every) + 1):
-            assert search(DEFAULT_NODE_BUDGET, k) == every[:k]
         found = reference_search(adj, ("a",), anything, anything, DEFAULT_NODE_BUDGET, 10)
-        assert [trace for _, trace in found] == every
+        every = [trace for _, trace in found]
+        assert [trace[-1] for trace in every] == [("a",), ("b",), ("c",), ("d",)]
         for blocks, trace in found:
             assert replay(net, Marking(["a"]), blocks) == trace
+        assert search(anything) == every[0]
+        for trace in every:
+            assert search(trace[-1].__eq__) == search(trace[-1]) == trace
+        assert search(("b", "b")) is None
         # the start and the idling response are the first two nodes: a
         # budget of two finds that response and no more
-        assert search(2, 1) == every[:1]
-        for node_budget, limit in ((1, 1), (2, len(every))):
+        assert search(anything, 2) == every[0]
+        for goal, node_budget in ((anything, 1), (("d",), 2)):
             with pytest.raises(SearchBudgetError, match="silent response"):
-                search(node_budget, limit)
+                search(goal, node_budget)
 
 
 def _coin(salt, tokens, percent) -> bool:
@@ -297,11 +301,11 @@ def _random_silent_net(rng, n):
 
 class TestReferenceSearch:
     def test_traces_are_the_reference_traces(self):
-        # run_search returns the traces of the block-building search it
-        # replaced, in the same order, and runs out of budget at the same
-        # node; every reference response replays to its trace.
+        # run_search returns the first trace of the block-building search
+        # it replaced, and runs out of budget at the same node; the
+        # reference response replays to its trace.
         rng = random.Random(2718)
-        nonempty = several = budget = 0
+        nonempty = budget = 0
         for n in range(2000):
             net = _random_silent_net(rng, n)
             start = tuple(sorted(rng.choices(net.places, k=rng.randint(1, 4))))
@@ -314,7 +318,7 @@ class TestReferenceSearch:
                 target.__eq__,
             ))
             args = (net.silent_moves, start, psi, goal,
-                    min(int(10 ** rng.uniform(0, 6)), DEFAULT_NODE_BUDGET), rng.randint(1, 5))
+                    min(int(10 ** rng.uniform(0, 6)), DEFAULT_NODE_BUDGET))
 
             def outcome(search):
                 try:
@@ -327,13 +331,11 @@ class TestReferenceSearch:
                 assert got == want, (net.transitions, args)
                 budget += 1
                 continue
-            assert got == [trace for _, trace in want], (net.transitions, args)
+            assert got == (want[0][1] if want else None), (net.transitions, args)
             for blocks, trace in want:
                 assert replay(net, Marking(start), blocks) == trace
             nonempty += bool(want)
-            several += len(want) > 1
         assert nonempty >= 650, nonempty  # 753 when written
-        assert several >= 130, several  # 159 when written
         assert budget >= 200, budget  # 241 when written
 
     def test_silent_traces_answer_every_psi(self):
@@ -383,21 +385,20 @@ class TestReferenceSearch:
     def test_an_exact_goal_drops_only_dead_states(self):
         # With a final marking as its goal, run_search drops every state
         # whose finished tokens that marking does not hold. Against the
-        # reference with the predicate `goal.__eq__`: the same traces in the
-        # same order; never a budget error where the reference answers; and
-        # where the reference meets the budget, a budget error or the traces
-        # it gives without one. Counting `psi_ok` calls (one per popped
+        # reference with the predicate `goal.__eq__`: the same first trace;
+        # never a budget error where the reference answers; and where the
+        # reference meets the budget, a budget error or the trace it gives
+        # without one. Counting `psi_ok` calls (one per popped
         # state that is not final) against the unpruned search shows that
         # the pruned one pops no more states.
         rng = random.Random(1618)
         dropped = rescued = answered = 0
-        for n in range(2000):
+        for n in range(3000):
             net = _random_silent_net(rng, n)
             start = tuple(sorted(rng.choices(net.places, k=rng.randint(1, 4))))
             target = tuple(sorted(rng.choices(net.places, k=len(start))))
             psi_rate, salt = rng.choice((100, 90, 70, 40)), rng.getrandbits(32)
             budget = min(int(10 ** rng.uniform(0, 6)), DEFAULT_NODE_BUDGET)
-            limit = rng.randint(1, 5)
             popped = Counter()
 
             def psi(mk, search=None):
@@ -406,27 +407,31 @@ class TestReferenceSearch:
 
             def outcome(search, goal, node_budget=budget, name=None):
                 try:
-                    return search(net.silent_moves, start, lambda mk: psi(mk, name), goal,
-                                  node_budget, limit)
+                    found = search(net.silent_moves, start, lambda mk: psi(mk, name), goal,
+                                   node_budget)
                 except SearchBudgetError:
                     return "budget"
+                if search is reference_search:
+                    return found[0][1] if found else None
+                return found
 
             got = outcome(run_search, target, name="pruned")
             want = outcome(reference_search, target.__eq__)
             if want == "budget":
                 unbudgeted = outcome(reference_search, target.__eq__, DEFAULT_NODE_BUDGET)
-                assert got in ("budget", [trace for _, trace in unbudgeted]), (
-                    net.transitions, start, target, budget, limit)
+                assert got in ("budget", unbudgeted), (net.transitions, start, target, budget)
                 rescued += got != "budget"
                 continue
-            assert got == [trace for _, trace in want], (net.transitions, start, target, limit)
+            assert got == want, (net.transitions, start, target)
             assert outcome(run_search, target.__eq__, name="unpruned") == got
             assert popped["pruned"] <= popped["unpruned"]
             dropped += popped["pruned"] < popped["unpruned"]
             answered += bool(got)
-        assert dropped >= 550, dropped  # 659 when written
-        assert rescued >= 55, rescued  # 73 when written
-        assert answered >= 550, answered  # 619 when written
+        # 968, 75 and 935 when written; 3,000 nets keep the floors that
+        # 2,000 met when the search gave several traces
+        assert dropped >= 550, dropped
+        assert rescued >= 55, rescued
+        assert answered >= 550, answered
 
 
 class TestPsiHolds:

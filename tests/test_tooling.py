@@ -382,22 +382,20 @@ def test_the_traffic_enters_every_function(monkeypatch, tmp_path):
 
 def test_every_stat_key_is_documented(monkeypatch):
     # Each key that decide, verify and decide_interleaving put in their
-    # stats appears in README in backticks; an `exhaustive_` key after an
-    # auto fallback counts as documented when its key without the prefix is.
+    # stats appears in README in backticks, the keys of an auto verdict at
+    # the node cap among them.
     keys = set()
     for case in pneq.corpus.load_cases():
         keys |= set(pneq.corpus.run_case(case, pneq.corpus.load_net(case.net)).stats)
-    monkeypatch.setattr(checkers, "AUTO_NODES", 0)
+    monkeypatch.setattr(checkers, "SEARCH_CAP", 0)
     net = pneq.corpus.load_net("silent_cells.pn")
     verdict = pneq.decide(
         net, pneq.parse_marking("s1", net), pneq.parse_marking("s2", net), "bplace")
-    assert verdict.mode_used == "guided" and "fallback" in verdict.stats
+    assert verdict.status == "unknown" and "reason" in verdict.stats
     keys |= set(verdict.stats)
     documented = set(re.findall(r"`([a-z_]+)`", (ROOT / "README.md").read_text(encoding="utf-8")))
-    assert {"exhaustive_relations_checked", "refine_rounds", "relation_ok"} <= keys
-    assert sorted(
-        k for k in keys if k not in documented and k.removeprefix("exhaustive_") not in documented
-    ) == []
+    assert {"relations_checked", "refine_rounds", "relation_ok"} <= keys
+    assert sorted(k for k in keys if k not in documented) == []
 
 
 def test_every_python_file_parses_as_python_3_10():
